@@ -222,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pvcmon",
         description="Partial vertex covers and smallest monopolies with average-threshold constraints.",
     )
-    parser.add_argument("--json", action="store_true", default=True,
-                        help="emit a JSON report (the default and only format)")
     parser.add_argument("--guard", type=int, default=None,
                         help="override the size guard for exact solving / enumeration")
     parser.add_argument("--seed-order", choices=("id", "degree"), default="id",

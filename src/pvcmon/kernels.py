@@ -1,9 +1,10 @@
-"""Hot search kernels: numba-jitted by default, numpy/python fallback on demand.
+"""Hot search kernels.
 
-The backend is chosen once at import time. Set ``PVCMON_NUMBA=0`` to skip
-jitting: the subset-enumeration profile and the min-plus merge then run as
-vectorized numpy, while the branch-and-bound search runs the same loop
-uncompiled. ``benchmarks/bench_kernels.py`` compares the two paths.
+The subset-enumeration profile and the min-plus merge are numba-jitted when
+numba is installed (the optional ``jit`` extra) and run as vectorized numpy
+otherwise; the backend is chosen once at import time, and ``PVCMON_NUMBA=0``
+forces numpy. The branch-and-bound search has one source in either backend:
+plain Python over lists. ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
@@ -93,119 +94,84 @@ def cover_profile(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
 # branch-and-bound minimum partial cover
 
 
-def _bb_min_cover_loop(n, indptr, nbrs, eids, n_edges, target, cap, init_size, init_flags, first_found):
-    # Searches for the smallest vertex set covering >= target edges, looking
-    # only below the incumbent init_size (whose flags must then be a valid
-    # witness) and never deeper than cap. Branches on the free vertex of
-    # maximum residual degree; prunes when the remaining budget times that
-    # degree cannot reach the residual target. The explicit op stack keeps
-    # this jittable: 0 explore, 1/2 apply/undo include, 3/4 apply/undo skip.
-    status = np.zeros(n, dtype=np.int8)
-    resdeg = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        resdeg[v] = indptr[v + 1] - indptr[v]
-    cover_cnt = np.zeros(n_edges, dtype=np.int8)
-    best_size = init_size
-    best_flags = init_flags.copy()
-    cur_flags = np.zeros(n, dtype=np.int8)
+def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
+    """Smallest vertex set covering >= target edges, searched below an incumbent.
+
+    The simple graph comes as CSR arrays (``indptr``, ``nbrs``). ``incumbent``
+    is a vertex list of size <= cap covering >= target edges, or None to
+    search below cap + 1. Returns ``(size, witness)``: the smallest set found
+    and its vertex list, or the incumbent (``cap + 1`` and ``[]`` without one)
+    when nothing smaller exists. With ``first_found`` the search stops at the
+    first improvement, which is enough to decide whether a set of size <= cap
+    exists.
+
+    Depth-first: branch on the free vertex of maximum residual degree (lowest
+    id on ties), first choosing it, then skipping it for the whole subtree;
+    every strictly smaller cover found replaces the incumbent. A node is
+    pruned when the ``avail`` largest residual degrees of the free vertices,
+    ``avail`` being how many more vertices could still beat the incumbent,
+    sum to less than the edges left to cover (the degree-sum bound of Kneis,
+    Mölle, Richter and Rossmanith, ISAAC 2006).
+    """
+    indptr = indptr.tolist()
+    nbrs = nbrs.tolist()
+    adj = [nbrs[indptr[v]:indptr[v + 1]] for v in range(n)]
+    if incumbent is None:
+        best_size, best = cap + 1, []
+    else:
+        best_size, best = len(incumbent), incumbent
+    deg = [len(a) for a in adj]  # residual degree of each free vertex, 0 otherwise
+    skipped_deg = [0] * n        # residual degree a skipped vertex gets back
+    status = [0] * n             # 0 free, 1 chosen, 2 skipped
+    chosen = []
     covered = 0
-    chosen = 0
-    stack_cap = 6 * n + 16
-    op_kind = np.empty(stack_cap, dtype=np.int8)
-    op_vert = np.empty(stack_cap, dtype=np.int64)
-    op_kind[0] = 0
-    op_vert[0] = -1
-    sp = 1
-    while sp > 0:
-        sp -= 1
-        kind = op_kind[sp]
-        v = op_vert[sp]
-        if kind == 1:
-            status[v] = 1
-            chosen += 1
-            cur_flags[v] = 1
-            for ii in range(indptr[v], indptr[v + 1]):
-                e = eids[ii]
-                cover_cnt[e] += 1
-                if cover_cnt[e] == 1:
-                    covered += 1
-                    resdeg[nbrs[ii]] -= 1
-                    resdeg[v] -= 1
-            continue
-        if kind == 2:
+    stack = []                   # 2v: leave v's choose branch; 2v + 1: its skip branch
+    explore = True
+    while True:
+        if explore:
+            need = target - covered
+            avail = best_size - 1 - len(chosen)
+            if need <= 0:
+                if len(chosen) < best_size:
+                    best_size, best = len(chosen), chosen[:]
+                    if first_found:
+                        break
+            elif avail > 0:
+                ranked = sorted(deg, reverse=True)
+                if sum(ranked[:avail]) >= need:
+                    top = ranked[0]
+                    v = deg.index(top)
+                    status[v] = 1
+                    chosen.append(v)
+                    covered += top
+                    deg[v] = 0
+                    for w in adj[v]:
+                        if status[w] == 0:
+                            deg[w] -= 1
+                    stack.append(2 * v)
+                    continue
+        if not stack:
+            break
+        op = stack.pop()
+        v = op >> 1
+        if op & 1:
             status[v] = 0
-            chosen -= 1
-            cur_flags[v] = 0
-            for ii in range(indptr[v], indptr[v + 1]):
-                e = eids[ii]
-                cover_cnt[e] -= 1
-                if cover_cnt[e] == 0:
-                    covered -= 1
-                    resdeg[nbrs[ii]] += 1
-                    resdeg[v] += 1
+            deg[v] = skipped_deg[v]
+            explore = False
             continue
-        if kind == 3:
-            status[v] = 2
-            continue
-        if kind == 4:
-            status[v] = 0
-            continue
-        # explore current node
-        if covered >= target:
-            if chosen < best_size:
-                best_size = chosen
-                for i in range(n):
-                    best_flags[i] = cur_flags[i]
-                if first_found and best_size <= cap:
-                    break
-            continue
-        avail = best_size - 1 - chosen
-        if avail <= 0:
-            continue
-        pivot = -1
-        bestdeg = 0
-        for i in range(n):
-            if status[i] == 0 and resdeg[i] > bestdeg:
-                bestdeg = resdeg[i]
-                pivot = i
-        if pivot < 0:
-            continue
-        if avail * bestdeg < target - covered:
-            continue
-        op_kind[sp] = 4
-        op_vert[sp] = pivot
-        sp += 1
-        op_kind[sp] = 0
-        op_vert[sp] = -1
-        sp += 1
-        op_kind[sp] = 3
-        op_vert[sp] = pivot
-        sp += 1
-        op_kind[sp] = 2
-        op_vert[sp] = pivot
-        sp += 1
-        op_kind[sp] = 0
-        op_vert[sp] = -1
-        sp += 1
-        op_kind[sp] = 1
-        op_vert[sp] = pivot
-        sp += 1
-    return best_size, best_flags
-
-
-_bb_min_cover_py = _bb_min_cover_loop
-if NUMBA_ENABLED:
-    _bb_min_cover_jit = njit(cache=True)(_bb_min_cover_loop)
-
-
-def bb_min_cover(n, indptr, nbrs, eids, n_edges, target, cap, init_size, init_flags, first_found):
-    """Best-improving branch-and-bound below the incumbent (see loop impl)."""
-    impl = _bb_min_cover_jit if NUMBA_ENABLED else _bb_min_cover_py
-    size, flags = impl(
-        n, indptr, nbrs, eids, n_edges,
-        int(target), int(cap), int(init_size), init_flags, bool(first_found),
-    )
-    return int(size), flags
+        chosen.pop()
+        status[v] = 2
+        d = 0
+        for w in adj[v]:
+            if status[w] != 1:
+                d += 1
+                if status[w] == 0:
+                    deg[w] += 1
+        covered -= d
+        skipped_deg[v] = d
+        stack.append(op + 1)
+        explore = True
+    return best_size, best
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Exhaustive subset-enumeration baselines used to cross-check the solvers.
+"""Independent baselines used to cross-check the solvers.
 
 These deliberately share no search code with the branch-and-bound path in
-:mod:`pvcmon.pvc`; they enumerate every vertex subset.
+:mod:`pvcmon.pvc`: most enumerate every vertex subset, and
+:func:`min_cover_size_ilp` hands the problem to an integer-program solver
+(optional, needs scipy) to reach sizes enumeration cannot.
 """
 
 from __future__ import annotations
@@ -31,6 +33,42 @@ def min_cover_size(graph: Graph, t: int, max_n: int = 20) -> int:
         if cov >= t:
             return k
     raise AssertionError("profile must reach m")  # t <= m makes this unreachable
+
+
+def min_cover_size_ilp(graph: Graph, t: int) -> int:
+    """Minimum subset size covering at least t edges, by a 0/1 integer program.
+
+    Minimise sum(x) subject to y_e <= x_u + x_v for every edge e = (u, v) and
+    sum(y) >= t, all variables binary, solved by HiGHS through
+    ``scipy.optimize.milp``. Raises ImportError when scipy is missing.
+    """
+    if t < 0 or t > graph.m:
+        raise InfeasibleTargetError(f"target {t} outside [0, {graph.m}]")
+    if t == 0:
+        return 0
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    n, m = graph.n, graph.m
+    # variables: x_0..x_{n-1}, then y_0..y_{m-1}; rows 0..m-1 read
+    # y_e - x_u - x_v <= 0 and row m reads sum(y) >= t
+    rows, cols, vals = [], [], []
+    for e, (u, v) in enumerate(graph.edges):
+        rows += [e, e, e, m]
+        cols += [n + e, u, v, n + e]
+        vals += [1.0, -1.0, -1.0, 1.0]
+    lower = np.full(m + 1, -np.inf)
+    upper = np.zeros(m + 1)
+    lower[m], upper[m] = t, np.inf
+    res = milp(
+        c=np.concatenate([np.ones(n), np.zeros(m)]),
+        constraints=LinearConstraint(csr_matrix((vals, (rows, cols)), shape=(m + 1, n + m)), lower, upper),
+        integrality=np.ones(n + m),
+        bounds=Bounds(0, 1),
+    )
+    if not res.success:
+        raise RuntimeError(f"ILP solve failed: {res.message}")
+    return int(round(res.fun))
 
 
 def max_independent_set_size(graph: Graph, max_n: int = 20) -> int:

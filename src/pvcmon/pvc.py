@@ -131,23 +131,16 @@ def _search_min_cover(
     if cap <= 0:
         return None
     greedy = pvc_greedy_upper(graph, t)
-    init_flags = np.zeros(graph.n, dtype=np.int8)
+    incumbent = None
     if greedy.size <= cap:
         if first_found:
             return greedy.size, greedy.witness
-        init_size = greedy.size
-        for v in greedy.witness:
-            init_flags[v] = 1
-    else:
-        init_size = cap + 1
-    indptr, nbrs, eids = _csr_arrays(graph)
-    best_size, flags = kernels.bb_min_cover(
-        graph.n, indptr, nbrs, eids, graph.m, t, cap, init_size, init_flags, first_found
-    )
-    if best_size > cap:
+        incumbent = list(greedy.witness)
+    indptr, nbrs, _ = _csr_arrays(graph)
+    size, witness = kernels.bb_min_cover(graph.n, indptr, nbrs, t, cap, incumbent, first_found)
+    if size > cap:
         return None
-    witness = frozenset(int(v) for v in np.nonzero(flags)[0])
-    return best_size, witness
+    return size, frozenset(witness)
 
 
 def pvc_exact(graph: Graph, t: int) -> PvcResult:
@@ -363,7 +356,9 @@ def _traceback(root, root_state, root_cov, dp0, dp1, children, selected) -> None
             g = gs[j - 1]
             u = kids[j - 1]
             placed = False
-            for x in range(min(c_rem, g.shape[0] - 1) + 1):
+            # g1[0] is INF (a chosen parent always covers the link edge), so
+            # with s == 1 the split starts at x = 1 and x - 1 never wraps
+            for x in range(s, min(c_rem, g.shape[0] - 1) + 1):
                 c1 = c_rem - x
                 if c1 >= seq[j - 1].shape[0]:
                     continue

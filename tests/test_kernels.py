@@ -74,5 +74,4 @@ def test_bb_matches_enumeration_minimum():
 def test_jit_variants_exist():
     assert kernels.backend() == "numba"
     assert hasattr(kernels, "_cover_profile_jit")
-    assert hasattr(kernels, "_bb_min_cover_jit")
     assert hasattr(kernels, "_minplus_jit")

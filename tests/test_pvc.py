@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -223,3 +224,17 @@ def test_enumeration_oracle_guard():
     big = random_graph(22, 0.2, random.Random(0))
     with pytest.raises(ValueError):
         min_cover_size(big, 1)
+
+
+def test_exact_matches_ilp_oracle_beyond_enumeration():
+    # subset enumeration stops near n = 20; the ILP checks optimality above it
+    pytest.importorskip("scipy")
+    from pvcmon.oracles import min_cover_size_ilp
+
+    rng = random.Random(29)
+    for n in (20, 24, 27, 30):
+        g = random_graph(n, 0.25, rng)
+        for t in (math.ceil(0.7 * g.m), math.ceil(0.9 * g.m), g.m):
+            res = pvc_exact(g, t)
+            assert res.size == min_cover_size_ilp(g, t)
+            assert coverage(g, res.witness) >= t
