@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import GadgetConstructionError, GraphFormatError, InfeasibleTargetError
-from .graph import Graph, bipartition, coverage, is_forest, parse_graph
+from .graph import Graph, coverage, parse_graph
 from .monopoly import (
     ThresholdAssignment,
     is_dynamic_monopoly,
@@ -28,7 +28,13 @@ from .monopoly import (
     smon,
 )
 from .pvc import (
+    EXACT_MAX_N,
+    METHOD_DEGREE_GREEDY,
+    METHOD_EXACT,
     METHOD_HEURISTIC,
+    METHOD_TREE,
+    dominant_view,
+    pick_solver,
     pvc_degree_greedy,
     pvc_exact,
     pvc_greedy_upper,
@@ -37,8 +43,8 @@ from .pvc import (
 from .reductions import build_gadget, gadget_edge_list, gadget_sidecar_json
 from .verify import run_suite
 
-EXACT_GUARD_DEFAULT = 30
 ORACLE_GUARD_DEFAULT = 14
+_AUTO_SOLVER = {METHOD_EXACT: "exact", METHOD_TREE: "tree", METHOD_DEGREE_GREEDY: "degreeGreedy"}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -89,31 +95,21 @@ def _effective_guard(requested, default: int) -> int:
 
 def _cmd_pvc(args, graph: Graph) -> dict:
     t = args.target
-    guard = _effective_guard(args.guard, EXACT_GUARD_DEFAULT)
+    guard = _effective_guard(args.guard, EXACT_MAX_N)
     solver = args.solver
     if solver == "auto":
-        view = bipartition(graph)
-        if is_forest(graph):
-            solver = "tree"
-        elif view is not None and view.min_degree_x >= view.max_degree_y:
-            solver = "degreeGreedy"
-        elif view is not None:
-            swapped = bipartition(graph, x_hint=view.y)
-            if swapped.min_degree_x >= swapped.max_degree_y:
-                solver = "degreeGreedy"
-            else:
-                solver = "exact" if graph.n <= guard else "greedy"
-        else:
-            solver = "exact" if graph.n <= guard else "greedy"
+        # the guard caps branch-and-bound only: the polynomial solvers take
+        # over from it, and greedy answers what neither covers
+        solver = _AUTO_SOLVER[pick_solver(graph, min(guard, EXACT_MAX_N))]
+        if solver == "exact" and graph.n > guard:
+            solver = "greedy"
 
     if solver == "tree":
         res = pvc_tree(graph, t)
     elif solver == "degreeGreedy":
-        view = bipartition(graph)
+        view = dominant_view(graph)
         if view is None:
             raise ValueError("degreeGreedy requires a bipartite graph")
-        if view.min_degree_x < view.max_degree_y:
-            view = bipartition(graph, x_hint=view.y)
         res = pvc_degree_greedy(view, graph, t)
     elif solver == "greedy":
         res = pvc_greedy_upper(graph, t)

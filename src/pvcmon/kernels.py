@@ -1,39 +1,21 @@
-"""Hot search kernels.
+"""Hot search kernels, one source each.
 
-The subset-enumeration profile and the min-plus merge are numba-jitted when
-numba is installed (the optional ``jit`` extra) and run as vectorized numpy
-otherwise; the backend is chosen once at import time, and ``PVCMON_NUMBA=0``
-forces numpy. The branch-and-bound search has one source in either backend:
-plain Python over lists. ``benchmarks/bench_kernels.py`` times the kernels.
+The subset-enumeration profile and the min-plus merge are vectorized numpy;
+``_cover_profile_loop`` is the plain-Python reference the tests check the
+profile against. The branch-and-bound search is plain Python over lists.
+``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 INF = int(np.int64(1) << np.int64(40))
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("PVCMON_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-
 def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend: always 'numpy'."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +44,10 @@ def _cover_profile_loop(n, edge_u, edge_v):
     return best
 
 
-def _cover_profile_numpy(n, edge_u, edge_v):
+def cover_profile(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
+    """Max coverage per subset size over all 2^n subsets (full enumeration)."""
+    if n > 26:
+        raise ValueError(f"subset enumeration guard: n={n} > 26")
     best = np.zeros(n + 1, dtype=np.int64)
     chunk = 1 << min(n, 20)  # bound peak memory on large enumerations
     for start in range(0, 1 << n, chunk):
@@ -74,20 +59,6 @@ def _cover_profile_numpy(n, edge_u, edge_v):
         np.maximum.at(best, sizes, cov)
     np.maximum.accumulate(best, out=best)
     return best
-
-
-_cover_profile_py = _cover_profile_loop
-if NUMBA_ENABLED:
-    _cover_profile_jit = njit(cache=True)(_cover_profile_loop)
-
-
-def cover_profile(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-    """Max coverage per subset size over all 2^n subsets (full enumeration)."""
-    if n > 26:
-        raise ValueError(f"subset enumeration guard: n={n} > 26")
-    if NUMBA_ENABLED:
-        return _cover_profile_jit(n, edge_u, edge_v)
-    return _cover_profile_numpy(n, edge_u, edge_v)
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +149,8 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
 # min-plus (tropical) convolution for the tree knapsack merge
 
 
-def _minplus_loop(a, b):
-    na = a.shape[0]
-    nb = b.shape[0]
-    out = np.full(na + nb - 1, INF, dtype=np.int64)
-    for i in range(na):
-        ai = a[i]
-        if ai >= INF:
-            continue
-        for j in range(nb):
-            s = ai + b[j]
-            if s < out[i + j]:
-                out[i + j] = s
-    for k in range(out.shape[0]):
-        if out[k] > INF:
-            out[k] = INF
-    return out
-
-
-def _minplus_numpy(a, b):
+def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-plus convolution; INF marks unreachable entries."""
     if a.shape[0] > b.shape[0]:
         a, b = b, a
     out = np.full(a.shape[0] + b.shape[0] - 1, INF, dtype=np.int64)
@@ -208,15 +162,3 @@ def _minplus_numpy(a, b):
         np.minimum(seg, ai + b, out=seg)
     np.minimum(out, INF, out=out)
     return out
-
-
-_minplus_py = _minplus_loop
-if NUMBA_ENABLED:
-    _minplus_jit = njit(cache=True)(_minplus_loop)
-
-
-def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus convolution; INF marks unreachable entries."""
-    if NUMBA_ENABLED:
-        return _minplus_jit(a, b)
-    return _minplus_numpy(a, b)

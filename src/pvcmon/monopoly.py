@@ -5,7 +5,10 @@ A threshold assignment gives every vertex an activation requirement between
 shot; a dynamic monopoly is a seed whose deterministic round-by-round
 closure activates the whole graph. ``smon`` and ``sdyn`` minimize the seed
 size over all assignments with a prescribed average, by reduction to
-partial vertex cover; ``sdyn_via_subgraph`` is the independent
+partial vertex cover, solved by ``pvc.solve_pvc`` (so forests and
+degree-dominant bipartite graphs get the polynomial solvers); the
+``*_decide`` forms ask ``pvc.pvc_decide`` for a cover within the size bound
+instead of proving a minimum. ``sdyn_via_subgraph`` is the independent
 sparse-induced-subgraph route used to cross-check ``sdyn``.
 """
 
@@ -18,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InfeasibleTargetError
 from .graph import Graph, coverage, edge_density, vertex_subset
-from .pvc import pvc_exact
+from .pvc import PvcbInstance, pvc_decide, solve_pvc
 
 Rational = Union[int, str, Fraction]
 
@@ -200,7 +203,7 @@ def smon(graph: Graph, t: Rational) -> SmonResult:
     nt = graph.n * t
     _require_feasible(graph, nt)
     target = max(0, math.ceil(nt / 2))
-    res = pvc_exact(graph, target)
+    res = solve_pvc(graph, target)
     tau = monopoly_witness_tau(graph, res.witness)
     return SmonResult(res.size, res.witness, tau)
 
@@ -218,7 +221,7 @@ def sdyn(graph: Graph, t: Rational) -> SdynResult:
     nt = graph.n * t
     _require_feasible(graph, nt)
     target = max(0, math.ceil(nt) - graph.m)
-    res = pvc_exact(graph, target)
+    res = solve_pvc(graph, target)
     tau = dynamo_witness_tau(graph, res.witness)
     return SdynResult(res.size, res.witness, tau)
 
@@ -263,7 +266,7 @@ def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     total = math.ceil(graph.n * k_factor * edge_density(graph))
     target = math.ceil(Fraction(total, 2))
-    return pvc_exact(graph, target).size <= d
+    return pvc_decide(PvcbInstance(graph, min(d, graph.n), target))
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
@@ -276,4 +279,4 @@ def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     total = math.ceil(graph.n * k_factor * edge_density(graph))
     target = max(0, total - graph.m)
-    return pvc_exact(graph, target).size <= d
+    return pvc_decide(PvcbInstance(graph, min(d, graph.n), target))

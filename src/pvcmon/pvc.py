@@ -4,6 +4,12 @@
 on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests;
 ``pvc_degree_greedy`` solves bipartite graphs whose X side degree-dominates
 the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
+
+``pick_solver`` is the one place that chooses among the exact solvers, and
+``solve_pvc`` answers a query with its choice: branch-and-bound up to
+``EXACT_MAX_N`` vertices (faster than the tree DP's numpy overhead there),
+then the tree DP for forests, degree greedy for bipartite graphs with a
+degree-dominating side, and branch-and-bound for everything else.
 """
 
 from __future__ import annotations
@@ -17,12 +23,15 @@ import numpy as np
 
 from . import kernels
 from .errors import InfeasibleTargetError
-from .graph import BipartitionView, Graph, coverage
+from .graph import BipartitionView, Graph, bipartition, coverage, is_forest
 
 METHOD_EXACT = "exact"
 METHOD_TREE = "tree_dp"
 METHOD_DEGREE_GREEDY = "degree_greedy"
 METHOD_HEURISTIC = "heuristic"
+
+# Largest graph that pick_solver always sends to branch-and-bound.
+EXACT_MAX_N = 30
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ def pvc_greedy_upper(graph: Graph, t: int) -> PvcResult:
     return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_HEURISTIC)
 
 
-def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     n, m = graph.n, graph.m
     indptr = np.zeros(n + 1, dtype=np.int64)
     for u, v in graph.edges:
@@ -106,16 +115,13 @@ def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         indptr[v + 1] += 1
     np.cumsum(indptr, out=indptr)
     nbrs = np.zeros(2 * m, dtype=np.int64)
-    eids = np.zeros(2 * m, dtype=np.int64)
     cursor = indptr[:-1].copy()
-    for eid, (u, v) in enumerate(graph.edges):
+    for u, v in graph.edges:
         nbrs[cursor[u]] = v
-        eids[cursor[u]] = eid
         cursor[u] += 1
         nbrs[cursor[v]] = u
-        eids[cursor[v]] = eid
         cursor[v] += 1
-    return indptr, nbrs, eids
+    return indptr, nbrs
 
 
 def _search_min_cover(
@@ -136,7 +142,7 @@ def _search_min_cover(
         if first_found:
             return greedy.size, greedy.witness
         incumbent = list(greedy.witness)
-    indptr, nbrs, _ = _csr_arrays(graph)
+    indptr, nbrs = _csr_arrays(graph)
     size, witness = kernels.bb_min_cover(graph.n, indptr, nbrs, t, cap, incumbent, first_found)
     if size > cap:
         return None
@@ -192,6 +198,46 @@ def pvc_degree_greedy(view: BipartitionView, graph: Graph, t: int) -> PvcResult:
         achieved += deg[v]
     # X touches every edge, so the prefix sums reach m >= t
     return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_DEGREE_GREEDY)
+
+
+def dominant_view(graph: Graph) -> Optional[BipartitionView]:
+    """The graph's bipartition, oriented so that X degree-dominates Y
+    (min degree on X >= max degree on Y) whenever either orientation does.
+
+    None when the graph is not bipartite.
+    """
+    view = bipartition(graph)
+    if view is None or view.min_degree_x >= view.max_degree_y:
+        return view
+    return bipartition(graph, x_hint=view.y)
+
+
+def pick_solver(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> str:
+    """The method that answers partial-cover queries on ``graph`` exactly.
+
+    Branch-and-bound for graphs of at most ``exact_max_n`` vertices; above
+    that the tree DP for forests, degree greedy for bipartite graphs with a
+    degree-dominating side, and branch-and-bound otherwise.
+    """
+    if graph.n <= exact_max_n:
+        return METHOD_EXACT
+    if is_forest(graph):
+        return METHOD_TREE
+    view = dominant_view(graph)
+    if view is not None and view.min_degree_x >= view.max_degree_y:
+        return METHOD_DEGREE_GREEDY
+    return METHOD_EXACT
+
+
+def solve_pvc(graph: Graph, t: int) -> PvcResult:
+    """Minimum-cardinality vertex set covering at least t edges, found by
+    the solver ``pick_solver`` chooses."""
+    method = pick_solver(graph)
+    if method == METHOD_TREE:
+        return pvc_tree(graph, t)
+    if method == METHOD_DEGREE_GREEDY:
+        return pvc_degree_greedy(dominant_view(graph), graph, t)
+    return pvc_exact(graph, t)
 
 
 def _validate_view(view: BipartitionView, graph: Graph) -> None:

@@ -1,11 +1,16 @@
 import json
-import os
+import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from pvcmon.cli import main
+from pvcmon.corpus import path_graph, random_tree
+from pvcmon.graph import to_edge_list_text
+from pvcmon.pvc import pvc_tree
 
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 P5_TEXT = "5 4\n0 1\n1 2\n2 3\n3 4\n"
@@ -43,6 +48,49 @@ def test_pvc_tree_solver(capsys, p5_file):
     assert code == 0
     assert report["result"]["size"] == 2
     assert report["result"]["method"] == "tree_dp"
+
+
+def test_pvc_auto_large_path_uses_tree_solver(capsys, tmp_path):
+    path = tmp_path / "p35.txt"
+    path.write_text(to_edge_list_text(path_graph(35)))
+    code, report = run_cli(capsys, "pvc", str(path), "-t", "34")
+    assert code == 0
+    assert report["result"]["method"] == "tree_dp"
+    assert report["result"]["size"] == 17
+
+
+def test_pvc_low_guard_keeps_forests_exact(capsys, p5_file):
+    # the guard caps branch-and-bound only; a forest still gets the tree DP
+    code, report = run_cli(capsys, "--guard", "3", "pvc", p5_file, "-t", "4")
+    assert code == 0
+    assert report["result"]["upper_bound"] is False
+    assert report["result"]["size"] == 2
+
+
+def test_pvc_degree_greedy_solver_orients_the_view(capsys, tmp_path):
+    # star with its center last: the default bipartition puts the leaves on X
+    star = tmp_path / "star.txt"
+    star.write_text("4 3\n0 3\n1 3\n2 3\n")
+    code, report = run_cli(capsys, "pvc", str(star), "-t", "3", "--solver", "degreeGreedy")
+    assert code == 0
+    assert report["result"]["witness"] == [3]
+    assert report["result"]["method"] == "degree_greedy"
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    code, _ = run_cli(capsys, "pvc", str(c5), "-t", "3", "--solver", "degreeGreedy")
+    assert code == 2
+
+
+def test_smon_sdyn_large_tree(capsys, tmp_path):
+    g = random_tree(300, random.Random(1))
+    path = tmp_path / "tree.txt"
+    path.write_text(to_edge_list_text(g))
+    nt = g.n * Fraction(19, 10)
+    for command, target in (("smon", math.ceil(nt / 2)), ("sdyn", math.ceil(nt) - g.m)):
+        code, report = run_cli(capsys, command, str(path), "-t", "19/10")
+        assert code == 0
+        assert report["result"]["verified"] is True
+        assert report["result"]["size"] == pvc_tree(g, target).size
 
 
 def test_pvc_zero_target(capsys, c4_file):
@@ -157,12 +205,10 @@ def test_seed_order_flag(capsys, tmp_path):
 def test_numpy_fallback_subprocess(tmp_path):
     graph = tmp_path / "c4.txt"
     graph.write_text(C4_TEXT)
-    env = dict(os.environ, PVCMON_NUMBA="0")
     proc = subprocess.run(
         [sys.executable, "-m", "pvcmon.cli", "pvc", str(graph), "-t", "4", "--solver", "exact"],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -171,6 +217,5 @@ def test_numpy_fallback_subprocess(tmp_path):
         [sys.executable, "-c", "from pvcmon import kernels; print(kernels.backend())"],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert check.stdout.strip() == "numpy"

@@ -19,10 +19,9 @@ def test_cover_profile_backends_agree():
     for _ in range(20):
         g = random_graph(rng.randint(1, 9), rng.choice((0.3, 0.6)), rng)
         eu, ev = _edge_arrays(g)
-        via_python = kernels._cover_profile_py(g.n, eu, ev)
-        via_numpy = kernels._cover_profile_numpy(g.n, eu, ev)
-        dispatched = kernels.cover_profile(g.n, eu, ev)
-        assert list(via_python) == list(via_numpy) == list(dispatched)
+        via_python = kernels._cover_profile_loop(g.n, eu, ev)
+        via_numpy = kernels.cover_profile(g.n, eu, ev)
+        assert list(via_python) == list(via_numpy)
 
 
 def test_cover_profile_guard():
@@ -54,8 +53,6 @@ def test_minplus_backends_agree():
             dtype=np.int64,
         )
         expected = _naive_minplus(list(a), list(b))
-        assert list(kernels._minplus_py(a, b)) == expected
-        assert list(kernels._minplus_numpy(a, b)) == expected
         assert list(kernels.minplus(a, b)) == expected
 
 
@@ -69,9 +66,3 @@ def test_bb_matches_enumeration_minimum():
         for t in range(g.m + 1):
             assert pvc_exact(g, t).size == min_cover_size(g, t)
 
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend disabled")
-def test_jit_variants_exist():
-    assert kernels.backend() == "numba"
-    assert hasattr(kernels, "_cover_profile_jit")
-    assert hasattr(kernels, "_minplus_jit")

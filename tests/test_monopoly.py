@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from pvcmon import (
     smon,
     smon_decide,
 )
-from pvcmon.corpus import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from pvcmon.corpus import complete_graph, cycle_graph, path_graph, random_graph, random_tree, star_graph
+from pvcmon.pvc import pvc_tree
 
 
 class TestThresholds:
@@ -246,3 +248,16 @@ class TestDecisionForms:
         for bad in (1, 2, Fraction(1, 2)):
             with pytest.raises(ValueError):
                 sdyn_decide(c4, 1, bad)
+
+
+def test_large_tree_monopolies_use_the_tree_solver():
+    # far beyond branch-and-bound: both answers must come from the tree DP
+    g = random_tree(300, random.Random(1))
+    t = Fraction(19, 10)
+    nt = g.n * t
+    mon = smon(g, t)
+    assert mon.size == pvc_tree(g, math.ceil(nt / 2)).size
+    assert is_monopoly(g, mon.tau, mon.monopoly)
+    dyn = sdyn(g, t)
+    assert dyn.size == pvc_tree(g, math.ceil(nt) - g.m).size
+    assert is_dynamic_monopoly(g, dyn.witness_tau, dyn.seed)
