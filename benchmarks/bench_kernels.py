@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels (best of a few runs, numpy backend).
+"""Time the hot kernels (best of a few runs, numpy backend), then one run of
+each verification battery at its default bounds.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -17,6 +18,7 @@ from pvcmon import kernels
 from pvcmon.corpus import random_graph, random_tree
 from pvcmon.pvc import _csr_arrays, pvc_greedy_upper, pvc_tree
 from pvcmon.reductions import build_gadget
+from pvcmon.verify import run_suite
 
 
 def _time(fn, *args, repeat=3):
@@ -45,6 +47,7 @@ def bench_bb_search():
     # batch of budget-capped searches over gadget graphs, the battery hot path
     rng = random.Random(2)
     jobs = []
+    greedy_jobs = []
     for _ in range(40):
         base = random_graph(4, 0.6, rng)
         k = rng.randint(0, 3)
@@ -54,6 +57,7 @@ def bench_bb_search():
         target = math.ceil(inst.rho * g.m)
         indptr, nbrs = _csr_arrays(g)
         greedy = pvc_greedy_upper(g, target)
+        greedy_jobs.append((g, target))
         cap = k + 1
         incumbent = list(greedy.witness) if greedy.size <= cap else None
         jobs.append((g.n, indptr, nbrs, target, cap, incumbent))
@@ -67,6 +71,8 @@ def bench_bb_search():
 
     secs, _ = _time(run)
     _row(f"bb_min_cover {len(jobs)} decides", secs)
+    secs, _ = _time(lambda: [pvc_greedy_upper(g, target) for g, target in greedy_jobs])
+    _row(f"pvc_greedy_upper {len(greedy_jobs)} gadgets", secs)
 
 
 def bench_minplus():
@@ -83,6 +89,12 @@ def bench_tree_solver():
     print(f"\npvc_tree n=2000 t=m: {secs:.2f}s, cover size {res.size}")
 
 
+def bench_batteries():
+    print(f"\n{'battery':<28} {'time':>12} {'instances/s':>12}")
+    for report in run_suite("all"):
+        print(f"{report.suite:<28} {report.elapsed_seconds:>11.2f}s {report.instances / report.elapsed_seconds:>12.0f}")
+
+
 def main():
     print(f"backend: {kernels.backend()}")
     print(f"{'kernel':<28} {'time':>12}")
@@ -90,6 +102,7 @@ def main():
     bench_bb_search()
     bench_minplus()
     bench_tree_solver()
+    bench_batteries()
 
 
 if __name__ == "__main__":

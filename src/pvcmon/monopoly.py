@@ -7,9 +7,10 @@ closure activates the whole graph. ``smon`` and ``sdyn`` minimize the seed
 size over all assignments with a prescribed average, by reduction to
 partial vertex cover, solved by ``pvc.solve_pvc`` (so forests and
 degree-dominant bipartite graphs get the polynomial solvers); the
-``*_decide`` forms ask ``pvc.pvc_decide`` for a cover within the size bound
-instead of proving a minimum. ``sdyn_via_subgraph`` is the independent
-sparse-induced-subgraph route used to cross-check ``sdyn``.
+``*_decide`` forms use them too, but where branch-and-bound is picked they
+ask ``pvc.pvc_decide`` for a cover within the size bound instead of proving
+a minimum. ``sdyn_via_subgraph`` is the independent sparse-induced-subgraph
+route used to cross-check ``sdyn``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InfeasibleTargetError
 from .graph import Graph, coverage, edge_density, vertex_subset
-from .pvc import PvcbInstance, pvc_decide, solve_pvc
+from .pvc import METHOD_EXACT, PvcbInstance, pick_solver, pvc_decide, solve_pvc
 
 Rational = Union[int, str, Fraction]
 
@@ -256,6 +257,12 @@ def sdyn_via_subgraph(graph: Graph, t: Rational, max_n: int = 14) -> tuple[int, 
     return graph.n - best_size, witness
 
 
+def _cover_within(graph: Graph, d: int, target: int) -> bool:
+    if pick_solver(graph) != METHOD_EXACT:
+        return solve_pvc(graph, target).size <= d
+    return pvc_decide(PvcbInstance(graph, min(d, graph.n), target))
+
+
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
     static monopoly of size at most d? Valid for 0 < k < 2."""
@@ -266,7 +273,7 @@ def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     total = math.ceil(graph.n * k_factor * edge_density(graph))
     target = math.ceil(Fraction(total, 2))
-    return pvc_decide(PvcbInstance(graph, min(d, graph.n), target))
+    return _cover_within(graph, d, target)
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
@@ -279,4 +286,4 @@ def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     total = math.ceil(graph.n * k_factor * edge_density(graph))
     target = max(0, total - graph.m)
-    return pvc_decide(PvcbInstance(graph, min(d, graph.n), target))
+    return _cover_within(graph, d, target)

@@ -70,40 +70,27 @@ def _check_target(graph: Graph, t: int) -> None:
         raise InfeasibleTargetError(f"target {t} exceeds edge count {graph.m}")
 
 
-def _incidence(graph: Graph) -> list[list[tuple[int, int]]]:
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for eid, (u, v) in enumerate(graph.edges):
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
-    return inc
-
-
 def pvc_greedy_upper(graph: Graph, t: int) -> PvcResult:
     """Repeatedly pick the vertex covering the most uncovered edges (ties: lowest id).
 
     Valid witness, no optimality claim.
     """
     _check_target(graph, t)
-    inc = _incidence(graph)
-    resdeg = [len(lst) for lst in inc]
-    covered = [False] * graph.m
+    resdeg = [len(nb) for nb in graph.adjacency]
+    picked = [False] * graph.n
     chosen: list[int] = []
     achieved = 0
     while achieved < t:
-        pick = -1
-        bestdeg = 0
-        for v in range(graph.n):
-            if resdeg[v] > bestdeg:
-                bestdeg = resdeg[v]
-                pick = v
-        # t <= m guarantees some uncovered edge remains, so pick >= 0
+        # t <= m guarantees some uncovered edge remains, so max(resdeg) > 0
+        pick = resdeg.index(max(resdeg))
         chosen.append(pick)
-        for eid, u in inc[pick]:
-            if not covered[eid]:
-                covered[eid] = True
-                achieved += 1
+        picked[pick] = True
+        achieved += resdeg[pick]
+        resdeg[pick] = 0
+        # the graph is simple, so edge (pick, u) was uncovered iff u is unpicked
+        for u in graph.adjacency[pick]:
+            if not picked[u]:
                 resdeg[u] -= 1
-                resdeg[pick] -= 1
     return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_HEURISTIC)
 
 

@@ -45,6 +45,11 @@ class GadgetInstance:
     roles: tuple[str, ...]
 
 
+def _pendant_edges(n: int) -> list[tuple[int, int]]:
+    # vertex v owns pendants n + 3v .. n + 3v + 2
+    return [(v, n + 3 * v + j) for v in range(n) for j in range(3)]
+
+
 def pendant_triple_augment(graph: Graph) -> tuple[Graph, dict[int, str]]:
     """Attach three pendant vertices to every original vertex.
 
@@ -52,14 +57,8 @@ def pendant_triple_augment(graph: Graph) -> tuple[Graph, dict[int, str]]:
     and vertex v's pendants are n + 3v .. n + 3v + 2.
     """
     n = graph.n
-    edges = list(graph.edges)
-    roles = {v: ROLE_ORIGINAL for v in range(n)}
-    for v in range(n):
-        for j in range(3):
-            p = n + 3 * v + j
-            edges.append((v, p))
-            roles[p] = ROLE_PENDANT
-    return Graph.from_edges(4 * n, edges), roles
+    roles = {v: ROLE_ORIGINAL if v < n else ROLE_PENDANT for v in range(4 * n)}
+    return Graph.from_edges(4 * n, [*graph.edges, *_pendant_edges(n)]), roles
 
 
 def gadget_parameters(graph: Graph, k: int, t: int, rho: Fraction) -> tuple[int, int]:
@@ -93,9 +92,8 @@ def build_gadget(graph: Graph, k: int, t: int, rho) -> GadgetInstance:
         raise GadgetConstructionError(
             f"path length s={s} < 1 for n={n}, m={m}, k={k}, t={t}, rho={rho}, r={r}"
         )
-    augmented, aug_roles = pendant_triple_augment(graph)
-    edges = list(augmented.edges)
-    roles = [aug_roles[v] for v in range(4 * n)]
+    edges = [*graph.edges, *_pendant_edges(n)]
+    roles = [ROLE_ORIGINAL] * n + [ROLE_PENDANT] * (3 * n)
 
     star_center = 4 * n
     roles.append(ROLE_STAR_CENTER)
@@ -196,6 +194,14 @@ def load_gadget(edge_list_text: str, sidecar_text: str) -> GadgetInstance:
     return inst
 
 
+def _lemma1_holds(graph: Graph, augmented: Graph, k: int, t: int) -> bool:
+    return pvc_decide(PvcbInstance(graph, k, t)) == pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
+
+
+def _lemma2_holds(augmented: Graph, inst: GadgetInstance, k: int, t: int) -> bool:
+    return pvc_decide(PvcbInstance(augmented, k, t + 3 * k)) == pvc_rho_decide(inst.graph, k + 1, inst.rho)
+
+
 def verify_lemma1(graph: Graph, k: int, t: int, max_n: int = 8) -> bool:
     """Check that pendant augmentation preserves the decision outcome.
 
@@ -205,9 +211,7 @@ def verify_lemma1(graph: Graph, k: int, t: int, max_n: int = 8) -> bool:
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
     augmented, _ = pendant_triple_augment(graph)
-    left = pvc_decide(PvcbInstance(graph, k, t))
-    right = pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
-    return left == right
+    return _lemma1_holds(graph, augmented, k, t)
 
 
 def verify_lemma2(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> bool:
@@ -218,12 +222,8 @@ def verify_lemma2(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> bool:
     """
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
-    rho = Fraction(rho)
     augmented, _ = pendant_triple_augment(graph)
-    inst = build_gadget(graph, k, t, rho)
-    left = pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
-    right = pvc_rho_decide(inst.graph, k + 1, rho)
-    return left == right
+    return _lemma2_holds(augmented, build_gadget(graph, k, t, rho), k, t)
 
 
 def reduction_chain(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> tuple[GadgetInstance, bool]:

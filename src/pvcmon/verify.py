@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,10 +22,9 @@ from .monopoly import (
     is_monopoly,
     monopoly_witness_tau,
     sdyn,
-    sdyn_via_subgraph,
     smon,
 )
-from .reductions import build_gadget, verify_lemma1, verify_lemma2
+from .reductions import _lemma1_holds, _lemma2_holds, build_gadget, pendant_triple_augment
 
 DEFAULT_RHOS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
@@ -35,19 +35,25 @@ class BatteryReport:
     instances: int = 0
     failures: list[dict] = field(default_factory=list)
     flagged: list[dict] = field(default_factory=list)
+    # wall time of the whole battery, set by run_suite
+    elapsed_seconds: float | None = None
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_payload(self) -> dict:
-        return {
+        payload = {
             "suite": self.suite,
             "instances": self.instances,
             "failures": self.failures,
             "flagged": self.flagged,
             "passed": self.passed,
         }
+        if self.elapsed_seconds is not None:
+            payload["elapsed_seconds"] = round(self.elapsed_seconds, 6)
+            payload["instances_per_second"] = round(self.instances / self.elapsed_seconds, 1)
+        return payload
 
 
 def _graph_key(graph: Graph) -> dict:
@@ -59,10 +65,11 @@ def lemma1_battery(max_n: int = 5) -> BatteryReport:
     report = BatteryReport("lemma1")
     for n in range(1, max_n + 1):
         for graph in all_labeled_graphs(n):
+            augmented, _ = pendant_triple_augment(graph)
             for k in range(n + 1):
                 for t in range(graph.m + 1):
                     report.instances += 1
-                    if not verify_lemma1(graph, k, t, max_n=max_n):
+                    if not _lemma1_holds(graph, augmented, k, t):
                         report.failures.append({**_graph_key(graph), "k": k, "t": t})
     return report
 
@@ -76,6 +83,7 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
     report = BatteryReport("lemma2")
     for n in range(1, max_n + 1):
         for graph in all_labeled_graphs(n):
+            augmented, _ = pendant_triple_augment(graph)
             for rho in rhos:
                 rho = Fraction(rho)
                 for k in range(n + 1):
@@ -88,7 +96,7 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
                             and inst.graph.n == 4 * n + inst.r + 1 + inst.s
                             and inst.graph.m == graph.m + 3 * n + inst.r + inst.s + 1
                         )
-                        equivalent = verify_lemma2(graph, k, t, rho, max_n=max_n)
+                        equivalent = _lemma2_holds(augmented, inst, k, t)
                         if not (structural_ok and equivalent):
                             report.failures.append(
                                 {**record, "structural_ok": structural_ok, "equivalent": equivalent}
@@ -136,6 +144,20 @@ def _phi_total_profile(graph: Graph) -> list[int]:
     return best
 
 
+def _sparse_profile(graph: Graph) -> list[int]:
+    """Per subset size, the fewest edges any subset of that size induces.
+
+    Computed over every subset, like ``sdyn_via_subgraph``; independent of
+    the cover solvers.
+    """
+    edge_masks = [(1 << u) | (1 << v) for u, v in graph.edges]
+    fewest = [graph.m] * (graph.n + 1)
+    for mask in range(1 << graph.n):
+        size = mask.bit_count()
+        fewest[size] = min(fewest[size], sum(1 for em in edge_masks if mask & em == em))
+    return fewest
+
+
 def theorem_corpus(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) -> list[Graph]:
     rng = random.Random(seed)
     out = []
@@ -162,6 +184,7 @@ def theorem_battery(
     for graph in theorem_corpus(n_graphs, max_n, seed):
         cover_prof = oracles.cover_profile(graph)
         phi_prof = _phi_total_profile(graph)
+        sparse_prof = _sparse_profile(graph)
         for t in _feasible_averages(graph, denominators):
             report.instances += 1
             record = {**_graph_key(graph), "t": str(t)}
@@ -183,7 +206,9 @@ def theorem_battery(
                 problems.append("static witness total below the required total")
 
             dyn = sdyn(graph, t)
-            oracle_size, _ = sdyn_via_subgraph(graph, t)
+            # n minus the largest subset inducing at most 2m - ceil(nt) edges
+            budget = 2 * graph.m - nt_ceil
+            oracle_size = graph.n - max(s for s, e in enumerate(sparse_prof) if e <= budget)
             if dyn.size != oracle_size:
                 problems.append(f"dynamic size {dyn.size} != subgraph oracle {oracle_size}")
             if not is_dynamic_monopoly(graph, dyn.witness_tau, dyn.seed):
@@ -226,24 +251,32 @@ def _bounded(size_bound: int | None, default: int, clamp: bool) -> int:
     return min(size_bound, default) if clamp else size_bound
 
 
+def _timed(battery, **kwargs) -> BatteryReport:
+    started = time.perf_counter()
+    report = battery(**kwargs)
+    report.elapsed_seconds = time.perf_counter() - started
+    return report
+
+
 def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = None) -> list[BatteryReport]:
     """Run one named battery, or 'all' of them at their standard bounds.
 
     For a specific suite the size bound is taken as given; for 'all' it can
     only shrink each battery's standard bound (useful for quick sweeps).
+    Each report carries its battery's wall time.
     """
     clamp = suite == "all"
     reports = []
     if suite in ("lemma1", "all"):
-        reports.append(lemma1_battery(max_n=_bounded(size_bound, 5, clamp)))
+        reports.append(_timed(lemma1_battery, max_n=_bounded(size_bound, 5, clamp)))
     if suite in ("lemma2", "all"):
-        reports.append(lemma2_battery(max_n=_bounded(size_bound, 4, clamp)))
+        reports.append(_timed(lemma2_battery, max_n=_bounded(size_bound, 4, clamp)))
     if suite in ("theorems", "all"):
         bound = _bounded(size_bound, 8, clamp)
         if bound > 14:
             raise ValueError("the theorems suite enumerates subsets; size bound must be <= 14")
-        reports.append(theorem_battery(n_graphs=n_graphs or 500, max_n=bound))
-        reports.append(witness_identity_battery(max_n=min(bound, 8)))
+        reports.append(_timed(theorem_battery, n_graphs=n_graphs or 500, max_n=bound))
+        reports.append(_timed(witness_identity_battery, max_n=min(bound, 8)))
     if not reports:
         raise ValueError(f"unknown suite {suite!r}")
     return reports

@@ -176,9 +176,19 @@ def test_reduce_writes_files(capsys, tmp_path, c4_file):
 
 
 def test_verify_small_battery(capsys):
-    code, report = run_cli(capsys, "verify", "lemma1", "--size-bound", "3")
-    assert code == 0
-    assert report["result"]["reports"][0]["passed"] is True
+    runs = []
+    for _ in range(2):
+        code, report = run_cli(capsys, "verify", "lemma1", "--size-bound", "3")
+        assert code == 0
+        battery = report["result"]["reports"][0]
+        assert battery["passed"] is True
+        assert battery["elapsed_seconds"] > 0
+        assert battery["instances_per_second"] > 0
+        for key in ("elapsed_seconds", "instances_per_second"):
+            battery.pop(key)
+        report.pop("elapsed_seconds")
+        runs.append(json.dumps(report, sort_keys=True))
+    assert runs[0] == runs[1]
 
 
 def test_payload_stability_excluding_timing(capsys, c4_file):

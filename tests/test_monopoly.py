@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -261,3 +262,16 @@ def test_large_tree_monopolies_use_the_tree_solver():
     dyn = sdyn(g, t)
     assert dyn.size == pvc_tree(g, math.ceil(nt) - g.m).size
     assert is_dynamic_monopoly(g, dyn.witness_tau, dyn.seed)
+
+
+def test_large_tree_decide_forms_use_the_tree_solver():
+    # branch-and-bound ran past a minute on these; 115 is the smon optimum
+    g = random_tree(300, random.Random(1))
+    k = Fraction(19, 10)
+    started = time.perf_counter()
+    assert smon_decide(g, 115, k) is True
+    assert smon_decide(g, 114, k) is False
+    d = pvc_tree(g, math.ceil(k * g.m) - g.m).size
+    assert sdyn_decide(g, d, k) is True
+    assert sdyn_decide(g, d - 1, k) is False
+    assert time.perf_counter() - started < 2.0

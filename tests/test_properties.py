@@ -12,19 +12,28 @@ from hypothesis import given, settings, strategies as st
 from pvcmon import (
     PvcbInstance,
     coverage,
+    dynamo_witness_tau,
+    monopoly_witness_tau,
+    parse_graph,
     pick_solver,
     pvc_decide,
     pvc_exact,
+    pvc_greedy_upper,
     sdyn,
     sdyn_decide,
+    sdyn_via_subgraph,
     smon,
     smon_decide,
     solve_pvc,
+    to_edge_list_text,
+    verify_lemma1,
+    verify_lemma2,
 )
 from pvcmon.corpus import complete_bipartite
 from pvcmon.graph import Graph
 from pvcmon.oracles import cover_profile
 from pvcmon.pvc import EXACT_MAX_N, METHOD_DEGREE_GREEDY, METHOD_TREE
+from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, _sparse_profile
 
 
 @st.composite
@@ -54,6 +63,62 @@ def test_decide_agrees_with_exact_size(g):
         assert coverage(g, res.witness) >= t
         for k in range(g.n + 1):
             assert pvc_decide(PvcbInstance(g, k, t)) == (res.size <= k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_greedy_upper_bound_witnesses(g):
+    prev = frozenset()
+    for t in range(g.m + 1):
+        res = pvc_greedy_upper(g, t)
+        assert res.achieved_coverage == coverage(g, res.witness) >= t
+        assert res.size == len(res.witness)
+        # one pick order serves every target, so the witnesses grow with t
+        assert prev <= res.witness
+        prev = res.witness
+    if g.m:
+        # the first pick is the lowest-id vertex of maximum degree
+        assert pvc_greedy_upper(g, 1).witness == {g.degrees.index(max(g.degrees))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=8))
+def test_sparse_profile_matches_subgraph_oracle(g):
+    # the theorem battery's dynamic-monopoly route against the CLI oracle
+    profile = _sparse_profile(g)
+    for t in _feasible_averages(g):
+        budget = 2 * g.m - math.ceil(g.n * t)
+        size = g.n - max(s for s, e in enumerate(profile) if e <= budget)
+        assert size == sdyn_via_subgraph(g, t)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witness_totals(data):
+    g = data.draw(graphs())
+    keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    subset = [v for v in range(g.n) if keep[v]]
+    cov = coverage(g, subset)
+    assert monopoly_witness_tau(g, subset).total == 2 * cov
+    assert dynamo_witness_tau(g, subset).total == g.m + cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=15))
+def test_edge_list_text_round_trips(g):
+    text = to_edge_list_text(g)
+    assert parse_graph(text) == g
+    assert to_edge_list_text(parse_graph(text)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(min_n=1, max_n=5))
+def test_lemma_wrappers_hold(g):
+    for k in range(g.n + 1):
+        for t in range(g.m + 1):
+            assert verify_lemma1(g, k, t)
+            for rho in DEFAULT_RHOS:
+                assert verify_lemma2(g, k, t, rho)
 
 
 @settings(max_examples=100, deadline=None)
