@@ -7,10 +7,10 @@ closure activates the whole graph. ``smon`` and ``sdyn`` minimize the seed
 size over all assignments with a prescribed average, by reduction to
 partial vertex cover, solved by ``pvc.solve_pvc`` (so forests and
 degree-dominant bipartite graphs get the polynomial solvers); the
-``*_decide`` forms use them too, but where branch-and-bound is picked they
-ask ``pvc.pvc_decide`` for a cover within the size bound instead of proving
-a minimum. ``sdyn_via_subgraph`` is the independent sparse-induced-subgraph
-route used to cross-check ``sdyn``.
+``*_decide`` forms compare its size with the bound. ``sdyn_via_subgraph``
+is the independent sparse-induced-subgraph route used to cross-check
+``sdyn``; ``sparse_profile`` is its enumeration, kept for callers that ask
+about several averages of one graph.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InfeasibleTargetError
 from .graph import Graph, coverage, edge_density, vertex_subset
-from .pvc import METHOD_EXACT, PvcbInstance, pick_solver, pvc_decide, solve_pvc
+from .pvc import solve_pvc
 
 Rational = Union[int, str, Fraction]
 
@@ -227,40 +227,50 @@ def sdyn(graph: Graph, t: Rational) -> SdynResult:
     return SdynResult(res.size, res.witness, tau)
 
 
-def sdyn_via_subgraph(graph: Graph, t: Rational, max_n: int = 14) -> tuple[int, frozenset[int]]:
+def sparse_profile(graph: Graph) -> list[dict[int, int]]:
+    """Every subset's induced edge count, by subset size.
+
+    Entry s maps each number of edges that some s-subset induces to the
+    first such subset in increasing bitmask order. Enumerates all 2^n
+    subsets; independent of the cover solvers.
+    """
+    edge_masks = [(1 << u) | (1 << v) for u, v in graph.edges]
+    profile: list[dict[int, int]] = [{} for _ in range(graph.n + 1)]
+    for mask in range(1 << graph.n):
+        inside = sum(1 for em in edge_masks if mask & em == em)
+        profile[mask.bit_count()].setdefault(inside, mask)
+    return profile
+
+
+def sdyn_via_subgraph(
+    graph: Graph,
+    t: Rational,
+    max_n: int = 14,
+    profile: Optional[list[dict[int, int]]] = None,
+) -> tuple[int, frozenset[int]]:
     """Independent route to the smallest dynamic monopoly size.
 
     Exhaustively maximizes |W| over vertex subsets whose induced subgraph
     keeps at most 2m - ceil(n*t) edges; the answer is n - max|W| and the
-    returned witness is the maximizer (its complement is an optimal seed).
-    Enumeration is guarded to small n.
+    returned witness is the first maximizer in bitmask order (its
+    complement is an optimal seed). Enumeration is guarded to small n;
+    a caller that already holds ``sparse_profile(graph)`` passes it as
+    ``profile`` and skips the enumeration.
     """
     t = _coerce_rational(t)
     if t < 0:
         raise ValueError(f"average threshold must be nonnegative, got {t}")
     nt = graph.n * t
     _require_feasible(graph, nt)
-    if graph.n > max_n:
-        raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
+    if profile is None:
+        if graph.n > max_n:
+            raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
+        profile = sparse_profile(graph)
     budget = 2 * graph.m - math.ceil(nt)
-    edge_masks = [(1 << u) | (1 << v) for u, v in graph.edges]
-    best_size = -1
-    best_mask = 0
-    for mask in range(1 << graph.n):
-        inside = sum(1 for em in edge_masks if mask & em == em)
-        if inside <= budget:
-            size = mask.bit_count()
-            if size > best_size:
-                best_size = size
-                best_mask = mask
+    best_size = max(s for s, row in enumerate(profile) if min(row) <= budget)
+    best_mask = min(mask for inside, mask in profile[best_size].items() if inside <= budget)
     witness = frozenset(v for v in range(graph.n) if (best_mask >> v) & 1)
     return graph.n - best_size, witness
-
-
-def _cover_within(graph: Graph, d: int, target: int) -> bool:
-    if pick_solver(graph) != METHOD_EXACT:
-        return solve_pvc(graph, target).size <= d
-    return pvc_decide(PvcbInstance(graph, min(d, graph.n), target))
 
 
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
@@ -273,7 +283,7 @@ def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     total = math.ceil(graph.n * k_factor * edge_density(graph))
     target = math.ceil(Fraction(total, 2))
-    return _cover_within(graph, d, target)
+    return solve_pvc(graph, target).size <= d
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
@@ -286,4 +296,4 @@ def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     total = math.ceil(graph.n * k_factor * edge_density(graph))
     target = max(0, total - graph.m)
-    return _cover_within(graph, d, target)
+    return solve_pvc(graph, target).size <= d

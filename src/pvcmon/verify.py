@@ -22,7 +22,9 @@ from .monopoly import (
     is_monopoly,
     monopoly_witness_tau,
     sdyn,
+    sdyn_via_subgraph,
     smon,
+    sparse_profile,
 )
 from .reductions import _lemma1_holds, _lemma2_holds, build_gadget, pendant_triple_augment
 
@@ -144,20 +146,6 @@ def _phi_total_profile(graph: Graph) -> list[int]:
     return best
 
 
-def _sparse_profile(graph: Graph) -> list[int]:
-    """Per subset size, the fewest edges any subset of that size induces.
-
-    Computed over every subset, like ``sdyn_via_subgraph``; independent of
-    the cover solvers.
-    """
-    edge_masks = [(1 << u) | (1 << v) for u, v in graph.edges]
-    fewest = [graph.m] * (graph.n + 1)
-    for mask in range(1 << graph.n):
-        size = mask.bit_count()
-        fewest[size] = min(fewest[size], sum(1 for em in edge_masks if mask & em == em))
-    return fewest
-
-
 def theorem_corpus(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) -> list[Graph]:
     rng = random.Random(seed)
     out = []
@@ -184,7 +172,7 @@ def theorem_battery(
     for graph in theorem_corpus(n_graphs, max_n, seed):
         cover_prof = oracles.cover_profile(graph)
         phi_prof = _phi_total_profile(graph)
-        sparse_prof = _sparse_profile(graph)
+        sparse_prof = sparse_profile(graph)
         for t in _feasible_averages(graph, denominators):
             report.instances += 1
             record = {**_graph_key(graph), "t": str(t)}
@@ -206,9 +194,7 @@ def theorem_battery(
                 problems.append("static witness total below the required total")
 
             dyn = sdyn(graph, t)
-            # n minus the largest subset inducing at most 2m - ceil(nt) edges
-            budget = 2 * graph.m - nt_ceil
-            oracle_size = graph.n - max(s for s, e in enumerate(sparse_prof) if e <= budget)
+            oracle_size, _ = sdyn_via_subgraph(graph, t, profile=sparse_prof)
             if dyn.size != oracle_size:
                 problems.append(f"dynamic size {dyn.size} != subgraph oracle {oracle_size}")
             if not is_dynamic_monopoly(graph, dyn.witness_tau, dyn.seed):

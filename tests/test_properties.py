@@ -33,7 +33,8 @@ from pvcmon.corpus import complete_bipartite
 from pvcmon.graph import Graph
 from pvcmon.oracles import cover_profile
 from pvcmon.pvc import EXACT_MAX_N, METHOD_DEGREE_GREEDY, METHOD_TREE
-from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, _sparse_profile
+from pvcmon.monopoly import sparse_profile
+from pvcmon.verify import DEFAULT_RHOS, _feasible_averages
 
 
 @st.composite
@@ -83,13 +84,25 @@ def test_greedy_upper_bound_witnesses(g):
 
 @settings(max_examples=100, deadline=None)
 @given(graphs(max_n=8))
-def test_sparse_profile_matches_subgraph_oracle(g):
-    # the theorem battery's dynamic-monopoly route against the CLI oracle
-    profile = _sparse_profile(g)
+def test_sparse_profile_and_subgraph_oracle(g):
+    def induced(subset):
+        return sum(1 for u, v in g.edges if u in subset and v in subset)
+
+    profile = sparse_profile(g)
+    for s in range(g.n + 1):
+        counts = {induced(set(c)) for c in combinations(range(g.n), s)}
+        assert set(profile[s]) == counts
+        for inside, mask in profile[s].items():
+            assert mask.bit_count() == s
+            assert induced({v for v in range(g.n) if (mask >> v) & 1}) == inside
     for t in _feasible_averages(g):
         budget = 2 * g.m - math.ceil(g.n * t)
-        size = g.n - max(s for s, e in enumerate(profile) if e <= budget)
-        assert size == sdyn_via_subgraph(g, t)[0]
+        size, witness = sdyn_via_subgraph(g, t)
+        assert (size, witness) == sdyn_via_subgraph(g, t, profile=profile)
+        assert size == sdyn(g, t).size
+        # the witness is a largest subset inducing at most the budget
+        assert len(witness) == g.n - size and induced(witness) <= budget
+        assert all(induced(set(c)) > budget for c in combinations(range(g.n), len(witness) + 1))
 
 
 @settings(max_examples=150, deadline=None)
