@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pvcmon import kernels
+from pvcmon import Graph, kernels
 from pvcmon.corpus import random_graph, random_tree
 from pvcmon.pvc import _csr_arrays, pvc_greedy_upper, pvc_tree
 from pvcmon.reductions import build_gadget
@@ -83,10 +83,21 @@ def bench_minplus():
     _row("minplus 1200x1200", secs)
 
 
+def _recursive_tree(n, rng):
+    # each vertex, in a shuffled order, attaches to a uniformly chosen earlier
+    # one: the shallow trees of the benchmark's cli workload
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph.from_edges(n, [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)])
+
+
 def bench_tree_solver():
     g = random_tree(2000, random.Random(11))
     secs, res = _time(lambda: pvc_tree(g, g.m), repeat=2)
     print(f"\npvc_tree n=2000 t=m: {secs:.2f}s, cover size {res.size}")
+    g = _recursive_tree(2000, random.Random(12))
+    secs, res = _time(lambda: pvc_tree(g, g.m // 3), repeat=2)
+    print(f"pvc_tree n=2000 recursive tree t=m/3: {secs:.2f}s, cover size {res.size}")
 
 
 def bench_batteries():

@@ -7,7 +7,8 @@ closure activates the whole graph. ``smon`` and ``sdyn`` minimize the seed
 size over all assignments with a prescribed average, by reduction to
 partial vertex cover, solved by ``pvc.solve_pvc`` (so forests and
 degree-dominant bipartite graphs get the polynomial solvers); the
-``*_decide`` forms compare its size with the bound. ``sdyn_via_subgraph``
+``*_decide`` forms ask ``smon``/``sdyn`` at the average their total fixes
+and compare the size with the bound. ``sdyn_via_subgraph``
 is the independent sparse-induced-subgraph route used to cross-check
 ``sdyn``; ``sparse_profile`` is its enumeration, kept for callers that ask
 about several averages of one graph.
@@ -273,17 +274,20 @@ def sdyn_via_subgraph(
     return graph.n - best_size, witness
 
 
+def _decide_average(graph: Graph, d: int, k_factor: Fraction) -> Fraction:
+    # the average threshold whose total is ceil(n*k*density)
+    if d < 0:
+        raise ValueError(f"size bound must be nonnegative, got {d}")
+    return Fraction(math.ceil(graph.n * k_factor * edge_density(graph)), graph.n)
+
+
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
     static monopoly of size at most d? Valid for 0 < k < 2."""
     k_factor = _coerce_rational(k_factor)
     if not (0 < k_factor < 2):
         raise ValueError(f"k factor must lie strictly between 0 and 2, got {k_factor}")
-    if d < 0:
-        raise ValueError(f"size bound must be nonnegative, got {d}")
-    total = math.ceil(graph.n * k_factor * edge_density(graph))
-    target = math.ceil(Fraction(total, 2))
-    return solve_pvc(graph, target).size <= d
+    return smon(graph, _decide_average(graph, d, k_factor)).size <= d
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
@@ -292,8 +296,4 @@ def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     k_factor = _coerce_rational(k_factor)
     if not (1 < k_factor < 2):
         raise ValueError(f"k factor must lie strictly between 1 and 2, got {k_factor}")
-    if d < 0:
-        raise ValueError(f"size bound must be nonnegative, got {d}")
-    total = math.ceil(graph.n * k_factor * edge_density(graph))
-    target = max(0, total - graph.m)
-    return solve_pvc(graph, target).size <= d
+    return sdyn(graph, _decide_average(graph, d, k_factor)).size <= d

@@ -1,7 +1,8 @@
 """Partial vertex cover solvers.
 
 ``pvc_exact`` runs branch-and-bound and is exact for any graph it finishes
-on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests;
+on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests, whose
+forward pass keeps every min-plus fold and whose traceback reads them back;
 ``pvc_degree_greedy`` solves bipartite graphs whose X side degree-dominates
 the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
 
@@ -288,8 +289,13 @@ def _child_tables(c0: np.ndarray, c1: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return g0, g1
 
 
-def _base_table(selected: int) -> np.ndarray:
-    return np.full(1, selected, dtype=np.int64)
+def _split(prev: np.ndarray, g: np.ndarray, c: int, value: int, lo: int) -> int:
+    """Smallest x >= lo with prev[c - x] + g[x] == value: the share of c
+    that the last folded table g takes in a min-plus fold reaching value."""
+    for x in range(lo, min(c, g.shape[0] - 1) + 1):
+        if c - x < prev.shape[0] and int(prev[c - x]) + int(g[x]) == value:
+            return x
+    raise AssertionError("min-plus split not found")
 
 
 def pvc_tree(graph: Graph, t: int) -> PvcResult:
@@ -304,24 +310,24 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
 
-    dp0: list[Optional[np.ndarray]] = [None] * graph.n
-    dp1: list[Optional[np.ndarray]] = [None] * graph.n
+    # folds[s][v]: v's table in state s before any child and after folding in
+    # each child in turn; the last entry covers v's whole subtree. The base
+    # tables are shared: min-plus and _child_tables never write their inputs.
+    base0 = np.zeros(1, dtype=np.int64)
+    base1 = np.ones(1, dtype=np.int64)
+    folds: tuple[list, list] = ([None] * graph.n, [None] * graph.n)
     for v in reversed(order):
-        t0 = _base_table(0)
-        t1 = _base_table(1)
+        seq0 = [base0]
+        seq1 = [base1]
         for u in children[v]:
-            g0, g1 = _child_tables(dp0[u], dp1[u])
-            t0 = kernels.minplus(t0, g0)
-            t1 = kernels.minplus(t1, g1)
-        dp0[v] = t0
-        dp1[v] = t1
+            g0, g1 = _child_tables(folds[0][u][-1], folds[1][u][-1])
+            seq0.append(kernels.minplus(seq0[-1], g0))
+            seq1.append(kernels.minplus(seq1[-1], g1))
+        folds[0][v] = seq0
+        folds[1][v] = seq1
 
-    comp_tables: list[np.ndarray] = []
-    for r in roots:
-        exact = np.minimum(dp0[r], dp1[r])
-        at_least = np.minimum.accumulate(exact[::-1])[::-1]
-        comp_tables.append(at_least)
-
+    exacts = [np.minimum(folds[0][r][-1], folds[1][r][-1]) for r in roots]
+    comp_tables = [np.minimum.accumulate(exact[::-1])[::-1] for exact in exacts]
     prefixes: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     for tab in comp_tables:
         prefixes.append(kernels.minplus(prefixes[-1], tab))
@@ -329,35 +335,21 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
     assert size < kernels.INF
 
     # split the requirement across components, then walk each subtree
-    comp_req = [0] * len(comp_tables)
+    comp_req = [0] * len(roots)
     req = t
-    for j in range(len(comp_tables), 0, -1):
-        tab = comp_tables[j - 1]
-        prev = prefixes[j - 1]
-        value = int(prefixes[j][req])
-        for c2 in range(min(req, tab.shape[0] - 1) + 1):
-            c1 = req - c2
-            if c1 < prev.shape[0] and int(prev[c1]) + int(tab[c2]) == value:
-                comp_req[j - 1] = c2
-                req = c1
-                break
-        else:
-            raise AssertionError("component split not found")
+    for j in range(len(roots), 0, -1):
+        comp_req[j - 1] = _split(prefixes[j - 1], comp_tables[j - 1], req, int(prefixes[j][req]), 0)
+        req -= comp_req[j - 1]
 
     selected: list[int] = []
-    for r, c_req, tab in zip(roots, comp_req, comp_tables):
-        if c_req == 0 and int(tab[0]) == 0:
+    for r, c_req, tab, exact in zip(roots, comp_req, comp_tables, exacts):
+        if c_req == 0:
             continue
-        target_val = int(tab[c_req])
-        exact = np.minimum(dp0[r], dp1[r])
-        c_exact = -1
-        for c in range(c_req, exact.shape[0]):
-            if int(exact[c]) == target_val:
-                c_exact = c
-                break
-        assert c_exact >= 0
-        s = 0 if int(dp0[r][c_exact]) == target_val else 1
-        _traceback(r, s, c_exact, dp0, dp1, children, selected)
+        value = int(tab[c_req])
+        # the fewest covered edges >= c_req at which the subtree reaches value
+        c_exact = c_req + int(np.argmax(exact[c_req:] == value))
+        s = 0 if int(folds[0][r][-1][c_exact]) == value else 1
+        _traceback(r, s, c_exact, folds, children, selected)
 
     witness = frozenset(selected)
     assert len(witness) == size
@@ -366,50 +358,26 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
     return PvcResult(size, witness, achieved, METHOD_TREE)
 
 
-def _traceback(root, root_state, root_cov, dp0, dp1, children, selected) -> None:
+def _traceback(root, root_state, root_cov, folds, children, selected) -> None:
     stack = [(root, root_state, root_cov)]
     while stack:
         v, s, c = stack.pop()
         if s == 1:
             selected.append(v)
+        seq = folds[s][v]
         kids = children[v]
-        if not kids:
-            assert c == 0
-            continue
-        seq = [_base_table(s)]
-        gs: list[np.ndarray] = []
-        for u in kids:
-            g0, g1 = _child_tables(dp0[u], dp1[u])
-            g = g1 if s == 1 else g0
-            gs.append(g)
-            seq.append(kernels.minplus(seq[-1], g))
-        c_rem = c
         for j in range(len(kids), 0, -1):
-            val = int(seq[j][c_rem])
-            g = gs[j - 1]
             u = kids[j - 1]
-            placed = False
+            c0 = folds[0][u][-1]
+            g = _child_tables(c0, folds[1][u][-1])[s]
             # g1[0] is INF (a chosen parent always covers the link edge), so
             # with s == 1 the split starts at x = 1 and x - 1 never wraps
-            for x in range(s, min(c_rem, g.shape[0] - 1) + 1):
-                c1 = c_rem - x
-                if c1 >= seq[j - 1].shape[0]:
-                    continue
-                if int(seq[j - 1][c1]) + int(g[x]) != val:
-                    continue
-                if s == 1:
-                    # child index shifted by the always-covered link edge
-                    if x - 1 < dp0[u].shape[0] and int(dp0[u][x - 1]) == int(g[x]):
-                        stack.append((u, 0, x - 1))
-                    else:
-                        stack.append((u, 1, x - 1))
-                else:
-                    if x < dp0[u].shape[0] and int(dp0[u][x]) == int(g[x]):
-                        stack.append((u, 0, x))
-                    else:
-                        stack.append((u, 1, x - 1))
-                c_rem = c1
-                placed = True
-                break
-            assert placed
-        assert c_rem == 0
+            x = _split(seq[j - 1], g, c, int(seq[j][c]), s)
+            # an unchosen child's subtree covers x - s edges (the link edge is
+            # in x only when v is chosen); a chosen child covers the link, so x - 1
+            if x - s < c0.shape[0] and int(c0[x - s]) == int(g[x]):
+                stack.append((u, 0, x - s))
+            else:
+                stack.append((u, 1, x - 1))
+            c -= x
+        assert c == 0

@@ -198,10 +198,6 @@ def _lemma1_holds(graph: Graph, augmented: Graph, k: int, t: int) -> bool:
     return pvc_decide(PvcbInstance(graph, k, t)) == pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
 
 
-def _lemma2_holds(augmented: Graph, inst: GadgetInstance, k: int, t: int) -> bool:
-    return pvc_decide(PvcbInstance(augmented, k, t + 3 * k)) == pvc_rho_decide(inst.graph, k + 1, inst.rho)
-
-
 def verify_lemma1(graph: Graph, k: int, t: int, max_n: int = 8) -> bool:
     """Check that pendant augmentation preserves the decision outcome.
 
@@ -223,7 +219,8 @@ def verify_lemma2(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> bool:
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
     augmented, _ = pendant_triple_augment(graph)
-    return _lemma2_holds(augmented, build_gadget(graph, k, t, rho), k, t)
+    inst = build_gadget(graph, k, t, rho)
+    return pvc_decide(PvcbInstance(augmented, k, t + 3 * k)) == pvc_rho_decide(inst.graph, k + 1, inst.rho)
 
 
 def reduction_chain(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> tuple[GadgetInstance, bool]:

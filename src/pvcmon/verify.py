@@ -26,7 +26,8 @@ from .monopoly import (
     smon,
     sparse_profile,
 )
-from .reductions import _lemma1_holds, _lemma2_holds, build_gadget, pendant_triple_augment
+from .pvc import PvcbInstance, pvc_decide, pvc_rho_decide
+from .reductions import _lemma1_holds, build_gadget, pendant_triple_augment
 
 DEFAULT_RHOS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
@@ -86,6 +87,12 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
     for n in range(1, max_n + 1):
         for graph in all_labeled_graphs(n):
             augmented, _ = pendant_triple_augment(graph)
+            # the left side <G', k, t + 3k> does not depend on rho
+            left = {
+                (k, t): pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
+                for k in range(n + 1)
+                for t in range(graph.m + 1)
+            }
             for rho in rhos:
                 rho = Fraction(rho)
                 for k in range(n + 1):
@@ -98,7 +105,7 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
                             and inst.graph.n == 4 * n + inst.r + 1 + inst.s
                             and inst.graph.m == graph.m + 3 * n + inst.r + inst.s + 1
                         )
-                        equivalent = _lemma2_holds(augmented, inst, k, t)
+                        equivalent = left[k, t] == pvc_rho_decide(inst.graph, k + 1, inst.rho)
                         if not (structural_ok and equivalent):
                             report.failures.append(
                                 {**record, "structural_ok": structural_ok, "equivalent": equivalent}
@@ -251,6 +258,10 @@ def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = 
     only shrink each battery's standard bound (useful for quick sweeps).
     Each report carries its battery's wall time.
     """
+    if size_bound is not None and size_bound < 1:
+        raise ValueError(f"size bound must be at least 1, got {size_bound}")
+    if n_graphs is not None and n_graphs < 1:
+        raise ValueError(f"graph count must be at least 1, got {n_graphs}")
     clamp = suite == "all"
     reports = []
     if suite in ("lemma1", "all"):

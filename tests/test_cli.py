@@ -191,6 +191,23 @@ def test_verify_small_battery(capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("theorems", "--count", "0"), "graph count must be at least 1, got 0"),
+        (("theorems", "--count", "-3"), "graph count must be at least 1, got -3"),
+        (("lemma1", "--size-bound", "0"), "size bound must be at least 1, got 0"),
+        (("all", "--size-bound", "-2"), "size bound must be at least 1, got -2"),
+    ],
+)
+def test_verify_rejects_nonpositive_bounds(capsys, argv, message):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_payload_stability_excluding_timing(capsys, c4_file):
     code1, r1 = run_cli(capsys, "sdyn", c4_file, "-t", "3/2", "--oracle")
     code2, r2 = run_cli(capsys, "sdyn", c4_file, "-t", "3/2", "--oracle")

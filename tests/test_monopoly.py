@@ -250,6 +250,15 @@ class TestDecisionForms:
             with pytest.raises(ValueError):
                 sdyn_decide(c4, 1, bad)
 
+    def test_negative_bound_and_empty_graph(self):
+        # ValueError, never ZeroDivisionError from the empty graph's average
+        empty = Graph.from_edges(0, [])
+        for decide, k in ((smon_decide, 1), (sdyn_decide, Fraction(3, 2))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                decide(cycle_graph(4), -1, k)
+            with pytest.raises(ValueError, match="empty graph"):
+                decide(empty, 1, k)
+
 
 def test_large_tree_monopolies_use_the_tree_solver():
     # far beyond branch-and-bound: both answers must come from the tree DP

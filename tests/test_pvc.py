@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pvcmon import (
+    Graph,
     InfeasibleTargetError,
     PvcbInstance,
     bipartition,
@@ -148,6 +149,49 @@ class TestTree:
                 a = pvc_tree(forest, t)
                 assert a.size == pvc_exact(forest, t).size
                 assert coverage(forest, a.witness) >= t
+
+    # Witnesses pinned at every t. The first forest has a spider, a path, a
+    # star and an isolated vertex; its roots 0 and 13 are chosen at some t,
+    # root 8 never is. The other two are relabelled random forests of three
+    # trees and two isolated vertices: no root of the second is ever chosen,
+    # while roots 0 and 3 of the third are.
+    GOLDEN_FORESTS = [
+        (
+            17,
+            [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (8, 9), (9, 10), (10, 11), (11, 12),
+             (13, 14), (13, 15), (13, 16)],
+            [[], [2], [1], [0], [1, 3], [0, 11], [0, 13], [0, 9, 11], [0, 11, 13], [0, 9, 11, 13],
+             [0, 9, 11, 13], [1, 3, 5, 11, 13], [1, 3, 5, 9, 11, 13], [1, 3, 5, 9, 11, 13]],
+        ),
+        (
+            19,
+            [(0, 10), (1, 6), (2, 6), (3, 7), (3, 14), (5, 16), (6, 11), (6, 16), (9, 11), (9, 17),
+             (10, 14), (12, 13), (12, 18), (13, 15)],
+            [[], [7], [3], [6], [6], [3, 6], [3, 6], [3, 6, 10], [3, 6, 10], [3, 6, 10, 17],
+             [3, 6, 9, 10], [3, 5, 6, 9, 10], [3, 6, 9, 10, 13], [3, 5, 6, 9, 10, 13],
+             [3, 5, 6, 9, 10, 13, 18]],
+        ),
+        (
+            23,
+            [(0, 5), (0, 8), (1, 18), (1, 21), (2, 18), (3, 4), (3, 19), (6, 11), (8, 21), (9, 21),
+             (10, 14), (10, 15), (10, 17), (11, 14), (12, 17), (16, 19), (16, 20), (17, 22)],
+            [[], [5], [18], [21], [5, 21], [18, 21], [17, 21], [0, 18, 21], [17, 18, 21],
+             [0, 16, 18, 21], [0, 17, 18, 21], [0, 3, 16, 18, 21], [0, 16, 17, 18, 21],
+             [0, 3, 14, 16, 18, 21], [0, 3, 16, 17, 18, 21], [0, 3, 15, 16, 17, 18, 21],
+             [0, 3, 10, 16, 17, 18, 21], [0, 3, 14, 15, 16, 17, 18, 21],
+             [0, 3, 10, 11, 16, 17, 18, 21]],
+        ),
+    ]
+
+    @pytest.mark.parametrize("n, edges, witnesses", GOLDEN_FORESTS)
+    def test_golden_witnesses(self, n, edges, witnesses):
+        forest = Graph.from_edges(n, edges)
+        assert len(witnesses) == forest.m + 1
+        for t, expected in enumerate(witnesses):
+            res = pvc_tree(forest, t)
+            assert sorted(res.witness) == expected
+            assert len(res.witness) == res.size == pvc_exact(forest, t).size
+            assert res.achieved_coverage == coverage(forest, res.witness) >= t
 
     def test_matches_exact_random_trees(self):
         rng = random.Random(10)
