@@ -71,6 +71,13 @@ def bench_bb_search():
 
     secs, _ = _time(run)
     _row(f"bb_min_cover {len(jobs)} decides", secs)
+    # the vertex-cover end (t = m), searched to optimality below the greedy
+    # incumbent as pvc_exact does
+    g = random_graph(50, 0.15, random.Random(1))
+    indptr, nbrs = _csr_arrays(g)
+    incumbent = list(pvc_greedy_upper(g, g.m).witness)
+    secs, _ = _time(kernels.bb_min_cover, g.n, indptr, nbrs, g.m, g.n, incumbent, False)
+    _row(f"bb_min_cover n={g.n} m={g.m} t=m", secs)
     secs, _ = _time(lambda: [pvc_greedy_upper(g, target) for g, target in greedy_jobs])
     _row(f"pvc_greedy_upper {len(greedy_jobs)} gadgets", secs)
 

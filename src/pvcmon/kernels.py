@@ -2,7 +2,9 @@
 
 The subset-enumeration profile and the min-plus merge are vectorized numpy;
 ``_cover_profile_loop`` is the plain-Python reference the tests check the
-profile against. The branch-and-bound search is plain Python over lists.
+profile against. The branch-and-bound search is plain Python over lists and
+prunes with two bounds: the uncoverable-edge count (edges whose endpoints
+are both skipped) and the degree-sum bound.
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -79,10 +81,15 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
     Depth-first: branch on the free vertex of maximum residual degree (lowest
     id on ties), first choosing it, then skipping it for the whole subtree;
     every strictly smaller cover found replaces the incumbent. A node is
-    pruned when the ``avail`` largest residual degrees of the free vertices,
-    ``avail`` being how many more vertices could still beat the incumbent,
-    sum to less than the edges left to cover (the degree-sum bound of Kneis,
-    Mölle, Richter and Rossmanith, ISAAC 2006).
+    pruned when more than m - target edges have both endpoints skipped: no
+    completion covers those, so none reaches the target (the uncoverable-edge
+    bound, O(1); it decides the vertex-cover end t ~ m, where the next bound
+    is weak). It is also pruned when the ``avail`` largest residual degrees
+    of the free vertices, ``avail`` being how many more vertices could still
+    beat the incumbent, sum to less than the edges left to cover (the
+    degree-sum bound of Kneis, Mölle, Richter and Rossmanith, ISAAC 2006).
+    Neither cuts a subtree holding a cover that beats the incumbent, so the
+    incumbents, and the witness returned, are those of the unpruned search.
     """
     indptr = indptr.tolist()
     nbrs = nbrs.tolist()
@@ -93,9 +100,12 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
         best_size, best = len(incumbent), incumbent
     deg = [len(a) for a in adj]  # residual degree of each free vertex, 0 otherwise
     skipped_deg = [0] * n        # residual degree a skipped vertex gets back
+    skipped_dead = [0] * n       # edges to skipped vertices a skip made uncoverable
     status = [0] * n             # 0 free, 1 chosen, 2 skipped
     chosen = []
     covered = 0
+    dead = 0                     # edges with both endpoints skipped
+    slack = len(nbrs) // 2 - target  # how many edges may stay uncovered
     stack = []                   # 2v: leave v's choose branch; 2v + 1: its skip branch
     explore = True
     while True:
@@ -107,7 +117,7 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
                     best_size, best = len(chosen), chosen[:]
                     if first_found:
                         break
-            elif avail > 0:
+            elif avail > 0 and dead <= slack:
                 ranked = sorted(deg, reverse=True)
                 if sum(ranked[:avail]) >= need:
                     top = ranked[0]
@@ -128,18 +138,23 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
         if op & 1:
             status[v] = 0
             deg[v] = skipped_deg[v]
+            dead -= skipped_dead[v]
             explore = False
             continue
         chosen.pop()
         status[v] = 2
-        d = 0
+        d = lost = 0
         for w in adj[v]:
             if status[w] != 1:
                 d += 1
                 if status[w] == 0:
                     deg[w] += 1
+                else:
+                    lost += 1
         covered -= d
+        dead += lost
         skipped_deg[v] = d
+        skipped_dead[v] = lost
         stack.append(op + 1)
         explore = True
     return best_size, best

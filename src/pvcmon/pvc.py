@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -96,19 +97,9 @@ def pvc_greedy_upper(graph: Graph, t: int) -> PvcResult:
 
 
 def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    n, m = graph.n, graph.m
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for u, v in graph.edges:
-        indptr[u + 1] += 1
-        indptr[v + 1] += 1
-    np.cumsum(indptr, out=indptr)
-    nbrs = np.zeros(2 * m, dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for u, v in graph.edges:
-        nbrs[cursor[u]] = v
-        cursor[u] += 1
-        nbrs[cursor[v]] = u
-        cursor[v] += 1
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(graph.degrees, out=indptr[1:])
+    nbrs = np.fromiter(chain.from_iterable(map(sorted, graph.adjacency)), np.int64, 2 * graph.m)
     return indptr, nbrs
 
 

@@ -238,10 +238,15 @@ def witness_identity_battery(n_graphs: int = 60, max_n: int = 8, seed: int = 7) 
     return report
 
 
-def _bounded(size_bound: int | None, default: int, clamp: bool) -> int:
+def _bounded(suite: str, size_bound: int | None, default: int, cap: int, clamp: bool) -> int:
+    # each step of the size bound multiplies an exhaustive battery's work, so
+    # one past the cap already runs for hours
     if size_bound is None:
         return default
-    return min(size_bound, default) if clamp else size_bound
+    bound = min(size_bound, default) if clamp else size_bound
+    if bound > cap:
+        raise ValueError(f"the {suite} suite is exhaustive; size bound must be <= {cap}")
+    return bound
 
 
 def _timed(battery, **kwargs) -> BatteryReport:
@@ -254,7 +259,8 @@ def _timed(battery, **kwargs) -> BatteryReport:
 def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = None) -> list[BatteryReport]:
     """Run one named battery, or 'all' of them at their standard bounds.
 
-    For a specific suite the size bound is taken as given; for 'all' it can
+    For a specific suite the size bound is taken as given, up to a hard cap
+    (lemma1 6, lemma2 5, theorems 14; above it ValueError); for 'all' it can
     only shrink each battery's standard bound (useful for quick sweeps).
     Each report carries its battery's wall time.
     """
@@ -265,13 +271,11 @@ def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = 
     clamp = suite == "all"
     reports = []
     if suite in ("lemma1", "all"):
-        reports.append(_timed(lemma1_battery, max_n=_bounded(size_bound, 5, clamp)))
+        reports.append(_timed(lemma1_battery, max_n=_bounded("lemma1", size_bound, 5, 6, clamp)))
     if suite in ("lemma2", "all"):
-        reports.append(_timed(lemma2_battery, max_n=_bounded(size_bound, 4, clamp)))
+        reports.append(_timed(lemma2_battery, max_n=_bounded("lemma2", size_bound, 4, 5, clamp)))
     if suite in ("theorems", "all"):
-        bound = _bounded(size_bound, 8, clamp)
-        if bound > 14:
-            raise ValueError("the theorems suite enumerates subsets; size bound must be <= 14")
+        bound = _bounded("theorems", size_bound, 8, 14, clamp)
         reports.append(_timed(theorem_battery, n_graphs=n_graphs or 500, max_n=bound))
         reports.append(_timed(witness_identity_battery, max_n=min(bound, 8)))
     if not reports:

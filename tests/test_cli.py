@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pvcmon.cli import main
-from pvcmon.corpus import path_graph, random_tree
+from pvcmon.corpus import path_graph, random_graph, random_tree
 from pvcmon.graph import to_edge_list_text
 from pvcmon.pvc import pvc_tree
 
@@ -91,6 +91,19 @@ def test_smon_sdyn_large_tree(capsys, tmp_path):
         assert code == 0
         assert report["result"]["verified"] is True
         assert report["result"]["size"] == pvc_tree(g, target).size
+
+
+def test_smon_at_the_vertex_cover_end(capsys, tmp_path):
+    # at the largest average 2m/n the static target is m: a full vertex cover
+    g = random_graph(60, 0.1, random.Random(1))
+    path = tmp_path / "g60.txt"
+    path.write_text(to_edge_list_text(g))
+    average = Fraction(2 * g.m, g.n)
+    assert average == Fraction(173, 30)
+    code, report = run_cli(capsys, "smon", str(path), "-t", "173/30")
+    assert code == 0
+    assert report["result"]["verified"] is True
+    assert report["result"]["size"] == 36
 
 
 def test_pvc_zero_target(capsys, c4_file):
@@ -206,6 +219,19 @@ def test_verify_rejects_nonpositive_bounds(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "suite, bound, cap",
+    [("lemma1", 7, 6), ("lemma2", 6, 5), ("theorems", 15, 14)],
+)
+def test_verify_caps_exhaustive_suites(capsys, suite, bound, cap):
+    # one size past the cap enumerates for hours; the refusal comes at once
+    code = main(["verify", suite, "--size-bound", str(bound)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"the {suite} suite is exhaustive; size bound must be <= {cap}" in captured.err
 
 
 def test_payload_stability_excluding_timing(capsys, c4_file):

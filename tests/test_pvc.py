@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -282,3 +284,39 @@ def test_exact_matches_ilp_oracle_beyond_enumeration():
             res = pvc_exact(g, t)
             assert res.size == min_cover_size_ilp(g, t)
             assert coverage(g, res.witness) >= t
+
+
+def test_exact_vertex_cover_end_matches_ilp():
+    # targets near m, where only the uncoverable-edge bound keeps the search short
+    pytest.importorskip("scipy")
+    from pvcmon.oracles import min_cover_size_ilp
+
+    searched = 0.0
+    for n, p in ((40, 0.2), (50, 0.15), (60, 0.1)):
+        g = random_graph(n, p, random.Random(1))
+        for t in (math.ceil(0.9 * g.m), g.m):
+            started = time.perf_counter()
+            res = pvc_exact(g, t)
+            searched += time.perf_counter() - started
+            assert res.size == min_cover_size_ilp(g, t)
+            assert coverage(g, res.witness) >= t
+    assert searched < 10.0, f"exact searches took {searched:.2f}s"
+
+
+# sha256 of the corpus below, recorded before the uncoverable-edge bound: a
+# bound may prune only subtrees without a better cover, so it must keep every
+# witness and decision unchanged
+WITNESS_DIGEST = "1c808c336ce8d546f6a0a6fe64c840793aed12070df9fc3e53bb48cd74d408e0"
+
+
+def test_golden_witness_digest():
+    rng = random.Random(43)
+    h = hashlib.sha256()
+    for _ in range(64):
+        g = random_graph(rng.randint(10, 22), rng.choice((0.2, 0.3, 0.4, 0.5)), rng)
+        for t in (math.ceil(0.7 * g.m), math.ceil(0.8 * g.m), math.ceil(0.9 * g.m), g.m):
+            res = pvc_exact(g, t)
+            below = res.size > 0 and pvc_decide(PvcbInstance(g, res.size - 1, t))
+            at = pvc_decide(PvcbInstance(g, res.size, t))
+            h.update(f"{g.n} {g.m} {t} {sorted(res.witness)} {below} {at}\n".encode())
+    assert h.hexdigest() == WITNESS_DIGEST
