@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the deterministic threshold spread")
     p.add_argument("graph")
     p.add_argument("thresholds", help="file with one integer threshold per line")
-    p.add_argument("--seed", type=int, nargs="*", default=[], help="seed vertex ids")
+    p.add_argument("--seed", type=int, nargs="*", default=None, help="seed vertex ids")
 
     p = sub.add_parser("reduce", help="build the star/path gadget instance")
     p.add_argument("graph")
@@ -262,9 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process, built on the first call rather than at import:
+    # parse_args fills a fresh namespace each time, so no call sees another's
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     started = time.perf_counter()
     report = {"command": args.command}
     ok = True

@@ -82,6 +82,15 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_recursive_tree(n: int, rng: random.Random) -> Graph:
+    """Random recursive tree under a random labelling: each vertex, in a
+    shuffled order, attaches to a uniformly chosen earlier one. These trees
+    are shallow (depth ~ ln n), like the benchmark's cli trees."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph.from_edges(n, [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)])
+
+
 def random_bipartite_degree_dominant(rng: random.Random, max_n: int = 14) -> tuple[Graph, tuple[int, ...]]:
     """Random bipartite graph whose X side degree-dominates the Y side.
 

@@ -165,9 +165,17 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
 
 
 def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus convolution; INF marks unreachable entries."""
+    """Min-plus convolution; INF marks unreachable entries.
+
+    A one-cell operand, the tree DP's every first fold into a base table,
+    takes one add and a clamp; longer ones fold row by row.
+    """
     if a.shape[0] > b.shape[0]:
         a, b = b, a
+    if a.shape[0] == 1:
+        out = int(a[0]) + b  # an INF a[0] clamps every cell to INF
+        np.minimum(out, INF, out=out)
+        return out
     out = np.full(a.shape[0] + b.shape[0] - 1, INF, dtype=np.int64)
     for i in range(a.shape[0]):
         ai = int(a[i])

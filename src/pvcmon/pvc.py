@@ -271,13 +271,29 @@ def _forest_structure(graph: Graph):
 def _child_tables(c0: np.ndarray, c1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Fold the child's two tables into the parent view, accounting for the
     # connecting edge: index shifts by one exactly when that edge is covered.
-    length = c0.shape[0]
-    g0 = np.full(length + 1, kernels.INF, dtype=np.int64)
-    g1 = np.full(length + 1, kernels.INF, dtype=np.int64)
-    np.minimum(g0[:length], c0, out=g0[:length])  # child unchosen, edge open
-    np.minimum(g0[1:], c1, out=g0[1:])            # child chosen covers the edge
-    g1[1:] = np.minimum(c0, c1)                   # chosen parent always covers it
+    # g0[x]: child unchosen with the edge open (c0[x]), or chosen covering it
+    # (c1[x - 1]); g1[x]: a chosen parent always covers it. Entries are <= INF.
+    g0 = np.concatenate((c0[:1], np.minimum(c0[1:], c1[:-1]), c1[-1:]))
+    g1 = np.concatenate((_INF_CELL, np.minimum(c0, c1)))
     return g0, g1
+
+
+# A vertex's tables before any child: no edge covered, at cost 0 unchosen and
+# 1 chosen. Every leaf keeps them, so every leaf child links in through one
+# shared pair. Read-only: min-plus and _child_tables never write their inputs.
+_INF_CELL = np.array([kernels.INF], dtype=np.int64)
+_BASE = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+_LEAF_LINKS = _child_tables(*_BASE)
+for _table in (_INF_CELL, *_BASE, *_LEAF_LINKS):
+    _table.setflags(write=False)
+del _table
+
+
+def _link_tables(folds, children, u) -> tuple[np.ndarray, np.ndarray]:
+    """Child u's whole-subtree tables in its parent's view."""
+    if not children[u]:
+        return _LEAF_LINKS
+    return _child_tables(folds[0][u][-1], folds[1][u][-1])
 
 
 def _split(prev: np.ndarray, g: np.ndarray, c: int, value: int, lo: int) -> int:
@@ -302,16 +318,13 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
 
     # folds[s][v]: v's table in state s before any child and after folding in
-    # each child in turn; the last entry covers v's whole subtree. The base
-    # tables are shared: min-plus and _child_tables never write their inputs.
-    base0 = np.zeros(1, dtype=np.int64)
-    base1 = np.ones(1, dtype=np.int64)
+    # each child in turn; the last entry covers v's whole subtree.
     folds: tuple[list, list] = ([None] * graph.n, [None] * graph.n)
     for v in reversed(order):
-        seq0 = [base0]
-        seq1 = [base1]
+        seq0 = [_BASE[0]]
+        seq1 = [_BASE[1]]
         for u in children[v]:
-            g0, g1 = _child_tables(folds[0][u][-1], folds[1][u][-1])
+            g0, g1 = _link_tables(folds, children, u)
             seq0.append(kernels.minplus(seq0[-1], g0))
             seq1.append(kernels.minplus(seq1[-1], g1))
         folds[0][v] = seq0
@@ -360,7 +373,7 @@ def _traceback(root, root_state, root_cov, folds, children, selected) -> None:
         for j in range(len(kids), 0, -1):
             u = kids[j - 1]
             c0 = folds[0][u][-1]
-            g = _child_tables(c0, folds[1][u][-1])[s]
+            g = _link_tables(folds, children, u)[s]
             # g1[0] is INF (a chosen parent always covers the link edge), so
             # with s == 1 the split starts at x = 1 and x - 1 never wraps
             x = _split(seq[j - 1], g, c, int(seq[j][c]), s)

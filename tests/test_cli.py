@@ -243,6 +243,49 @@ def test_payload_stability_excluding_timing(capsys, c4_file):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_parser_is_built_once_and_leaks_nothing(capsys, tmp_path, c4_file, monkeypatch):
+    # each pair runs an option then its absence: an option or default that
+    # outlived its call would change the second payload
+    import pvcmon.cli as cli_module
+
+    big = tmp_path / "g32.txt"
+    big.write_text(to_edge_list_text(random_graph(32, 0.15, random.Random(1))))
+    tau = tmp_path / "tau.txt"
+    tau.write_text("2\n1\n1\n2\n")
+    runs = [
+        ("sdyn", c4_file, "-t", "3/2", "--oracle"),
+        ("sdyn", c4_file, "-t", "3/2"),
+        ("--guard", "40", "pvc", str(big), "-t", "55"),
+        ("pvc", str(big), "-t", "55"),
+        ("simulate", c4_file, str(tau), "--seed", "1", "2"),
+        ("simulate", c4_file, str(tau)),
+    ]
+
+    def run(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        report.pop("elapsed_seconds")
+        return code, report, captured.err
+
+    builds = []
+    real_build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: builds.append(1) or real_build())
+    monkeypatch.setattr(cli_module, "_parser", None)
+    shared = [run(argv) for argv in runs]
+    assert len(builds) == 1
+    fresh = []
+    for argv in runs:
+        monkeypatch.setattr(cli_module, "_parser", None)
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert "oracle" in shared[0][1]["result"] and "oracle" not in shared[1][1]["result"]
+    assert shared[2][1]["result"]["method"] == "exact"
+    assert shared[3][1]["result"]["method"] == "heuristic"
+    assert shared[4][1]["result"]["layers"][0] == [1, 2]
+    assert shared[5][1]["result"]["layers"] == [[]]
+
+
 def test_seed_order_flag(capsys, tmp_path):
     # unique minimum cover is {0, 3}; vertex 3 has the larger degree
     path = tmp_path / "g.txt"

@@ -7,6 +7,7 @@ from pvcmon.corpus import (
     complete_bipartite,
     cycle_graph,
     random_bipartite_degree_dominant,
+    random_recursive_tree,
     random_tree,
     spider_graph,
 )
@@ -32,10 +33,11 @@ def test_free_trees_are_trees():
 
 def test_random_tree_is_tree():
     rng = random.Random(0)
-    for _ in range(30):
-        n = rng.randint(1, 40)
-        g = random_tree(n, rng)
-        assert g.n == n and g.m == max(0, n - 1) and is_forest(g)
+    for generate in (random_tree, random_recursive_tree):
+        for _ in range(30):
+            n = rng.randint(1, 40)
+            g = generate(n, rng)
+            assert g.n == n and g.m == max(0, n - 1) and is_forest(g)
 
 
 def test_degree_dominant_generator_meets_hypothesis():

@@ -56,6 +56,47 @@ def test_minplus_backends_agree():
         assert list(kernels.minplus(a, b)) == expected
 
 
+def _table(values):
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([3], [4]),                                  # 1x1
+        ([kernels.INF], [2]),                        # 1x1, unreachable
+        ([2], [0, 5, kernels.INF, 1]),               # one cell on the left
+        ([0, 5, kernels.INF, 1], [2]),               # one cell on the right
+        ([kernels.INF], [0, 5, kernels.INF, 1]),     # a[0] == INF
+        ([0, 5, 1], [kernels.INF]),                  # b[0] == INF
+        ([kernels.INF] * 3, [kernels.INF] * 2),      # all unreachable
+        ([kernels.INF], [kernels.INF] * 4),
+        ([0, kernels.INF], [kernels.INF, 0, 7]),
+    ],
+)
+def test_minplus_edge_cases(a, b):
+    a, b = _table(a), _table(b)
+    a_before, b_before = a.copy(), b.copy()
+    out = kernels.minplus(a, b)
+    assert out.dtype == np.int64
+    assert list(out) == _naive_minplus(list(a), list(b))
+    # the inputs are left as they were, and the result is a new array
+    assert list(a) == list(a_before) and list(b) == list(b_before)
+    assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+
+
+def test_minplus_random_lengths():
+    # lengths 1..40 on both sides run the one-add path and the row loop
+    rng = random.Random(29)
+    for _ in range(300):
+        a, b = (
+            _table([rng.randint(0, 90) if rng.random() < 0.7 else kernels.INF
+                    for _ in range(rng.choice((1, rng.randint(1, 40))))])
+            for _ in range(2)
+        )
+        assert list(kernels.minplus(a, b)) == _naive_minplus(list(a), list(b))
+
+
 def test_bb_matches_enumeration_minimum():
     from pvcmon.oracles import min_cover_size
     from pvcmon.pvc import pvc_exact

@@ -26,11 +26,13 @@ from pvcmon.corpus import (
     path_graph,
     random_bipartite_degree_dominant,
     random_graph,
+    random_recursive_tree,
     random_tree,
     spider_graph,
     star_graph,
 )
 from pvcmon.oracles import cover_profile, min_cover_size
+from util import relabelled_union
 
 
 class TestExact:
@@ -205,6 +207,25 @@ class TestTree:
     def test_infeasible(self):
         with pytest.raises(InfeasibleTargetError):
             pvc_tree(path_graph(3), 3)
+
+    # sha256 of (size, sorted witness, achieved coverage) on shallow random
+    # recursive trees, the benchmark cli workload's shape, and on forests with
+    # isolated vertices; the DP's speed-ups must keep every witness unchanged
+    TREE_DIGEST = "bb1fe961cd429c07c0a25deb5369d29ef913c3e29dfb7faaa0006347f88742d5"
+
+    def test_golden_witness_digest(self):
+        rng = random.Random(47)
+        graphs = [random_recursive_tree(n, rng) for n in (300, 600, 2000)]
+        for _ in range(3):
+            parts = [random_recursive_tree(rng.randint(1, 40), rng) for _ in range(rng.randint(2, 4))]
+            parts += [Graph.from_edges(1, [])] * rng.randint(1, 3)
+            graphs.append(relabelled_union(parts, rng))
+        h = hashlib.sha256()
+        for g in graphs:
+            for t in sorted({1, g.m // 5, g.m // 3, g.m // 2, 4 * g.m // 5, g.m}):
+                res = pvc_tree(g, t)
+                h.update(f"{g.n} {g.m} {t} {res.size} {sorted(res.witness)} {res.achieved_coverage}\n".encode())
+        assert h.hexdigest() == self.TREE_DIGEST
 
 
 class TestDegreeGreedy:

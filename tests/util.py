@@ -5,6 +5,19 @@ from __future__ import annotations
 from pvcmon.graph import Graph
 
 
+def relabelled_union(parts, rng) -> Graph:
+    """Disjoint union of ``parts`` under a random relabelling of its vertices."""
+    n = sum(g.n for g in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    offset = 0
+    for g in parts:
+        edges.extend(tuple(sorted((label[u + offset], label[v + offset]))) for u, v in g.edges)
+        offset += g.n
+    return Graph.from_edges(n, edges)
+
+
 def is_chordal(graph: Graph) -> bool:
     """Maximum cardinality search + perfect elimination ordering check."""
     n = graph.n
