@@ -1,16 +1,22 @@
 """Simple undirected graphs: edge-list parsing, coverage counting, bipartitions.
 
-Graphs are immutable after construction; every function here is pure, so
-shared instances are safe to use from any number of threads.
+A graph's vertices and edges never change after construction, and every
+function here is pure. A ``Graph`` also carries one private slot that
+``pvc.py`` fills with solver state derived from it (see
+``pvc._solver_state``); each state put there is immutable, and growing it
+builds a new state and swaps it in with one attribute store. So shared
+instances are safe to use from any number of threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import GraphFormatError
+
+Rational = Union[int, str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -25,6 +31,11 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[frozenset[int], ...]
+    # pvc.py's solver state for this object, stored on the instance on first
+    # use. A plain class attribute, not a field: it takes no part in
+    # construction, eq, hash or repr, so equal graphs stay equal and no two
+    # graph objects share a state.
+    _pvc_state = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -58,7 +69,7 @@ class Graph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -81,6 +92,19 @@ class BipartitionView:
     sorted_degrees_x: tuple[int, ...]
     min_degree_x: int
     max_degree_y: int
+
+
+def _coerce_rational(value: Rational) -> Fraction:
+    """An exact rational from an int, a 'p/q' string or a Fraction.
+
+    Floats raise TypeError: a float such as 0.1 is not the fraction it
+    prints as, and a ceiling taken of it can be off by one.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("pass an exact rational (int, 'p/q' string, or Fraction), not a float")
+    return Fraction(value)
 
 
 def vertex_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:

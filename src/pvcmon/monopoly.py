@@ -19,13 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InfeasibleTargetError
-from .graph import Graph, coverage, edge_density, vertex_subset
+from .graph import Graph, Rational, _coerce_rational, coverage, edge_density, vertex_subset
 from .pvc import solve_pvc
-
-Rational = Union[int, str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,6 @@ def _coerce_tau(graph: Graph, tau) -> ThresholdAssignment:
     if isinstance(tau, ThresholdAssignment):
         return ThresholdAssignment.for_graph(graph, tau.values)
     return ThresholdAssignment.for_graph(graph, tau)
-
-
-def _coerce_rational(t: Rational) -> Fraction:
-    if isinstance(t, float):
-        raise TypeError("pass an exact rational (int, 'p/q' string, or Fraction), not a float")
-    return Fraction(t)
 
 
 def _require_feasible(graph: Graph, nt: Fraction) -> None:

@@ -11,21 +11,37 @@ the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
 ``EXACT_MAX_N`` vertices (faster than the tree DP's numpy overhead there),
 then the tree DP for forests, degree greedy for bipartite graphs with a
 degree-dominating side, and branch-and-bound for everything else.
+
+What does not depend on the target is computed once per graph object and
+kept on it (``_solver_state``): the greedy's pick order with the coverage
+after each pick, grown only as far as the largest target asked so far, and
+the prefix sums of the degrees in decreasing order. A greedy answer is then
+a binary search. A decision query is "yes" when the greedy needs at most k
+picks, "no" when the k largest degrees sum below t (the degree-sum bound
+that branch-and-bound applies at its root), and searches only in between.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import InfeasibleTargetError
-from .graph import BipartitionView, Graph, bipartition, coverage, is_forest
+from .graph import (
+    BipartitionView,
+    Graph,
+    Rational,
+    _coerce_rational,
+    bipartition,
+    coverage,
+    is_forest,
+)
 
 METHOD_EXACT = "exact"
 METHOD_TREE = "tree_dp"
@@ -72,28 +88,68 @@ def _check_target(graph: Graph, t: int) -> None:
         raise InfeasibleTargetError(f"target {t} exceeds edge count {graph.m}")
 
 
+@dataclass(frozen=True, slots=True)
+class _SolverState:
+    """What the solvers derive from one graph without looking at a target.
+
+    ``picks`` is the greedy's pick order so far and ``covered[i]`` the edges
+    its first i picks cover (strictly increasing); ``resdeg`` is each
+    vertex's residual degree after them, 0 once picked, and the greedy
+    resumes from it. ``dprefix[k]`` sums the k largest degrees: no k
+    vertices cover more edges than that.
+    """
+
+    picks: tuple[int, ...]
+    covered: tuple[int, ...]
+    resdeg: tuple[int, ...]
+    dprefix: tuple[int, ...]
+
+
+def _solver_state(graph: Graph, t: int) -> _SolverState:
+    """The graph's solver state, its greedy run on until it covers >= t edges.
+
+    No greedy pick depends on the target, so one run, extended only as far
+    as the largest target asked so far, serves every target. A state is
+    never changed once stored on the graph: extending it builds a new one.
+    Threads that extend one graph's state at once each answer from their
+    own state and the last store wins; every stored state is a prefix of
+    the same pick order, so a lost store only costs work done again.
+    """
+    state = graph._pvc_state
+    if state is None:
+        picks, covered, resdeg = [], [0], list(graph.degrees)
+        dprefix = tuple(accumulate(sorted(resdeg, reverse=True), initial=0))
+    elif state.covered[-1] >= t:
+        return state
+    else:
+        picks, covered, resdeg = list(state.picks), list(state.covered), list(state.resdeg)
+        dprefix = state.dprefix
+    achieved = covered[-1]
+    while achieved < t:
+        # t <= m guarantees some uncovered edge remains, so max(resdeg) > 0
+        pick = resdeg.index(max(resdeg))
+        picks.append(pick)
+        achieved += resdeg[pick]
+        covered.append(achieved)
+        resdeg[pick] = 0
+        # edge (pick, u) was uncovered iff u is unpicked, and then resdeg[u] >= 1
+        for u in graph.adjacency[pick]:
+            if resdeg[u]:
+                resdeg[u] -= 1
+    state = _SolverState(tuple(picks), tuple(covered), tuple(resdeg), dprefix)
+    object.__setattr__(graph, "_pvc_state", state)
+    return state
+
+
 def pvc_greedy_upper(graph: Graph, t: int) -> PvcResult:
     """Repeatedly pick the vertex covering the most uncovered edges (ties: lowest id).
 
     Valid witness, no optimality claim.
     """
     _check_target(graph, t)
-    resdeg = [len(nb) for nb in graph.adjacency]
-    picked = [False] * graph.n
-    chosen: list[int] = []
-    achieved = 0
-    while achieved < t:
-        # t <= m guarantees some uncovered edge remains, so max(resdeg) > 0
-        pick = resdeg.index(max(resdeg))
-        chosen.append(pick)
-        picked[pick] = True
-        achieved += resdeg[pick]
-        resdeg[pick] = 0
-        # the graph is simple, so edge (pick, u) was uncovered iff u is unpicked
-        for u in graph.adjacency[pick]:
-            if not picked[u]:
-                resdeg[u] -= 1
-    return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_HEURISTIC)
+    state = _solver_state(graph, t)
+    size = bisect_left(state.covered, t)
+    return PvcResult(size, frozenset(state.picks[:size]), state.covered[size], METHOD_HEURISTIC)
 
 
 def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -103,58 +159,62 @@ def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, nbrs
 
 
-def _search_min_cover(
-    graph: Graph, t: int, cap: int, first_found: bool
-) -> Optional[tuple[int, frozenset[int]]]:
-    """Smallest cover of >= t edges with size <= cap, or None if none exists.
+def _decide(graph: Graph, t: int, cap: int) -> bool:
+    """True iff some set of at most cap vertices covers t <= m edges.
 
-    With ``first_found`` the search stops at the first witness within the
-    cap (sufficient for decision queries); otherwise it proves optimality.
+    The greedy answers yes when it needs at most cap picks; the degree-sum
+    bound answers no when the cap largest degrees sum below t. Only the
+    instances between the two reach the search, which stops at the first
+    witness within the cap.
     """
     if t == 0:
-        return 0, frozenset()
+        return True
     if cap <= 0:
-        return None
-    greedy = pvc_greedy_upper(graph, t)
-    incumbent = None
-    if greedy.size <= cap:
-        if first_found:
-            return greedy.size, greedy.witness
-        incumbent = list(greedy.witness)
+        return False
+    state = _solver_state(graph, t)
+    if bisect_left(state.covered, t) <= cap:
+        return True
+    # here cap < the greedy's size <= n
+    if state.dprefix[cap] < t:
+        return False
     indptr, nbrs = _csr_arrays(graph)
-    size, witness = kernels.bb_min_cover(graph.n, indptr, nbrs, t, cap, incumbent, first_found)
-    if size > cap:
-        return None
-    return size, frozenset(witness)
+    size, _ = kernels.bb_min_cover(graph.n, indptr, nbrs, t, cap, None, True)
+    return size <= cap
 
 
 def pvc_exact(graph: Graph, t: int) -> PvcResult:
-    """Minimum-cardinality vertex set covering at least t edges."""
+    """Minimum-cardinality vertex set covering at least t edges.
+
+    Branch-and-bound starts from the greedy's cover as its incumbent.
+    """
     _check_target(graph, t)
-    found = _search_min_cover(graph, t, graph.n, first_found=False)
-    assert found is not None  # t <= m means the full vertex set qualifies
-    size, witness = found
-    return PvcResult(size, witness, coverage(graph, witness), METHOD_EXACT)
+    if t == 0:
+        return PvcResult(0, frozenset(), 0, METHOD_EXACT)
+    state = _solver_state(graph, t)
+    incumbent = list(state.picks[:bisect_left(state.covered, t)])
+    indptr, nbrs = _csr_arrays(graph)
+    _, found = kernels.bb_min_cover(graph.n, indptr, nbrs, t, graph.n, incumbent, False)
+    witness = frozenset(found)
+    return PvcResult(len(witness), witness, coverage(graph, witness), METHOD_EXACT)
 
 
 def pvc_decide(instance: PvcbInstance) -> bool:
     """True iff the instance graph has a t-partial cover of size at most k."""
-    return _search_min_cover(instance.graph, instance.t, instance.k, first_found=True) is not None
+    return _decide(instance.graph, instance.t, instance.k)
 
 
-def pvc_rho_decide(graph: Graph, l: int, rho) -> bool:
+def pvc_rho_decide(graph: Graph, l: int, rho: Rational) -> bool:
     """True iff some set of at most l vertices covers at least rho * m edges.
 
-    The target ceil(rho * m) is computed in exact rational arithmetic.
+    The target ceil(rho * m) is computed in exact rational arithmetic; a
+    float rho raises TypeError.
     """
-    rho = Fraction(rho)
+    rho = _coerce_rational(rho)
     if not (0 < rho < 1):
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     if l < 0:
         raise ValueError(f"budget must be nonnegative, got {l}")
-    target = math.ceil(rho * graph.m)
-    cap = min(l, graph.n)
-    return _search_min_cover(graph, target, cap, first_found=True) is not None
+    return _decide(graph, math.ceil(rho * graph.m), l)
 
 
 def pvc_degree_greedy(view: BipartitionView, graph: Graph, t: int) -> PvcResult:

@@ -11,12 +11,11 @@ Two constructions are provided, with exhaustive desk-scale verifiers:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GadgetConstructionError
-from .graph import Graph, parse_graph, to_edge_list_text
+from .graph import Graph, Rational, _coerce_rational, parse_graph, to_edge_list_text
 from .pvc import PvcbInstance, pvc_decide, pvc_rho_decide
 
 ROLE_ORIGINAL = "original"
@@ -61,23 +60,31 @@ def pendant_triple_augment(graph: Graph) -> tuple[Graph, dict[int, str]]:
     return Graph.from_edges(4 * n, [*graph.edges, *_pendant_edges(n)]), roles
 
 
-def gadget_parameters(graph: Graph, k: int, t: int, rho: Fraction) -> tuple[int, int]:
-    """Exact star size r and path length s for the given instance."""
+def gadget_parameters(graph: Graph, k: int, t: int, rho: Rational) -> tuple[int, int]:
+    """Exact star size r and path length s for the given instance.
+
+    r = ceil(rho / (1 - rho) * (n(n - 1)/2 + 3n)) + n + 3 and
+    s = floor((t + 3k + (1 - rho) r + 1 - rho (m + 3n)) / rho), computed in
+    integers from rho = a/b in lowest terms.
+    """
+    rho = _coerce_rational(rho)
+    a, b = rho.numerator, rho.denominator
     n, m = graph.n, graph.m
-    r = math.ceil((rho / (1 - rho)) * (Fraction(n * (n - 1), 2) + 3 * n)) + n + 3
-    s = math.floor((t + 3 * k + (1 - rho) * r + 1 - rho * (m + 3 * n)) / rho)
+    r = -(-a * (n * (n - 1) // 2 + 3 * n) // (b - a)) + n + 3
+    s = (b * (t + 3 * k + r + 1) - a * (r + m + 3 * n)) // a
     return r, s
 
 
-def build_gadget(graph: Graph, k: int, t: int, rho) -> GadgetInstance:
+def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
     """Construct the star/path gadget H for the instance (graph, k, t, rho).
 
     H is the pendant-augmented graph plus a star on r leaves and a path on
     s vertices, joined by two edges: star center to path end, and star
     center to the lowest-id pendant. A computed path length below 1 is a
-    construction failure and raises, reporting the parameters.
+    construction failure and raises, reporting the parameters. A float rho
+    raises TypeError.
     """
-    rho = Fraction(rho)
+    rho = _coerce_rational(rho)
     if not (0 < rho < 1):
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     if graph.n < 1:
@@ -210,12 +217,13 @@ def verify_lemma1(graph: Graph, k: int, t: int, max_n: int = 8) -> bool:
     return _lemma1_holds(graph, augmented, k, t)
 
 
-def verify_lemma2(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> bool:
+def verify_lemma2(graph: Graph, k: int, t: int, rho: Rational, max_n: int = 6) -> bool:
     """Check that the star/path gadget preserves the decision outcome.
 
     Compares <G', k, t + 3k> with the fractional instance <H, k + 1> at
     fraction rho; both sides must agree.
     """
+    rho = _coerce_rational(rho)
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
     augmented, _ = pendant_triple_augment(graph)
@@ -223,11 +231,13 @@ def verify_lemma2(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> bool:
     return pvc_decide(PvcbInstance(augmented, k, t + 3 * k)) == pvc_rho_decide(inst.graph, k + 1, inst.rho)
 
 
-def reduction_chain(graph: Graph, k: int, t: int, rho, max_n: int = 6) -> tuple[GadgetInstance, bool]:
+def reduction_chain(
+    graph: Graph, k: int, t: int, rho: Rational, max_n: int = 6
+) -> tuple[GadgetInstance, bool]:
     """Build G -> G' -> H and report end-to-end decision equivalence."""
+    rho = _coerce_rational(rho)
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
-    rho = Fraction(rho)
     inst = build_gadget(graph, k, t, rho)
     left = pvc_decide(PvcbInstance(graph, k, t))
     right = pvc_rho_decide(inst.graph, k + 1, rho)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import oracles
 from .corpus import all_labeled_graphs, random_graph
-from .graph import Graph, coverage
+from .graph import Graph, _coerce_rational, coverage
 from .monopoly import (
     dynamo_witness_tau,
     is_dynamic_monopoly,
@@ -94,7 +94,7 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
                 for t in range(graph.m + 1)
             }
             for rho in rhos:
-                rho = Fraction(rho)
+                rho = _coerce_rational(rho)
                 for k in range(n + 1):
                     for t in range(graph.m + 1):
                         report.instances += 1
@@ -116,11 +116,17 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
 
 
 def _feasible_averages(graph: Graph, denominators=(1, 2, 3)) -> list[Fraction]:
+    """Every average p/q (p <= 2m, q a denominator) with (p/q) n <= 2m, sorted.
+
+    The test runs in integers, p n <= 2m q, so only the kept pairs become
+    Fractions.
+    """
+    degree_sum = 2 * graph.m
     out = {
         Fraction(p, q)
         for q in denominators
-        for p in range(1, 2 * graph.m + 1)
-        if Fraction(p, q) * graph.n <= 2 * graph.m
+        for p in range(1, degree_sum + 1)
+        if p * graph.n <= degree_sum * q
     }
     return sorted(out)
 

@@ -34,7 +34,8 @@ from pvcmon.graph import Graph
 from pvcmon.oracles import cover_profile
 from pvcmon.pvc import EXACT_MAX_N, METHOD_DEGREE_GREEDY, METHOD_TREE
 from pvcmon.monopoly import sparse_profile
-from pvcmon.verify import DEFAULT_RHOS, _feasible_averages
+from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, theorem_corpus
+from util import fresh_copy, solver_answers
 
 
 @st.composite
@@ -80,6 +81,16 @@ def test_greedy_upper_bound_witnesses(g):
     if g.m:
         # the first pick is the lowest-id vertex of maximum degree
         assert pvc_greedy_upper(g, 1).witness == {g.degrees.index(max(g.degrees))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=9), st.randoms(use_true_random=False))
+def test_shared_graph_answers_match_fresh_graphs(g, rng):
+    # the solver state a graph object keeps between queries must not change
+    # any answer, whatever order the targets come in
+    queries = [(g, k, t) for k in range(g.n + 1) for t in range(g.m + 1)]
+    rng.shuffle(queries)
+    assert solver_answers(queries, lambda h: h) == solver_answers(queries, fresh_copy)
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,3 +200,16 @@ def test_solver_dispatch_exact_on_dominant_bipartite_above_crossover(g):
         res = solve_pvc(g, t)
         assert res.size == pvc_exact(g, t).size
         assert coverage(g, res.witness) >= t
+
+
+def test_feasible_averages_match_fraction_filter():
+    # the integer filter p n <= 2m q keeps exactly the averages p/q with
+    # (p/q) n <= 2m, over the theorem battery's whole corpus
+    for g in theorem_corpus():
+        by_fractions = sorted({
+            Fraction(p, q)
+            for q in (1, 2, 3)
+            for p in range(1, 2 * g.m + 1)
+            if Fraction(p, q) * g.n <= 2 * g.m
+        })
+        assert _feasible_averages(g) == by_fractions

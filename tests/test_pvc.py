@@ -32,7 +32,7 @@ from pvcmon.corpus import (
     star_graph,
 )
 from pvcmon.oracles import cover_profile, min_cover_size
-from util import relabelled_union
+from util import fresh_copy, relabelled_union, solver_answers
 
 
 class TestExact:
@@ -125,6 +125,15 @@ class TestRhoDecide:
         # 7 edges, rho=1/3 -> target 3; the star center covers them all
         g = star_graph(7)
         assert pvc_rho_decide(g, 1, Fraction(1, 3))
+
+    def test_float_rho_rejected(self):
+        # Fraction(0.1) is a little above 1/10, so ceil(rho * 10) would be 2
+        # and one vertex of a ten-edge matching would wrongly fall short
+        matching = Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)])
+        assert pvc_rho_decide(matching, 1, Fraction(1, 10))
+        assert pvc_rho_decide(matching, 1, "1/10")
+        with pytest.raises(TypeError):
+            pvc_rho_decide(matching, 1, 0.1)
 
 
 class TestTree:
@@ -341,3 +350,122 @@ def test_golden_witness_digest():
             at = pvc_decide(PvcbInstance(g, res.size, t))
             h.update(f"{g.n} {g.m} {t} {sorted(res.witness)} {below} {at}\n".encode())
     assert h.hexdigest() == WITNESS_DIGEST
+
+
+# sha256 of every greedy answer on the corpus below, each graph queried at
+# its targets in shuffled order; recorded while each call still ran the
+# greedy from scratch, so it pins the resumed greedy to the same picks
+GREEDY_DIGEST = "77bc903b73e579bdaf69173b1538815aa2a492e8f309a7edab4548b6ac0afa68"
+
+
+def _greedy_corpus():
+    from pvcmon.reductions import build_gadget, pendant_triple_augment
+
+    rng = random.Random(47)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 40), rng.choice((0.1, 0.2, 0.4, 0.7)), rng)
+        yield g
+        yield pendant_triple_augment(g)[0]
+    for _ in range(6):
+        yield random_recursive_tree(rng.randint(50, 200), rng)
+    for _ in range(6):
+        base = random_graph(4, 0.6, rng)
+        k, t, rho = rng.randint(0, 3), rng.randint(0, base.m), Fraction(1, rng.randint(2, 3))
+        yield build_gadget(base, k, t, rho).graph
+
+
+def test_greedy_golden_digest():
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for g in _greedy_corpus():
+        targets = list(range(g.m + 1))
+        rng.shuffle(targets)
+        for t in targets:
+            res = pvc_greedy_upper(g, t)
+            h.update(f"{g.n} {g.m} {t} {res.size} {sorted(res.witness)} {res.achieved_coverage}\n".encode())
+    assert h.hexdigest() == GREEDY_DIGEST
+
+
+class TestSolverState:
+    def test_state_does_not_touch_equality(self):
+        g = random_graph(9, 0.5, random.Random(3))
+        twin = fresh_copy(g)
+        before = (hash(g), repr(g))
+        pvc_exact(g, g.m)
+        assert g == twin and hash(g) == hash(twin)
+        assert (hash(g), repr(g)) == before
+        assert g._pvc_state is not None and twin._pvc_state is None
+
+    def test_threads_on_shared_graphs(self):
+        import sys
+        import threading
+
+        # the threads (more than the cores) start on each graph object
+        # together, one asking its targets in increasing order and the others
+        # in shuffled orders, so they extend and read its state at once
+        rng = random.Random(61)
+        graphs = [random_graph(rng.randint(40, 70), 0.15, rng) for _ in range(16)]
+        graphs += [random_graph(rng.randint(3, 9), rng.choice((0.3, 0.6)), rng) for _ in range(12)]
+        n_threads = 3
+        orders = [[] for _ in range(n_threads)]
+        for g in graphs:
+            # greedy only on the large graphs, where exact search is slow
+            ks = [None] if g.n > 9 else range(g.n + 1)
+            queries = [(g, k, t) for t in range(g.m + 1) for k in ks]
+            orders[0].append(queries)
+            for order in orders[1:]:
+                order.append(rng.sample(queries, len(queries)))
+        expected = [[solver_answers(queries, fresh_copy) for queries in order] for order in orders]
+        got = [[] for _ in range(n_threads)]
+        errors = []
+        barrier = threading.Barrier(n_threads)
+
+        def run(i):
+            try:
+                for queries in orders[i]:
+                    barrier.wait()
+                    got[i].append(solver_answers(queries, lambda g: g))
+            except Exception as exc:  # reported below; stop the other threads too
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to interleave state updates
+        try:
+            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(n_threads)]
+            for th in threads:
+                th.start()
+            deadline = time.monotonic() + 60
+            for th in threads:
+                th.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert got == expected
+
+    def test_degree_sum_refusal_agrees_with_exact(self, monkeypatch):
+        # decides whose cap largest degrees sum below t are answered "no"
+        # before any search; each such answer must match the exact size
+        from pvcmon import kernels
+        from pvcmon.reductions import pendant_triple_augment
+
+        searches = []
+        search = kernels.bb_min_cover
+        monkeypatch.setattr(kernels, "bb_min_cover", lambda *a: searches.append(a) or search(*a))
+        rng = random.Random(67)
+        refused = 0
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 9), rng.choice((0.3, 0.5, 0.8)), rng)
+            for h in (g, pendant_triple_augment(g)[0]):
+                top = sorted(h.degrees, reverse=True)
+                for t in range(1, h.m + 1):
+                    size = pvc_exact(h, t).size
+                    for k in range(h.n + 1):
+                        fires = pvc_greedy_upper(h, t).size > k and sum(top[:k]) < t
+                        searches.clear()
+                        assert pvc_decide(PvcbInstance(h, k, t)) == (size <= k)
+                        if fires:
+                            refused += 1
+                            assert not searches
+        assert refused > 1000

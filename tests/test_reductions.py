@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from pvcmon import (
 )
 from pvcmon.corpus import all_labeled_graphs, cycle_graph, path_graph, random_graph
 from pvcmon.reductions import ROLE_ORIGINAL, ROLE_PENDANT, gadget_parameters
+from pvcmon.verify import DEFAULT_RHOS, lemma2_battery
 
 from util import is_chordal
 
@@ -111,6 +113,37 @@ class TestBuildGadget:
     def test_parameters_helper_matches(self):
         g = cycle_graph(4)
         assert gadget_parameters(g, 1, 2, Fraction(1, 2)) == (25, 21)
+
+    def test_integer_parameters_match_fraction_formula(self):
+        # every (graph, k, t, rho) of the default lemma2 battery, plus more fractions
+        def by_fractions(graph, k, t, rho):
+            n, m = graph.n, graph.m
+            r = math.ceil((rho / (1 - rho)) * (Fraction(n * (n - 1), 2) + 3 * n)) + n + 3
+            s = math.floor((t + 3 * k + (1 - rho) * r + 1 - rho * (m + 3 * n)) / rho)
+            return r, s
+
+        checked = 0
+        for rho in (*DEFAULT_RHOS, Fraction(1, 10), Fraction(3, 4), Fraction(5, 7)):
+            for n in range(1, 5):
+                for g in all_labeled_graphs(n):
+                    for k in range(n + 1):
+                        for t in range(g.m + 1):
+                            assert gadget_parameters(g, k, t, rho) == by_fractions(g, k, t, rho)
+                            checked += 1
+        assert checked > 4113
+
+    def test_float_rho_rejected(self):
+        g = cycle_graph(4)
+        for call in (
+            lambda: build_gadget(g, 1, 2, 0.5),
+            lambda: gadget_parameters(g, 1, 2, 0.5),
+            lambda: verify_lemma2(g, 1, 2, 0.5),
+            lambda: reduction_chain(g, 1, 2, 0.5),
+            lambda: lemma2_battery(max_n=1, rhos=(0.5,)),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert build_gadget(g, 1, 2, "1/2") == build_gadget(g, 1, 2, Fraction(1, 2))
 
 
 class TestSerialization:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from pvcmon import PvcbInstance, pvc_decide, pvc_exact, pvc_greedy_upper, pvc_rho_decide
 from pvcmon.graph import Graph
 
 
@@ -16,6 +19,29 @@ def relabelled_union(parts, rng) -> Graph:
         edges.extend(tuple(sorted((label[u + offset], label[v + offset]))) for u, v in g.edges)
         offset += g.n
     return Graph.from_edges(n, edges)
+
+
+def fresh_copy(graph: Graph) -> Graph:
+    """An equal graph object that shares no solver state with ``graph``."""
+    return Graph.from_edges(graph.n, graph.edges)
+
+
+def solver_answers(queries, graph_for) -> list:
+    """Answers to (g, k, t) queries, each call asked of ``graph_for(g)``: the
+    greedy's, and for k not None also pvc_exact's, pvc_decide's and
+    pvc_rho_decide's at a rho derived from t."""
+    out = []
+    for g, k, t in queries:
+        greedy = pvc_greedy_upper(graph_for(g), t)
+        out.append((greedy.size, greedy.witness, greedy.achieved_coverage))
+        if k is not None:
+            exact = pvc_exact(graph_for(g), t)
+            out.append((
+                exact.size, exact.witness, exact.achieved_coverage,
+                pvc_decide(PvcbInstance(graph_for(g), k, t)),
+                pvc_rho_decide(graph_for(g), k, Fraction(max(t, 1), g.m + 2)),
+            ))
+    return out
 
 
 def is_chordal(graph: Graph) -> bool:
