@@ -24,7 +24,7 @@ import numpy as np
 from pvcmon import kernels
 from pvcmon.corpus import random_graph, random_recursive_tree, random_tree
 from pvcmon.graph import Graph
-from pvcmon.pvc import PvcbInstance, _csr_arrays, pvc_decide, pvc_greedy_upper, pvc_tree
+from pvcmon.pvc import PvcbInstance, _csr_arrays, pvc_decide, pvc_greedy_upper, pvc_rho_decide, pvc_tree
 from pvcmon.reductions import build_gadget, pendant_triple_augment
 from pvcmon.verify import run_suite
 
@@ -58,7 +58,9 @@ def bench_cover_profile():
 
 
 def bench_bb_search():
-    # batch of budget-capped searches over gadget graphs, the battery hot path
+    # the lemma2 battery's right side: rho-decides on gadget graphs; each
+    # timed run starts from fresh graph objects, so the per-graph solver
+    # state is built inside the timing
     rng = random.Random(2)
     jobs = []
     greedy_jobs = []
@@ -67,30 +69,17 @@ def bench_bb_search():
         k = rng.randint(0, 3)
         t = rng.randint(0, base.m)
         inst = build_gadget(base, k, t, rng.choice((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))))
-        g = inst.graph
-        target = math.ceil(inst.rho * g.m)
-        indptr, nbrs = _csr_arrays(g)
-        greedy = pvc_greedy_upper(g, target)
-        greedy_jobs.append((g, target))
-        cap = k + 1
-        incumbent = list(greedy.witness) if greedy.size <= cap else None
-        jobs.append((g.n, indptr, nbrs, target, cap, incumbent))
+        jobs.append((inst.graph, k + 1, inst.rho))
+        greedy_jobs.append((inst.graph, math.ceil(inst.rho * inst.graph.m)))
 
-    def run():
-        out = 0
-        for n, indptr, nbrs, target, cap, incumbent in jobs:
-            size, _ = kernels.bb_min_cover(n, indptr, nbrs, target, cap, incumbent, True)
-            out += size
-        return out
-
-    secs, _ = _time(run)
-    _row(f"bb_min_cover {len(jobs)} decides", secs, len(jobs))
+    secs, _ = _time(lambda: sum(pvc_rho_decide(_fresh(g), l, rho) for g, l, rho in jobs))
+    _row(f"pvc_rho_decide {len(jobs)} gadgets", secs, len(jobs))
     # the vertex-cover end (t = m), searched to optimality below the greedy
     # incumbent as pvc_exact does
     g = random_graph(50, 0.15, random.Random(1))
     indptr, nbrs = _csr_arrays(g)
     incumbent = list(pvc_greedy_upper(g, g.m).witness)
-    secs, _ = _time(kernels.bb_min_cover, g.n, indptr, nbrs, g.m, g.n, incumbent, False)
+    secs, _ = _time(kernels.bb_min_cover, g.n, indptr, nbrs, g.m, incumbent)
     _row(f"bb_min_cover n={g.n} m={g.m} t=m", secs)
     # a fresh graph object for each call builds the graph's solver state (the
     # greedy from scratch and the degree prefix); the warm row reads it back

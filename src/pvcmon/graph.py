@@ -71,9 +71,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.adjacency))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u] if 0 <= u < self.n else False
 

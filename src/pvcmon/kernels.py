@@ -2,9 +2,11 @@
 
 The subset-enumeration profile and the min-plus merge are vectorized numpy;
 ``_cover_profile_loop`` is the plain-Python reference the tests check the
-profile against. The branch-and-bound search is plain Python over lists and
-prunes with two bounds: the uncoverable-edge count (edges whose endpoints
-are both skipped) and the degree-sum bound.
+profile against. The branch-and-bound search is plain Python over lists,
+has one mode (the smallest cover below a given incumbent; decisions ask
+``pvc.solve_pvc`` and compare its size) and prunes with two bounds: the
+uncoverable-edge count (edges whose endpoints are both skipped) and the
+degree-sum bound.
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -67,16 +69,12 @@ def cover_profile(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
 # branch-and-bound minimum partial cover
 
 
-def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
+def bb_min_cover(n, indptr, nbrs, target, incumbent):
     """Smallest vertex set covering >= target edges, searched below an incumbent.
 
     The simple graph comes as CSR arrays (``indptr``, ``nbrs``). ``incumbent``
-    is a vertex list of size <= cap covering >= target edges, or None to
-    search below cap + 1. Returns ``(size, witness)``: the smallest set found
-    and its vertex list, or the incumbent (``cap + 1`` and ``[]`` without one)
-    when nothing smaller exists. With ``first_found`` the search stops at the
-    first improvement, which is enough to decide whether a set of size <= cap
-    exists.
+    is a vertex list covering >= target edges. Returns the smallest set found
+    as a vertex list, or the incumbent when nothing smaller exists.
 
     Depth-first: branch on the free vertex of maximum residual degree (lowest
     id on ties), first choosing it, then skipping it for the whole subtree;
@@ -94,10 +92,7 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
     indptr = indptr.tolist()
     nbrs = nbrs.tolist()
     adj = [nbrs[indptr[v]:indptr[v + 1]] for v in range(n)]
-    if incumbent is None:
-        best_size, best = cap + 1, []
-    else:
-        best_size, best = len(incumbent), incumbent
+    best_size, best = len(incumbent), incumbent
     deg = [len(a) for a in adj]  # residual degree of each free vertex, 0 otherwise
     skipped_deg = [0] * n        # residual degree a skipped vertex gets back
     skipped_dead = [0] * n       # edges to skipped vertices a skip made uncoverable
@@ -115,8 +110,6 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
             if need <= 0:
                 if len(chosen) < best_size:
                     best_size, best = len(chosen), chosen[:]
-                    if first_found:
-                        break
             elif avail > 0 and dead <= slack:
                 ranked = sorted(deg, reverse=True)
                 if sum(ranked[:avail]) >= need:
@@ -157,7 +150,7 @@ def bb_min_cover(n, indptr, nbrs, target, cap, incumbent, first_found):
         skipped_dead[v] = lost
         stack.append(op + 1)
         explore = True
-    return best_size, best
+    return best
 
 
 # ---------------------------------------------------------------------------

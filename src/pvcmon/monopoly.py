@@ -80,13 +80,11 @@ class SpreadTrace:
 
 @dataclass(frozen=True)
 class SdynResult:
-    """Smallest dynamic monopoly: seed, its certifying thresholds, optional
-    sparse-subgraph witness from the enumeration route."""
+    """Smallest dynamic monopoly: seed and its certifying thresholds."""
 
     size: int
     seed: frozenset[int]
     witness_tau: ThresholdAssignment
-    sparse_subgraph_witness: Optional[frozenset[int]] = None
 
 
 class SmonResult(NamedTuple):
@@ -101,11 +99,18 @@ def _coerce_tau(graph: Graph, tau) -> ThresholdAssignment:
     return ThresholdAssignment.for_graph(graph, tau)
 
 
-def _require_feasible(graph: Graph, nt: Fraction) -> None:
+def _required_total(graph: Graph, t: Rational) -> Fraction:
+    # n*t, the least total of an assignment with average >= t; no assignment
+    # exceeds the degree sum 2m
+    t = _coerce_rational(t)
+    if t < 0:
+        raise ValueError(f"average threshold must be nonnegative, got {t}")
+    nt = graph.n * t
     if nt > 2 * graph.m:
         raise InfeasibleTargetError(
             f"no valid assignment: required total {nt} exceeds degree sum {2 * graph.m}"
         )
+    return nt
 
 
 def simulate_spread(graph: Graph, tau, seed: Iterable[int]) -> SpreadTrace:
@@ -191,11 +196,7 @@ def smon(graph: Graph, t: Rational) -> SmonResult:
     Equals the minimum partial cover of ceil(n*t/2) edges; the returned
     monopoly carries its canonical witness assignment.
     """
-    t = _coerce_rational(t)
-    if t < 0:
-        raise ValueError(f"average threshold must be nonnegative, got {t}")
-    nt = graph.n * t
-    _require_feasible(graph, nt)
+    nt = _required_total(graph, t)
     target = max(0, math.ceil(nt / 2))
     res = solve_pvc(graph, target)
     tau = monopoly_witness_tau(graph, res.witness)
@@ -209,11 +210,7 @@ def sdyn(graph: Graph, t: Rational) -> SdynResult:
     ceil(n*t) <= m); the returned seed carries its canonical witness
     assignment.
     """
-    t = _coerce_rational(t)
-    if t < 0:
-        raise ValueError(f"average threshold must be nonnegative, got {t}")
-    nt = graph.n * t
-    _require_feasible(graph, nt)
+    nt = _required_total(graph, t)
     target = max(0, math.ceil(nt) - graph.m)
     res = solve_pvc(graph, target)
     tau = dynamo_witness_tau(graph, res.witness)
@@ -250,11 +247,7 @@ def sdyn_via_subgraph(
     a caller that already holds ``sparse_profile(graph)`` passes it as
     ``profile`` and skips the enumeration.
     """
-    t = _coerce_rational(t)
-    if t < 0:
-        raise ValueError(f"average threshold must be nonnegative, got {t}")
-    nt = graph.n * t
-    _require_feasible(graph, nt)
+    nt = _required_total(graph, t)
     if profile is None:
         if graph.n > max_n:
             raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")

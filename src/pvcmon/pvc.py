@@ -18,7 +18,9 @@ after each pick, grown only as far as the largest target asked so far, and
 the prefix sums of the degrees in decreasing order. A greedy answer is then
 a binary search. A decision query is "yes" when the greedy needs at most k
 picks, "no" when the k largest degrees sum below t (the degree-sum bound
-that branch-and-bound applies at its root), and searches only in between.
+that branch-and-bound applies at its root), and otherwise compares k with
+the size from ``solve_pvc``, so forests above ``EXACT_MAX_N`` get the tree DP
+for decisions too.
 """
 
 from __future__ import annotations
@@ -163,23 +165,16 @@ def _decide(graph: Graph, t: int, cap: int) -> bool:
     """True iff some set of at most cap vertices covers t <= m edges.
 
     The greedy answers yes when it needs at most cap picks; the degree-sum
-    bound answers no when the cap largest degrees sum below t. Only the
-    instances between the two reach the search, which stops at the first
-    witness within the cap.
+    bound answers no when the cap largest degrees sum below t. The instances
+    between the two go to the solver ``solve_pvc`` picks.
     """
-    if t == 0:
-        return True
-    if cap <= 0:
-        return False
     state = _solver_state(graph, t)
     if bisect_left(state.covered, t) <= cap:
         return True
     # here cap < the greedy's size <= n
     if state.dprefix[cap] < t:
         return False
-    indptr, nbrs = _csr_arrays(graph)
-    size, _ = kernels.bb_min_cover(graph.n, indptr, nbrs, t, cap, None, True)
-    return size <= cap
+    return solve_pvc(graph, t).size <= cap
 
 
 def pvc_exact(graph: Graph, t: int) -> PvcResult:
@@ -193,8 +188,7 @@ def pvc_exact(graph: Graph, t: int) -> PvcResult:
     state = _solver_state(graph, t)
     incumbent = list(state.picks[:bisect_left(state.covered, t)])
     indptr, nbrs = _csr_arrays(graph)
-    _, found = kernels.bb_min_cover(graph.n, indptr, nbrs, t, graph.n, incumbent, False)
-    witness = frozenset(found)
+    witness = frozenset(kernels.bb_min_cover(graph.n, indptr, nbrs, t, incumbent))
     return PvcResult(len(witness), witness, coverage(graph, witness), METHOD_EXACT)
 
 

@@ -107,3 +107,18 @@ def test_bb_matches_enumeration_minimum():
         for t in range(g.m + 1):
             assert pvc_exact(g, t).size == min_cover_size(g, t)
 
+
+
+def test_bench_script_runs_the_search_rows():
+    # the kernel bench calls the search directly, so it must keep up with
+    # bb_min_cover's signature
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.bench_bb_search()
+    names = [row["name"] for row in bench.ROWS]
+    assert names[:2] == ["pvc_rho_decide 40 gadgets", "bb_min_cover n=50 m=177 t=m"]

@@ -179,6 +179,9 @@ def test_solver_dispatch_exact_on_forests_above_crossover(g):
         res = solve_pvc(g, t)
         assert res.size == pvc_exact(g, t).size
         assert coverage(g, res.witness) >= t
+        if t >= 1:
+            assert pvc_decide(PvcbInstance(g, res.size, t))
+            assert not pvc_decide(PvcbInstance(g, res.size - 1, t))
 
 
 def _ladder_bipartite(x: int) -> Graph:

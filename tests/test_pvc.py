@@ -136,6 +136,17 @@ class TestRhoDecide:
             pvc_rho_decide(matching, 1, 0.1)
 
 
+def test_large_tree_decides_use_the_tree_solver():
+    # t = ceil(0.8m): branch-and-bound ran past 20 s at k = 84; the optimum is 85
+    g = random_tree(300, random.Random(1))
+    started = time.perf_counter()
+    assert pvc_decide(PvcbInstance(g, 85, 240)) is True
+    assert pvc_decide(PvcbInstance(g, 84, 240)) is False
+    assert pvc_rho_decide(g, 85, Fraction(4, 5)) is True
+    assert pvc_rho_decide(g, 84, Fraction(4, 5)) is False
+    assert time.perf_counter() - started < 2.0
+
+
 class TestTree:
     def test_examples(self):
         assert pvc_tree(path_graph(5), 4).size == 2
