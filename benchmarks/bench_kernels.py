@@ -119,16 +119,19 @@ def _fresh(g):
 def bench_minplus():
     rng = random.Random(3)
 
-    def table(length):
-        return np.array([rng.randint(0, 1000) for _ in range(length)], dtype=np.int64)
+    def table(*shape):
+        return np.array(rng.choices(range(1001), k=math.prod(shape)), dtype=np.int64).reshape(shape)
 
-    # the tree DP's shapes: a one-cell base table or a short prefix table
-    # folded with a child's link table, then one large merge
-    for rows, cols, calls in ((1, 2, 20000), (1, 200, 20000), (2, 200, 10000), (40, 200, 1000)):
-        pairs = [(table(rows), table(cols)) for _ in range(16)]
+    # the tree DP's shapes: a vertex's (2, L) table, one cell before its first
+    # child or a short prefix, folded with a child's (2, L) link table; then
+    # the component knapsack's 1-D tables, short and one large merge
+    for lead, rows, cols, calls in ((2, 1, 200, 10000), (2, 2, 200, 10000), (2, 40, 200, 1000),
+                                    (1, 2, 200, 10000), (1, 40, 200, 1000)):
+        shape = (lead,) if lead > 1 else ()
+        pairs = [(table(*shape, rows), table(*shape, cols)) for _ in range(16)]
         batch = [pairs[i % 16] for i in range(calls)]
         secs, _ = _time(lambda: [kernels.minplus(a, b) for a, b in batch])
-        _row(f"minplus {rows}x{cols}", secs, calls)
+        _row(f"minplus {'x'.join(map(str, (*shape, rows, cols)))}", secs, calls)
     secs, _ = _time(kernels.minplus, table(1200), table(1200))
     _row("minplus 1200x1200", secs)
 

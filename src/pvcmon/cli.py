@@ -20,6 +20,7 @@ from .errors import GadgetConstructionError, GraphFormatError, InfeasibleTargetE
 from .graph import Graph, coverage, parse_graph
 from .monopoly import (
     ThresholdAssignment,
+    _required_total,
     is_dynamic_monopoly,
     is_monopoly,
     sdyn,
@@ -148,6 +149,13 @@ def _cmd_smon(args, graph: Graph) -> dict:
 
 def _cmd_sdyn(args, graph: Graph) -> dict:
     t = _parse_rational(args.threshold_average)
+    if args.oracle:
+        # the enumeration route runs first, so a graph above its guard is
+        # refused before anything is solved; the average is checked before
+        # the guard warning, in the order the solve alone checks it
+        _required_total(graph, t)
+        guard = _effective_guard(args.guard, ORACLE_GUARD_DEFAULT)
+        oracle_size, sparse = sdyn_via_subgraph(graph, t, max_n=guard)
     result = sdyn(graph, t)
     if not is_dynamic_monopoly(graph, result.witness_tau, result.seed):
         raise AssertionError("witness failed re-verification")
@@ -160,8 +168,6 @@ def _cmd_sdyn(args, graph: Graph) -> dict:
         "verified": True,
     }
     if args.oracle:
-        guard = _effective_guard(args.guard, ORACLE_GUARD_DEFAULT)
-        oracle_size, sparse = sdyn_via_subgraph(graph, t, max_n=guard)
         payload["oracle"] = {
             "size": oracle_size,
             "agrees": oracle_size == result.size,
@@ -276,6 +282,8 @@ def main(argv=None) -> int:
     report = {"command": args.command}
     ok = True
     try:
+        if args.guard is not None and args.guard < 0:
+            raise ValueError(f"guard must be at least 0, got {args.guard}")
         if args.command == "verify":
             result, ok = _cmd_verify(args)
         else:

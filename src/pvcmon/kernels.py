@@ -2,11 +2,13 @@
 
 The subset-enumeration profile and the min-plus merge are vectorized numpy;
 ``_cover_profile_loop`` is the plain-Python reference the tests check the
-profile against. The branch-and-bound search is plain Python over lists,
-has one mode (the smallest cover below a given incumbent; decisions ask
-``pvc.solve_pvc`` and compare its size) and prunes with two bounds: the
-uncoverable-edge count (edges whose endpoints are both skipped) and the
-degree-sum bound.
+profile against. The min-plus merge convolves stacked tables (the tree DP's
+two vertex states) in one call and goes by blocks of rows, each block one
+skewed buffer and one min, instead of one numpy step per row. The
+branch-and-bound search is plain Python over lists, has one mode (the
+smallest cover below a given incumbent; decisions ask ``pvc.solve_pvc`` and
+compare its size) and prunes with two bounds: the uncoverable-edge count
+(edges whose endpoints are both skipped) and the degree-sum bound.
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -157,24 +159,53 @@ def bb_min_cover(n, indptr, nbrs, target, incumbent):
 # min-plus (tropical) convolution for the tree knapsack merge
 
 
-def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus convolution; INF marks unreachable entries.
+# Cells in one block of the blocked min-plus (rows of sums times the longer
+# operand's length): 128 KiB of int64, small enough to stay in cache.
+_BLOCK_CELLS = 1 << 14
 
-    A one-cell operand, the tree DP's every first fold into a base table,
-    takes one add and a clamp; longer ones fold row by row.
+
+def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-plus convolution along the last axis; INF marks unreachable entries.
+
+    ``a`` and ``b`` have the same leading shape (the tree DP stacks a
+    vertex's two state tables as one (2, L) operand), and each row of the
+    result convolves the matching rows. A one-cell operand, the tree DP's
+    every first fold into a base table, takes one add and a clamp. Longer
+    ones go by blocks of ``_BLOCK_CELLS // len(b)`` cells of the shorter
+    operand (``_skew_min``); a block that holds them all is the result.
+    Inputs are never written, and the result is a new array.
     """
-    if a.shape[0] > b.shape[0]:
+    if a.shape[-1] > b.shape[-1]:
         a, b = b, a
-    if a.shape[0] == 1:
-        out = int(a[0]) + b  # an INF a[0] clamps every cell to INF
+    la, lb = a.shape[-1], b.shape[-1]
+    if la == 1:
+        out = a + b  # an INF a[..., 0] clamps its whole row to INF
         np.minimum(out, INF, out=out)
         return out
-    out = np.full(a.shape[0] + b.shape[0] - 1, INF, dtype=np.int64)
-    for i in range(a.shape[0]):
-        ai = int(a[i])
-        if ai >= INF:
-            continue
-        seg = out[i:i + b.shape[0]]
-        np.minimum(seg, ai + b, out=seg)
+    rows = max(1, _BLOCK_CELLS // lb)
+    if la <= rows:
+        out = _skew_min(a, b)
+    else:
+        out = np.full((*a.shape[:-1], la + lb - 1), INF, dtype=np.int64)
+        for i in range(0, la, rows):
+            part = _skew_min(a[..., i:i + rows], b)
+            seg = out[..., i:i + part.shape[-1]]
+            np.minimum(seg, part, out=seg)
     np.minimum(out, INF, out=out)
     return out
+
+
+def _skew_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One block of min-plus: the unclamped convolution of a block of cells
+    ``a`` with all of ``b``.
+
+    Row i of the sums ``a[i] + b`` goes into a buffer padded on the right
+    with INF; re-read with rows one cell shorter, row i starts i cells
+    further right, so one min down the rows is the block's result.
+    """
+    lead, r, lb = a.shape[:-1], a.shape[-1], b.shape[-1]
+    width = lb + r - 1
+    buf = np.empty((*lead, r, lb + r), dtype=np.int64)
+    buf[..., lb:] = INF
+    np.add(a[..., None], b[..., None, :], out=buf[..., :lb])
+    return buf.reshape(*lead, r * (lb + r))[..., :r * width].reshape(*lead, r, width).min(axis=-2)

@@ -1,8 +1,10 @@
 """Partial vertex cover solvers.
 
 ``pvc_exact`` runs branch-and-bound and is exact for any graph it finishes
-on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests, whose
-forward pass keeps every min-plus fold and whose traceback reads them back;
+on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests, which
+keeps a vertex's two states (unchosen, chosen) as one (2, L) table, folds
+each child in with one min-plus call for both, keeps every fold, and whose
+traceback reads the folds and the children's tables back;
 ``pvc_degree_greedy`` solves bipartite graphs whose X side degree-dominates
 the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
 
@@ -322,39 +324,36 @@ def _forest_structure(graph: Graph):
     return roots, children, order
 
 
-def _child_tables(c0: np.ndarray, c1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Fold the child's two tables into the parent view, accounting for the
+def _child_tables(c: np.ndarray) -> np.ndarray:
+    # Fold the child's (2, L) tables into the parent view, accounting for the
     # connecting edge: index shifts by one exactly when that edge is covered.
-    # g0[x]: child unchosen with the edge open (c0[x]), or chosen covering it
-    # (c1[x - 1]); g1[x]: a chosen parent always covers it. Entries are <= INF.
-    g0 = np.concatenate((c0[:1], np.minimum(c0[1:], c1[:-1]), c1[-1:]))
-    g1 = np.concatenate((_INF_CELL, np.minimum(c0, c1)))
-    return g0, g1
+    # Row 0 (parent unchosen), g0[x]: child unchosen with the edge open
+    # (c[0][x]), or chosen covering it (c[1][x - 1]); row 1, g1[x]: a chosen
+    # parent always covers it, so g1[0] is INF. Entries are <= INF.
+    length = c.shape[1]
+    g = np.empty((2, length + 1), dtype=np.int64)
+    g[0, 0] = c[0, 0]
+    np.minimum(c[0, 1:], c[1, :-1], out=g[0, 1:length])
+    g[0, length] = c[1, length - 1]
+    g[1, 0] = kernels.INF
+    np.minimum(c[0], c[1], out=g[1, 1:])
+    return g
 
 
 # A vertex's tables before any child: no edge covered, at cost 0 unchosen and
 # 1 chosen. Every leaf keeps them, so every leaf child links in through one
-# shared pair. Read-only: min-plus and _child_tables never write their inputs.
-_INF_CELL = np.array([kernels.INF], dtype=np.int64)
-_BASE = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
-_LEAF_LINKS = _child_tables(*_BASE)
-for _table in (_INF_CELL, *_BASE, *_LEAF_LINKS):
-    _table.setflags(write=False)
-del _table
+# shared table. Read-only: min-plus and _child_tables never write their inputs.
+_BASE = np.array([[0], [1]], dtype=np.int64)
+_LEAF_LINK = _child_tables(_BASE)
+_BASE.setflags(write=False)
+_LEAF_LINK.setflags(write=False)
 
 
-def _link_tables(folds, children, u) -> tuple[np.ndarray, np.ndarray]:
-    """Child u's whole-subtree tables in its parent's view."""
-    if not children[u]:
-        return _LEAF_LINKS
-    return _child_tables(folds[0][u][-1], folds[1][u][-1])
-
-
-def _split(prev: np.ndarray, g: np.ndarray, c: int, value: int, lo: int) -> int:
-    """Smallest x >= lo with prev[c - x] + g[x] == value: the share of c
-    that the last folded table g takes in a min-plus fold reaching value."""
-    for x in range(lo, min(c, g.shape[0] - 1) + 1):
-        if c - x < prev.shape[0] and int(prev[c - x]) + int(g[x]) == value:
+def _split(prev: np.ndarray, g: np.ndarray, c: int, value: int) -> int:
+    """Smallest x with prev[c - x] + g[x] == value: the share of c that
+    the last folded table g takes in a min-plus fold reaching value."""
+    for x in range(max(0, c - prev.shape[0] + 1), min(c, g.shape[0] - 1) + 1):
+        if int(prev[c - x]) + int(g[x]) == value:
             return x
     raise AssertionError("min-plus split not found")
 
@@ -362,29 +361,27 @@ def _split(prev: np.ndarray, g: np.ndarray, c: int, value: int, lo: int) -> int:
 def pvc_tree(graph: Graph, t: int) -> PvcResult:
     """Exact minimum partial cover for forests, polynomial in n and t.
 
-    Each vertex carries two tables (vertex chosen / not chosen) indexed by
-    the exact number of covered edges inside its subtree; children fold in
-    by min-plus convolution. Components combine through one more knapsack.
+    Each vertex carries one (2, L) table: row 0 with the vertex unchosen,
+    row 1 with it chosen, indexed by the exact number of covered edges
+    inside its subtree. Children fold in by min-plus convolution, one call
+    per child for both rows. Components combine through one more knapsack.
     """
     _check_target(graph, t)
     roots, children, order = _forest_structure(graph)
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
 
-    # folds[s][v]: v's table in state s before any child and after folding in
-    # each child in turn; the last entry covers v's whole subtree.
-    folds: tuple[list, list] = ([None] * graph.n, [None] * graph.n)
+    # folds[v]: v's (2, L) table before any child and after folding in each
+    # child in turn; the last entry covers v's whole subtree.
+    folds: list = [None] * graph.n
     for v in reversed(order):
-        seq0 = [_BASE[0]]
-        seq1 = [_BASE[1]]
+        seq = [_BASE]
         for u in children[v]:
-            g0, g1 = _link_tables(folds, children, u)
-            seq0.append(kernels.minplus(seq0[-1], g0))
-            seq1.append(kernels.minplus(seq1[-1], g1))
-        folds[0][v] = seq0
-        folds[1][v] = seq1
+            link = _child_tables(folds[u][-1]) if children[u] else _LEAF_LINK
+            seq.append(kernels.minplus(seq[-1], link))
+        folds[v] = seq
 
-    exacts = [np.minimum(folds[0][r][-1], folds[1][r][-1]) for r in roots]
+    exacts = [folds[r][-1].min(axis=0) for r in roots]
     comp_tables = [np.minimum.accumulate(exact[::-1])[::-1] for exact in exacts]
     prefixes: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     for tab in comp_tables:
@@ -396,7 +393,7 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
     comp_req = [0] * len(roots)
     req = t
     for j in range(len(roots), 0, -1):
-        comp_req[j - 1] = _split(prefixes[j - 1], comp_tables[j - 1], req, int(prefixes[j][req]), 0)
+        comp_req[j - 1] = _split(prefixes[j - 1], comp_tables[j - 1], req, int(prefixes[j][req]))
         req -= comp_req[j - 1]
 
     selected: list[int] = []
@@ -406,7 +403,7 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
         value = int(tab[c_req])
         # the fewest covered edges >= c_req at which the subtree reaches value
         c_exact = c_req + int(np.argmax(exact[c_req:] == value))
-        s = 0 if int(folds[0][r][-1][c_exact]) == value else 1
+        s = 0 if int(folds[r][-1][0][c_exact]) == value else 1
         _traceback(r, s, c_exact, folds, children, selected)
 
     witness = frozenset(selected)
@@ -416,26 +413,41 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
     return PvcResult(size, witness, achieved, METHOD_TREE)
 
 
+def _link_split(prev: np.ndarray, child: np.ndarray, c: int, value: int, s: int) -> tuple[int, int]:
+    """The share x of c that a child's link takes in a fold reaching value
+    with its parent in state s, and the child's state there.
+
+    The smallest such x, as ``_split`` would find it over the link row g[s]
+    of ``_child_tables``, but with its cells g[s][x] = min(c0[x - s],
+    c1[x - 1]) read off the child's own (2, L) table, so the traceback
+    never rebuilds a link: an unchosen child covers x - s edges inside (the
+    link edge counts in x only when the parent is chosen), a chosen one
+    x - 1. The unchosen child wins a tie, as in the link's minimum.
+    """
+    c0, c1 = child
+    length = c0.shape[0]
+    # g1[0] is INF (a chosen parent always covers the link edge), so with
+    # s == 1 the scan starts at x = 1
+    for x in range(max(s, c - prev.shape[0] + 1), min(c, length) + 1):
+        rest = value - int(prev[c - x])
+        if x - s < length and int(c0[x - s]) == rest:
+            return x, 0
+        if x and int(c1[x - 1]) == rest:
+            return x, 1
+    raise AssertionError("min-plus split not found")
+
+
 def _traceback(root, root_state, root_cov, folds, children, selected) -> None:
     stack = [(root, root_state, root_cov)]
     while stack:
         v, s, c = stack.pop()
         if s == 1:
             selected.append(v)
-        seq = folds[s][v]
+        seq = folds[v]
         kids = children[v]
         for j in range(len(kids), 0, -1):
             u = kids[j - 1]
-            c0 = folds[0][u][-1]
-            g = _link_tables(folds, children, u)[s]
-            # g1[0] is INF (a chosen parent always covers the link edge), so
-            # with s == 1 the split starts at x = 1 and x - 1 never wraps
-            x = _split(seq[j - 1], g, c, int(seq[j][c]), s)
-            # an unchosen child's subtree covers x - s edges (the link edge is
-            # in x only when v is chosen); a chosen child covers the link, so x - 1
-            if x - s < c0.shape[0] and int(c0[x - s]) == int(g[x]):
-                stack.append((u, 0, x - s))
-            else:
-                stack.append((u, 1, x - 1))
+            x, su = _link_split(seq[j - 1][s], folds[u][-1], c, int(seq[j][s][c]), s)
+            stack.append((u, su, x - s if su == 0 else x - 1))
             c -= x
         assert c == 0

@@ -67,6 +67,17 @@ def test_pvc_low_guard_keeps_forests_exact(capsys, p5_file):
     assert report["result"]["size"] == 2
 
 
+def test_negative_guard_rejected(capsys, p5_file):
+    for command in (("pvc", p5_file, "-t", "4"), ("sdyn", p5_file, "-t", "1", "--oracle")):
+        code = main(["--guard", "-3", *command])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: guard must be at least 0, got -3\n"
+    code, report = run_cli(capsys, "--guard", "0", "pvc", p5_file, "-t", "4")
+    assert code == 0 and report["result"]["method"] == "tree_dp"
+
+
 def test_pvc_degree_greedy_solver_orients_the_view(capsys, tmp_path):
     # star with its center last: the default bipartition puts the leaves on X
     star = tmp_path / "star.txt"
@@ -140,6 +151,29 @@ def test_sdyn_with_oracle(capsys, c4_file):
     assert report["result"]["oracle"]["agrees"] is True
     code, report = run_cli(capsys, "sdyn", c4_file, "-t", "1")
     assert report["result"]["size"] == 0
+
+
+def test_sdyn_oracle_refuses_a_large_graph_before_solving(capsys, tmp_path, monkeypatch):
+    import pvcmon.monopoly
+
+    def no_solve(graph, t):
+        raise AssertionError("sdyn solved a graph the oracle refuses")
+
+    path = tmp_path / "p15.txt"
+    path.write_text(to_edge_list_text(path_graph(15)))  # n = 15 > the default guard 14, 2m = 28
+    monkeypatch.setattr(pvcmon.monopoly, "solve_pvc", no_solve)
+    for average, code, err in (
+        ("3/2", 2, "error: enumeration guard: n=15 > 14\n"),
+        ("2", 3, "error: infeasible parameters: no valid assignment:"
+                 " required total 30 exceeds degree sum 28\n"),
+        ("-1", 2, "error: average threshold must be nonnegative, got -1\n"),
+    ):
+        assert main(["sdyn", str(path), "-t", average, "--oracle"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+    # a raised guard warns only once the average is known to be valid
+    assert main(["--guard", "20", "sdyn", str(path), "-t", "2", "--oracle"]) == 3
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_decimal_rational_rejected(capsys, c4_file):

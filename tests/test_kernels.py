@@ -86,7 +86,7 @@ def test_minplus_edge_cases(a, b):
 
 
 def test_minplus_random_lengths():
-    # lengths 1..40 on both sides run the one-add path and the row loop
+    # lengths 1..40 on both sides run the one-add path and the blocked path
     rng = random.Random(29)
     for _ in range(300):
         a, b = (
@@ -95,6 +95,57 @@ def test_minplus_random_lengths():
             for _ in range(2)
         )
         assert list(kernels.minplus(a, b)) == _naive_minplus(list(a), list(b))
+
+
+def _stacked(rng, length):
+    return _table([[rng.randint(0, 900) if rng.random() < 0.7 else kernels.INF
+                    for _ in range(length)] for _ in range(2)])
+
+
+def _check_stacked(a, b):
+    out = kernels.minplus(a, b)
+    assert out.dtype == np.int64
+    assert out.shape == (2, a.shape[1] + b.shape[1] - 1)
+    for row in range(2):
+        assert list(out[row]) == _naive_minplus(list(a[row]), list(b[row]))
+
+
+def test_minplus_stacked_rows_match_naive():
+    # the tree DP's (2, L) operands, each row its own convolution; lengths up
+    # to 300 give several blocks of _BLOCK_CELLS // 300 rows and a partial last one
+    rng = random.Random(41)
+    lengths = [1, 2, 3, 54, 55, 109, 300]
+    for la in lengths:
+        for lb in lengths:
+            _check_stacked(_stacked(rng, la), _stacked(rng, lb))
+    for _ in range(25):
+        _check_stacked(_stacked(rng, rng.randint(1, 300)), _stacked(rng, rng.randint(1, 300)))
+    assert kernels._BLOCK_CELLS // 300 < 300  # the long cases above span several blocks
+
+
+def test_minplus_stacked_unreachable_rows():
+    rng = random.Random(43)
+    for la, lb in ((1, 7), (7, 1), (5, 9), (120, 250), (300, 300)):
+        a, b = _stacked(rng, la), _stacked(rng, lb)
+        a[1] = kernels.INF                      # a whole row unreachable
+        b[0, 0] = kernels.INF                   # INF in the first cell
+        a[0, 0] = kernels.INF
+        out = kernels.minplus(a, b)
+        assert (out[1] == kernels.INF).all()
+        _check_stacked(a, b)
+
+
+def test_minplus_stacked_leaves_read_only_inputs():
+    rng = random.Random(47)
+    for la, lb in ((1, 40), (40, 1), (2, 300), (300, 300)):
+        a, b = _stacked(rng, la), _stacked(rng, lb)
+        a_before, b_before = a.copy(), b.copy()
+        a.setflags(write=False)
+        b.setflags(write=False)
+        out = kernels.minplus(a, b)
+        assert (a == a_before).all() and (b == b_before).all()
+        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+        assert out.flags.writeable
 
 
 def test_bb_matches_enumeration_minimum():
@@ -108,10 +159,8 @@ def test_bb_matches_enumeration_minimum():
             assert pvc_exact(g, t).size == min_cover_size(g, t)
 
 
-
-def test_bench_script_runs_the_search_rows():
-    # the kernel bench calls the search directly, so it must keep up with
-    # bb_min_cover's signature
+def _load_bench_script():
+    # loaded by path: benchmarks/ is not a package
     import importlib.util
     from pathlib import Path
 
@@ -119,6 +168,22 @@ def test_bench_script_runs_the_search_rows():
     spec = importlib.util.spec_from_file_location("bench_kernels", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_script_runs_the_search_rows():
+    # the kernel bench calls the search directly, so it must keep up with
+    # bb_min_cover's signature
+    bench = _load_bench_script()
     bench.bench_bb_search()
     names = [row["name"] for row in bench.ROWS]
     assert names[:2] == ["pvc_rho_decide 40 gadgets", "bb_min_cover n=50 m=177 t=m"]
+
+
+def test_bench_script_runs_the_minplus_rows():
+    # the kernel bench calls minplus directly at the tree DP's stacked
+    # shapes, so it must keep up with the kernel's interface
+    bench = _load_bench_script()
+    bench.bench_minplus()
+    names = [row["name"] for row in bench.ROWS]
+    assert {"minplus 2x1x200", "minplus 2x2x200", "minplus 2x40x200"} <= set(names)
