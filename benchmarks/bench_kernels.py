@@ -5,7 +5,9 @@ each verification battery at its default bounds.
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--json BENCH_kernels.json]
 
 ``--json PATH`` also writes every row's wall time, with the backend, the
-Python and numpy versions and the CPU count, to PATH.
+Python and numpy versions and the CPU count, to PATH. The tree solver's
+rows also count their ``kernels.minplus`` calls (``minplus_calls``), which
+do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from pvcmon import kernels
-from pvcmon.corpus import random_graph, random_recursive_tree, random_tree
+from pvcmon.corpus import path_graph, random_graph, random_recursive_tree, random_tree
 from pvcmon.graph import Graph
 from pvcmon.pvc import PvcbInstance, _csr_arrays, pvc_decide, pvc_greedy_upper, pvc_rho_decide, pvc_tree
 from pvcmon.reductions import build_gadget, pendant_triple_augment
@@ -42,11 +44,13 @@ def _time(fn, *args, repeat=3):
 ROWS: list[dict] = []
 
 
-def _row(name, secs, calls=1):
-    # secs is the best time of the whole batch of ``calls`` calls
-    ROWS.append({"name": name, "seconds": round(secs, 6), "calls": calls})
+def _row(name, secs, calls=1, **counts):
+    # secs is the best time of the whole batch of ``calls`` calls; counts
+    # (such as minplus_calls) do not depend on the machine
+    ROWS.append({"name": name, "seconds": round(secs, 6), "calls": calls, **counts})
     per_call = f"{secs / calls * 1e6:>10.2f}us/call" if calls > 1 else ""
-    print(f"{name:<44} {secs * 1e3:>10.2f}ms {per_call}")
+    extra = "".join(f"  {key}={value}" for key, value in counts.items())
+    print(f"{name:<44} {secs * 1e3:>10.2f}ms {per_call}{extra}")
 
 
 def bench_cover_profile():
@@ -136,19 +140,46 @@ def bench_minplus():
     _row("minplus 1200x1200", secs)
 
 
+def _minplus_calls(fn):
+    # kernels.minplus calls made by one run of fn
+    calls = 0
+    minplus = kernels.minplus
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return minplus(a, b)
+
+    kernels.minplus = counted
+    try:
+        fn()
+    finally:
+        kernels.minplus = minplus
+    return calls
+
+
 def bench_tree_solver():
-    g = random_tree(2000, random.Random(11))
-    secs, res = _time(lambda: pvc_tree(g, g.m), repeat=2)
-    _row(f"pvc_tree n=2000 t=m (size {res.size})", secs)
-    g = random_recursive_tree(2000, random.Random(12))
-    secs, res = _time(lambda: pvc_tree(g, g.m // 3), repeat=2)
-    _row(f"pvc_tree recursive n=2000 t=m/3 (size {res.size})", secs)
+    # random_tree and path_graph guard the shapes with few repeated subtrees
+    # and few leaf runs against a slowdown; the path is the deepest tree
+    uniform = random_tree(2000, random.Random(11))
+    recursive = random_recursive_tree(2000, random.Random(12))
+    path = path_graph(2000)
+    for label, g, target in (
+        ("n=2000 t=m", uniform, uniform.m),
+        ("n=2000 t=m/3", uniform, uniform.m // 3),
+        ("recursive n=2000 t=m/3", recursive, recursive.m // 3),
+        ("path n=2000 t=m/3", path, path.m // 3),
+    ):
+        secs, res = _time(lambda: pvc_tree(g, target), repeat=2)
+        calls = _minplus_calls(lambda: pvc_tree(g, target))
+        _row(f"pvc_tree {label} (size {res.size})", secs, minplus_calls=calls)
     # the benchmark cli workload's pvc trees, each at a random target
     rng = random.Random(13)
     mix = (2000, 2000, 1500, 1500, 1000, 1000) + (600,) * 30 + (300,) * 4
     queries = [(g, rng.randint(1, g.m)) for g in (random_recursive_tree(n, rng) for n in mix)]
     secs, _ = _time(lambda: [pvc_tree(g, t) for g, t in queries], repeat=2)
-    _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries))
+    calls = _minplus_calls(lambda: [pvc_tree(g, t) for g, t in queries])
+    _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries), minplus_calls=calls)
 
 
 def bench_batteries():

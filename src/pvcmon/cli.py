@@ -3,7 +3,7 @@
 Subcommands: pvc, smon, sdyn, simulate, reduce, verify. All output is a
 single JSON report on stdout; exit codes are 0 (success), 1 (a verify
 battery found a counterexample), 2 (input error), 3 (infeasible
-parameters).
+parameters), 5 (out of memory; 4 is reserved).
 """
 
 from __future__ import annotations
@@ -307,6 +307,10 @@ def main(argv=None) -> int:
     except (GraphFormatError, GadgetConstructionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # not 1, which says a battery found a counterexample
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 5
     report["result"] = result
     report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -2,9 +2,12 @@
 
 ``pvc_exact`` runs branch-and-bound and is exact for any graph it finishes
 on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests, which
-keeps a vertex's two states (unchosen, chosen) as one (2, L) table, folds
-each child in with one min-plus call for both, keeps every fold, and whose
-traceback reads the folds and the children's tables back;
+keeps a vertex's two states (unchosen, chosen) as one (2, L) table and
+folds its children in with one min-plus call for both per step, a run of
+consecutive leaf children being one step. Vertices whose children have
+the same sequence of shapes share one list of folds, built once per call.
+Its traceback reads the folds and the children's tables back, and takes
+the first leaves of a run in closed form;
 ``pvc_degree_greedy`` solves bipartite graphs whose X side degree-dominates
 the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from typing import Optional
 
 import numpy as np
@@ -293,9 +296,13 @@ def _validate_view(view: BipartitionView, graph: Graph) -> None:
 
 
 def _forest_structure(graph: Graph):
+    # BFS from each component's lowest id; a vertex's children, in
+    # increasing id order, are the tuple of vertices it enqueues (a leaf's is
+    # the shared empty tuple)
     n = graph.n
     parent = [-1] * n
     seen = [False] * n
+    children: list[tuple[int, ...]] = [()] * n
     roots: list[int] = []
     order: list[int] = []
     for start in range(n):
@@ -308,7 +315,7 @@ def _forest_structure(graph: Graph):
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            order.append(v)
+            lo = len(queue)
             for u in sorted(graph.adjacency[v]):
                 if u == parent[v]:
                     continue
@@ -317,10 +324,9 @@ def _forest_structure(graph: Graph):
                 seen[u] = True
                 parent[u] = v
                 queue.append(u)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
+            if len(queue) > lo:
+                children[v] = tuple(queue[lo:])
+        order.extend(queue)
     return roots, children, order
 
 
@@ -341,18 +347,28 @@ def _child_tables(c: np.ndarray) -> np.ndarray:
 
 
 # A vertex's tables before any child: no edge covered, at cost 0 unchosen and
-# 1 chosen. Every leaf keeps them, so every leaf child links in through one
-# shared table. Read-only: min-plus and _child_tables never write their inputs.
+# 1 chosen. Every leaf keeps them. Read-only: min-plus never writes its inputs.
 _BASE = np.array([[0], [1]], dtype=np.int64)
-_LEAF_LINK = _child_tables(_BASE)
 _BASE.setflags(write=False)
-_LEAF_LINK.setflags(write=False)
 
 
-def _split(prev: np.ndarray, g: np.ndarray, c: int, value: int) -> int:
+def _run_link(r: int) -> np.ndarray:
+    # The link of a run of r leaf children, folded in at once. With the
+    # parent unchosen, x of their edges are covered by choosing x leaves
+    # (row 0 is 0, 1, ..., r); a chosen parent covers all r with no leaf
+    # chosen (row 1 is INF but for a 0 at r). Min-plus with the INF clamp is
+    # associative, so one fold through it gives the table that folding the
+    # r leaves in one by one gives.
+    link = np.full((2, r + 1), kernels.INF, dtype=np.int64)
+    link[0] = np.arange(r + 1)
+    link[1, r] = 0
+    return link
+
+
+def _split(prev: np.ndarray, g, c: int, value: int) -> int:
     """Smallest x with prev[c - x] + g[x] == value: the share of c that
     the last folded table g takes in a min-plus fold reaching value."""
-    for x in range(max(0, c - prev.shape[0] + 1), min(c, g.shape[0] - 1) + 1):
+    for x in range(max(0, c - len(prev) + 1), min(c, len(g) - 1) + 1):
         if int(prev[c - x]) + int(g[x]) == value:
             return x
     raise AssertionError("min-plus split not found")
@@ -363,25 +379,45 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
 
     Each vertex carries one (2, L) table: row 0 with the vertex unchosen,
     row 1 with it chosen, indexed by the exact number of covered edges
-    inside its subtree. Children fold in by min-plus convolution, one call
-    per child for both rows. Components combine through one more knapsack.
+    inside its subtree. Children fold in by min-plus convolution in their
+    order, one call for both rows per step: a run of consecutive leaf
+    children is one step, through one ``_run_link``, and any other child is
+    one. Vertices whose children have the same sequence of shapes have the
+    same tables, so each such shape is folded once per call and shared.
+    Components combine through one more knapsack.
     """
     _check_target(graph, t)
     roots, children, order = _forest_structure(graph)
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
 
-    # folds[v]: v's (2, L) table before any child and after folding in each
-    # child in turn; the last entry covers v's whole subtree.
-    folds: list = [None] * graph.n
+    # shape[v] indexes folds, keyed in shape_ids by the shapes of v's
+    # children in order (0 is a leaf). folds[k]: the (2, L) table of shape k
+    # before any child and after each step; the last covers the subtree.
+    shape = [0] * graph.n
+    folds = [(_BASE,)]
+    shape_ids: dict[tuple, int] = {(): 0}
+    run_links: dict[int, np.ndarray] = {}
     for v in reversed(order):
-        seq = [_BASE]
-        for u in children[v]:
-            link = _child_tables(folds[u][-1]) if children[u] else _LEAF_LINK
-            seq.append(kernels.minplus(seq[-1], link))
-        folds[v] = seq
+        key = tuple([shape[u] for u in children[v]])
+        k = shape_ids.get(key)
+        if k is None:
+            seq = [_BASE]
+            for inner, steps in groupby(key, bool):
+                if inner:
+                    for u_shape in steps:
+                        seq.append(kernels.minplus(seq[-1], _child_tables(folds[u_shape][-1])))
+                else:
+                    r = sum(1 for _ in steps)
+                    link = run_links.get(r)
+                    if link is None:
+                        link = run_links[r] = _run_link(r)
+                    seq.append(kernels.minplus(seq[-1], link))
+            k = shape_ids[key] = len(folds)
+            folds.append(tuple(seq))
+        shape[v] = k
 
-    exacts = [folds[r][-1].min(axis=0) for r in roots]
+    exacts = [folds[shape[r]][-1].min(axis=0) for r in roots]
     comp_tables = [np.minimum.accumulate(exact[::-1])[::-1] for exact in exacts]
     prefixes: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     for tab in comp_tables:
@@ -403,8 +439,8 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
         value = int(tab[c_req])
         # the fewest covered edges >= c_req at which the subtree reaches value
         c_exact = c_req + int(np.argmax(exact[c_req:] == value))
-        s = 0 if int(folds[r][-1][0][c_exact]) == value else 1
-        _traceback(r, s, c_exact, folds, children, selected)
+        s = 0 if int(folds[shape[r]][-1][0][c_exact]) == value else 1
+        _traceback(r, s, c_exact, shape, folds, children, selected)
 
     witness = frozenset(selected)
     assert len(witness) == size
@@ -437,17 +473,35 @@ def _link_split(prev: np.ndarray, child: np.ndarray, c: int, value: int, s: int)
     raise AssertionError("min-plus split not found")
 
 
-def _traceback(root, root_state, root_cov, folds, children, selected) -> None:
+def _traceback(root, root_state, root_cov, shape, folds, children, selected) -> None:
     stack = [(root, root_state, root_cov)]
     while stack:
         v, s, c = stack.pop()
         if s == 1:
             selected.append(v)
-        seq = folds[v]
+        seq = folds[shape[v]]
         kids = children[v]
-        for j in range(len(kids), 0, -1):
+        j = len(kids)
+        for i in range(len(seq) - 1, 0, -1):
+            prev, value = seq[i - 1][s], int(seq[i][s][c])
             u = kids[j - 1]
-            x, su = _link_split(seq[j - 1][s], folds[u][-1], c, int(seq[j][s][c]), s)
-            stack.append((u, su, x - s if su == 0 else x - 1))
+            if shape[u]:
+                x, su = _link_split(prev, folds[shape[u]][-1], c, value, s)
+                stack.append((u, su, x - s if su == 0 else x - 1))
+                j -= 1
+            else:
+                # a run of leaves kids[start:j]: a chosen parent covers their
+                # edges with none chosen; an unchosen one takes the first x
+                # leaves, x the smallest share of c that reaches value (what
+                # folding and tracing them one by one picks)
+                start = j - 1
+                while start and not shape[kids[start - 1]]:
+                    start -= 1
+                if s:
+                    x = j - start
+                else:
+                    x = _split(prev, range(j - start + 1), c, value)
+                    selected.extend(kids[start:start + x])
+                j = start
             c -= x
         assert c == 0

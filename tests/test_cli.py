@@ -78,6 +78,27 @@ def test_negative_guard_rejected(capsys, p5_file):
     assert code == 0 and report["result"]["method"] == "tree_dp"
 
 
+def test_out_of_memory_exits_5(capsys, p5_file, monkeypatch):
+    # exit 1 would say a verify battery found a counterexample
+    import pvcmon.cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.24 GiB")
+
+    def no_memory_bare(*args):
+        raise MemoryError()  # what a failed allocation of Python objects raises
+
+    monkeypatch.setattr(pvcmon.cli, "_cmd_pvc", no_memory)
+    assert main(["pvc", p5_file, "-t", "4"]) == 5
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 2.24 GiB\n")
+    monkeypatch.setattr(pvcmon.cli, "_read_graph", no_memory_bare)
+    assert main(["smon", p5_file, "-t", "1"]) == 5
+    assert capsys.readouterr() == ("", "error: out of memory: an allocation failed\n")
+    monkeypatch.setattr(pvcmon.cli, "run_suite", no_memory)
+    assert main(["verify", "lemma1"]) == 5
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+
 def test_pvc_degree_greedy_solver_orients_the_view(capsys, tmp_path):
     # star with its center last: the default bipartition puts the leaves on X
     star = tmp_path / "star.txt"

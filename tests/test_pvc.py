@@ -247,6 +247,141 @@ class TestTree:
                 h.update(f"{g.n} {g.m} {t} {res.size} {sorted(res.witness)} {res.achieved_coverage}\n".encode())
         assert h.hexdigest() == self.TREE_DIGEST
 
+    # sha256 of (size, sorted witness, achieved coverage) at every t on
+    # stars, caterpillars, brooms, spiders and forests whose vertices mix
+    # runs of leaf children (first, between and last among the children)
+    # with repeated subtree shapes, plus isolated vertices; recorded before
+    # leaf runs and shared shapes entered the DP
+    SHAPES_DIGEST = "5efb26a00c1df22088be5b3136f3eeab2b06255fd0794ef0acabf8ccbfbfb2f1"
+
+    def test_golden_shapes_digest(self):
+        h = hashlib.sha256()
+        for g in _shape_forests():
+            for t in range(g.m + 1):
+                res = pvc_tree(g, t)
+                h.update(f"{g.n} {g.m} {t} {res.size} {sorted(res.witness)} {res.achieved_coverage}\n".encode())
+        assert h.hexdigest() == self.SHAPES_DIGEST
+
+    def test_leaf_runs_and_shared_shapes_fold_once(self, monkeypatch):
+        # min-plus calls of one query, the last being the component knapsack
+        from pvcmon import kernels
+
+        calls = []
+        minplus = kernels.minplus
+        monkeypatch.setattr(kernels, "minplus", lambda a, b: calls.append(1) or minplus(a, b))
+        for g, t, expected in (
+            (star_graph(9), 4, 2),  # nine leaves fold in as one run
+            (spider_graph(3, 2), 4, 5),  # one leg shape, then the centre's three legs
+            # one leg shape; then runs of 1, 2 and 1 leaves between the two legs
+            (_ordered_tree(((), ((),), (), (), ((),), ())), 5, 7),
+        ):
+            calls.clear()
+            assert pvc_tree(g, t).size == pvc_exact(g, t).size
+            assert len(calls) == expected
+
+    def test_shared_shapes_live_one_call(self):
+        # the shape table and the run links belong to one call: nothing of
+        # them is kept once it returns
+        import gc
+        import tracemalloc
+
+        rng = random.Random(73)
+        trees = [random_recursive_tree(rng.randint(200, 600), rng) for _ in range(10)]
+        big = random_recursive_tree(2000, random.Random(12))
+        pvc_tree(path_graph(3), 1)  # one-time allocations happen before the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for g in trees:
+                pvc_tree(g, g.m // 3)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            pvc_tree(big, big.m // 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kept < 4096
+        # 2,013,584 bytes before leaf runs and shared shapes (numpy 2.4)
+        assert peak < 1.1 * 2_013_584
+
+
+def _ordered_tree(shape) -> Graph:
+    """The rooted tree ``shape`` (a tuple of its children's shapes), its ids
+    given in BFS order: the tree solver roots a component at its lowest id
+    and orders children by id, so each vertex keeps its listed child order."""
+    edges = []
+    queue = [(0, shape)]
+    for v, kids in queue:
+        for kid in kids:
+            edges.append((v, len(queue)))
+            queue.append((len(queue), kid))
+    return Graph.from_edges(len(queue), edges)
+
+
+def _ordered_union(parts) -> Graph:
+    """Disjoint union of ``parts``, each keeping its ids in order after the last."""
+    edges, offset = [], 0
+    for g in parts:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+def _shape_forests():
+    leaf = ()
+    cherry = (leaf, leaf)
+    hook = ((leaf,),)
+    mixed = (leaf, cherry, leaf)
+
+    def caterpillar(legs):
+        # spine vertex i carries legs[i] = (leaves before, leaves after) its spine child
+        shape = leaf
+        for before, after in reversed(legs):
+            shape = (leaf,) * before + (shape,) + (leaf,) * after
+        return shape
+
+    def broom(handle, bristles):
+        shape = (leaf,) * bristles
+        for _ in range(handle):
+            shape = (shape,)
+        return shape
+
+    shapes = [
+        (leaf,) * 5,
+        (leaf, leaf, cherry, leaf, cherry, leaf, leaf, leaf),
+        (cherry, leaf, leaf, cherry, hook, leaf),
+        (mixed, leaf, mixed, leaf, leaf, (mixed, mixed), leaf, cherry),
+        (hook, hook, cherry, cherry, leaf),
+        ((cherry, cherry), leaf, (cherry, cherry), (cherry, leaf, cherry), leaf, leaf),
+        caterpillar([(2, 1), (0, 3), (1, 0), (2, 2), (0, 0), (3, 1)]),
+        caterpillar([(1, 1)] * 7),
+        broom(4, 6),
+        broom(1, 3),
+        (broom(2, 3), leaf, broom(2, 3), leaf, broom(3, 2)),
+    ]
+    graphs = [star_graph(k) for k in (1, 2, 9)]
+    graphs += [_ordered_tree(s) for s in shapes]
+    graphs += [spider_graph(3, 2), spider_graph(4, 3), spider_graph(6, 1)]
+    isolated = Graph.from_edges(1, [])
+    graphs.append(_ordered_union([isolated, _ordered_tree(shapes[1]), isolated, isolated,
+                                  _ordered_tree(shapes[3]), _ordered_tree(cherry), isolated]))
+    graphs.append(_ordered_union([_ordered_tree(shapes[5]), star_graph(3), _ordered_tree(mixed),
+                                  _ordered_tree(mixed), spider_graph(2, 2)]))
+    rng = random.Random(71)
+    for _ in range(4):
+        legs = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 8))]
+        graphs.append(relabelled_union([_ordered_tree(caterpillar(legs)), isolated], rng))
+    for _ in range(4):
+        parts = [_ordered_tree(rng.choice(shapes)) for _ in range(rng.randint(2, 4))]
+        parts += [isolated] * rng.randint(0, 2)
+        graphs.append(relabelled_union(parts, rng))
+    for _ in range(4):
+        graphs.append(random_recursive_tree(rng.randint(40, 120), rng))
+    return graphs
+
 
 class TestDegreeGreedy:
     def test_complete_bipartite_prefixes(self):
