@@ -6,8 +6,9 @@ each verification battery at its default bounds.
 
 ``--json PATH`` also writes every row's wall time, with the backend, the
 Python and numpy versions and the CPU count, to PATH. The tree solver's
-rows also count their ``kernels.minplus`` calls (``minplus_calls``), which
-do not depend on the machine.
+rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
+the dispatch rows the graph walks each query makes (``walks``); neither
+depends on the machine.
 """
 
 from __future__ import annotations
@@ -23,10 +24,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from pvcmon import kernels
-from pvcmon.corpus import path_graph, random_graph, random_recursive_tree, random_tree
+from pvcmon import kernels, pvc
+from pvcmon.corpus import complete_bipartite, path_graph, random_graph, random_recursive_tree, random_tree
 from pvcmon.graph import Graph
-from pvcmon.pvc import PvcbInstance, _csr_arrays, pvc_decide, pvc_greedy_upper, pvc_rho_decide, pvc_tree
+from pvcmon.pvc import (
+    PvcbInstance,
+    _csr_arrays,
+    pvc_decide,
+    pvc_greedy_upper,
+    pvc_rho_decide,
+    pvc_tree,
+    solve_pvc,
+)
 from pvcmon.reductions import build_gadget, pendant_triple_augment
 from pvcmon.verify import run_suite
 
@@ -140,21 +149,21 @@ def bench_minplus():
     _row("minplus 1200x1200", secs)
 
 
-def _minplus_calls(fn):
-    # kernels.minplus calls made by one run of fn
+def _calls(module, name, fn):
+    # calls of module.name made by one run of fn
     calls = 0
-    minplus = kernels.minplus
+    original = getattr(module, name)
 
-    def counted(a, b):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return minplus(a, b)
+        return original(*args, **kwargs)
 
-    kernels.minplus = counted
+    setattr(module, name, counted)
     try:
         fn()
     finally:
-        kernels.minplus = minplus
+        setattr(module, name, original)
     return calls
 
 
@@ -171,15 +180,29 @@ def bench_tree_solver():
         ("path n=2000 t=m/3", path, path.m // 3),
     ):
         secs, res = _time(lambda: pvc_tree(g, target), repeat=2)
-        calls = _minplus_calls(lambda: pvc_tree(g, target))
+        calls = _calls(kernels, "minplus", lambda: pvc_tree(g, target))
         _row(f"pvc_tree {label} (size {res.size})", secs, minplus_calls=calls)
     # the benchmark cli workload's pvc trees, each at a random target
     rng = random.Random(13)
     mix = (2000, 2000, 1500, 1500, 1000, 1000) + (600,) * 30 + (300,) * 4
     queries = [(g, rng.randint(1, g.m)) for g in (random_recursive_tree(n, rng) for n in mix)]
     secs, _ = _time(lambda: [pvc_tree(g, t) for g, t in queries], repeat=2)
-    calls = _minplus_calls(lambda: [pvc_tree(g, t) for g, t in queries])
+    calls = _calls(kernels, "minplus", lambda: [pvc_tree(g, t) for g, t in queries])
     _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries), minplus_calls=calls)
+
+
+def bench_dispatch():
+    # solve_pvc on fresh graph objects: the routing step with the solve it
+    # picks, the tree DP on the tree and the degree greedy on K_{20,400}
+    tree = random_recursive_tree(2000, random.Random(12))
+    bip = complete_bipartite(20, 400)
+    for label, g, target, calls in (
+        ("recursive n=2000 t=m/3", tree, tree.m // 3, 10),
+        ("K20,400 t=m/2", bip, bip.m // 2, 40),
+    ):
+        secs, _ = _time(lambda: [solve_pvc(_fresh(g), target) for _ in range(calls)])
+        walks = _calls(pvc, "walk", lambda: solve_pvc(_fresh(g), target))
+        _row(f"solve_pvc {label}", secs, calls, walks=walks)
 
 
 def bench_batteries():
@@ -202,6 +225,7 @@ def main():
     bench_lemma1_decides()
     bench_minplus()
     bench_tree_solver()
+    bench_dispatch()
     bench_batteries()
     if args.json:
         report = {

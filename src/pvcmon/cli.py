@@ -30,12 +30,10 @@ from .monopoly import (
 )
 from .pvc import (
     EXACT_MAX_N,
-    METHOD_DEGREE_GREEDY,
     METHOD_EXACT,
     METHOD_HEURISTIC,
-    METHOD_TREE,
+    _route,
     dominant_view,
-    pick_solver,
     pvc_degree_greedy,
     pvc_exact,
     pvc_greedy_upper,
@@ -45,7 +43,6 @@ from .reductions import build_gadget, gadget_edge_list, gadget_sidecar_json
 from .verify import run_suite
 
 ORACLE_GUARD_DEFAULT = 14
-_AUTO_SOLVER = {METHOD_EXACT: "exact", METHOD_TREE: "tree", METHOD_DEGREE_GREEDY: "degreeGreedy"}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -101,11 +98,9 @@ def _cmd_pvc(args, graph: Graph) -> dict:
     if solver == "auto":
         # the guard caps branch-and-bound only: the polynomial solvers take
         # over from it, and greedy answers what neither covers
-        solver = _AUTO_SOLVER[pick_solver(graph, min(guard, EXACT_MAX_N))]
-        if solver == "exact" and graph.n > guard:
-            solver = "greedy"
-
-    if solver == "tree":
+        method, solve = _route(graph, min(guard, EXACT_MAX_N))
+        res = pvc_greedy_upper(graph, t) if method == METHOD_EXACT and graph.n > guard else solve(t)
+    elif solver == "tree":
         res = pvc_tree(graph, t)
     elif solver == "degreeGreedy":
         view = dominant_view(graph)

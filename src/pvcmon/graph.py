@@ -1,4 +1,7 @@
-"""Simple undirected graphs: edge-list parsing, coverage counting, bipartitions.
+"""Simple undirected graphs: edge-list parsing, coverage counting, the walk.
+
+``walk`` is the one structural traversal, a BFS that ``is_forest``,
+``bipartition`` and the solvers read; it is returned, never kept on the graph.
 
 A graph's vertices and edges never change after construction, and every
 function here is pure. A ``Graph`` also carries one private slot that
@@ -12,11 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import GraphFormatError
 
 Rational = Union[int, str, Fraction]
+
+# The most vertices parse_graph accepts: a Graph takes ~430 bytes per vertex
+# before any edge, so a header at the limit costs ~0.43 GB.
+MAX_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,9 @@ def parse_graph(text: str) -> Graph:
 
     The first data line is ``n m``; the next m data lines are ``u v`` with
     0 <= u, v < n and u != v. Blank lines and lines starting with ``#`` are
-    ignored. Self-loops, duplicate edges, out-of-range ids, and a wrong edge
-    count all raise :class:`GraphFormatError`.
+    ignored. Self-loops, duplicate edges, out-of-range ids, a wrong edge
+    count and n above ``MAX_VERTICES`` all raise :class:`GraphFormatError`,
+    the last before anything is allocated for the graph.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -139,6 +147,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: header must contain two integers") from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: n and m must be nonnegative")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"line {lineno}: n={n} exceeds the limit of {MAX_VERTICES} vertices")
     if len(rows) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: list[tuple[int, int]] = []
@@ -193,28 +203,63 @@ def edge_density(graph: Graph) -> Fraction:
     return Fraction(graph.m, graph.n)
 
 
+class Walk(NamedTuple):
+    """One BFS over a graph: each component from its lowest id, each
+    vertex's neighbours in increasing id order.
+
+    ``children[v]`` is the tuple of vertices v enqueues (a leaf's is the
+    shared empty tuple) and ``order`` lists every vertex as visited.
+    ``side[v]`` is the parity of v's depth, so each root is on side 0; it
+    is None when some edge joins two vertices of one parity (an odd cycle).
+    """
+
+    roots: list[int]
+    children: list[tuple[int, ...]]
+    order: list[int]
+    forest: bool
+    side: Optional[list[int]]
+
+
+def walk(graph: Graph) -> Walk:
+    """The graph's ``Walk``, built afresh on each call."""
+    adjacency = graph.adjacency
+    side = [-1] * graph.n
+    children: list[tuple[int, ...]] = [()] * graph.n
+    roots: list[int] = []
+    order: list[int] = []
+    bipartite = True
+    for start in range(graph.n):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        roots.append(start)
+        queue = [start]
+        for v in queue:  # runs on over the vertices appended below
+            lo = len(queue)
+            for u in sorted(adjacency[v]):
+                if side[u] < 0:
+                    side[u] = 1 - side[v]
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    bipartite = False
+            if len(queue) > lo:
+                children[v] = tuple(queue[lo:])
+        order.extend(queue)
+    # a graph is a forest iff each component has one edge fewer than vertices
+    forest = graph.m == graph.n - len(roots)
+    return Walk(roots, children, order, forest, side if bipartite else None)
+
+
 def is_forest(graph: Graph) -> bool:
     """True when the graph is acyclic (a forest, possibly disconnected)."""
-    parent = list(range(graph.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return walk(graph).forest
 
 
-def _make_view(graph: Graph, xs: Iterable[int], ys: Iterable[int]) -> BipartitionView:
+def _make_view(graph: Graph, side: list[int], x_side: int = 0) -> BipartitionView:
+    # the vertices v with side[v] == x_side on X, the others on Y
     deg = graph.degrees
-    x = tuple(sorted(xs))
-    y = tuple(sorted(ys))
+    x = tuple(v for v, s in enumerate(side) if s == x_side)
+    y = tuple(v for v, s in enumerate(side) if s != x_side)
     degs_x = tuple(sorted((deg[v] for v in x), reverse=True))
     return BipartitionView(
         x=x,
@@ -228,35 +273,17 @@ def _make_view(graph: Graph, xs: Iterable[int], ys: Iterable[int]) -> Bipartitio
 def bipartition(graph: Graph, x_hint: Optional[Iterable[int]] = None) -> Optional[BipartitionView]:
     """Two-color the graph, or validate a caller-supplied X side.
 
-    Without a hint, each connected component is 2-colored by BFS and the side
-    containing the component's smallest vertex id goes to X; returns None if
+    Without a hint, the colouring of ``walk`` gives the sides: the side
+    containing each component's smallest vertex id goes to X; returns None if
     some component has an odd cycle. With a hint, the partition (X, V - X) is
     checked: every edge must cross, otherwise ValueError.
     """
     if x_hint is not None:
         xs = vertex_subset(graph, x_hint)
-        ys = frozenset(range(graph.n)) - xs
         for u, v in graph.edges:
             if (u in xs) == (v in xs):
                 raise ValueError(f"edge ({u}, {v}) does not cross the hinted bipartition")
-        return _make_view(graph, xs, ys)
+        return _make_view(graph, [int(v not in xs) for v in range(graph.n)])
 
-    color = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0  # smallest id of its component lands on X
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for u in graph.adjacency[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    xs = [v for v in range(graph.n) if color[v] == 0]
-    ys = [v for v in range(graph.n) if color[v] == 1]
-    return _make_view(graph, xs, ys)
+    side = walk(graph).side
+    return None if side is None else _make_view(graph, side)

@@ -11,11 +11,12 @@ the first leaves of a run in closed form;
 ``pvc_degree_greedy`` solves bipartite graphs whose X side degree-dominates
 the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
 
-``pick_solver`` is the one place that chooses among the exact solvers, and
-``solve_pvc`` answers a query with its choice: branch-and-bound up to
-``EXACT_MAX_N`` vertices (faster than the tree DP's numpy overhead there),
-then the tree DP for forests, degree greedy for bipartite graphs with a
-degree-dominating side, and branch-and-bound for everything else.
+``_route`` is the one place that chooses among the exact solvers:
+branch-and-bound up to ``EXACT_MAX_N`` vertices (faster than the tree DP's
+numpy overhead there), then, from one ``graph.walk``, the tree DP for
+forests, degree greedy for bipartite graphs with a degree-dominating side,
+and branch-and-bound for everything else. It returns the method, which
+``pick_solver`` reports, with its solver bound to the walk it read.
 
 What does not depend on the target is computed once per graph object and
 kept on it (``_solver_state``): the greedy's pick order with the coverage
@@ -34,7 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,10 +45,11 @@ from .graph import (
     BipartitionView,
     Graph,
     Rational,
+    Walk,
     _coerce_rational,
-    bipartition,
+    _make_view,
     coverage,
-    is_forest,
+    walk,
 )
 
 METHOD_EXACT = "exact"
@@ -238,44 +240,51 @@ def pvc_degree_greedy(view: BipartitionView, graph: Graph, t: int) -> PvcResult:
     return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_DEGREE_GREEDY)
 
 
+def _dominant(graph: Graph, side: Optional[list[int]]) -> Optional[BipartitionView]:
+    # the view of a walk's colouring, its sides swapped unless side 0 dominates
+    if side is None:
+        return None
+    view = _make_view(graph, side)
+    return view if view.min_degree_x >= view.max_degree_y else _make_view(graph, side, 1)
+
+
 def dominant_view(graph: Graph) -> Optional[BipartitionView]:
     """The graph's bipartition, oriented so that X degree-dominates Y
     (min degree on X >= max degree on Y) whenever either orientation does.
 
     None when the graph is not bipartite.
     """
-    view = bipartition(graph)
-    if view is None or view.min_degree_x >= view.max_degree_y:
-        return view
-    return bipartition(graph, x_hint=view.y)
+    return _dominant(graph, walk(graph).side)
 
 
-def pick_solver(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> str:
-    """The method that answers partial-cover queries on ``graph`` exactly.
+def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[[int], PvcResult]]:
+    """The method that answers partial-cover queries on ``graph`` exactly,
+    and its solver as a function of the target, bound to the walk it read.
 
     Branch-and-bound for graphs of at most ``exact_max_n`` vertices; above
     that the tree DP for forests, degree greedy for bipartite graphs with a
     degree-dominating side, and branch-and-bound otherwise.
     """
-    if graph.n <= exact_max_n:
-        return METHOD_EXACT
-    if is_forest(graph):
-        return METHOD_TREE
-    view = dominant_view(graph)
-    if view is not None and view.min_degree_x >= view.max_degree_y:
-        return METHOD_DEGREE_GREEDY
-    return METHOD_EXACT
+    if graph.n > exact_max_n:
+        w = walk(graph)
+        if w.forest:
+            return METHOD_TREE, lambda t: pvc_tree(graph, t, _walk=w)
+        view = _dominant(graph, w.side)
+        if view is not None and view.min_degree_x >= view.max_degree_y:
+            return METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(view, graph, t)
+    return METHOD_EXACT, lambda t: pvc_exact(graph, t)
+
+
+def pick_solver(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> str:
+    """The method that answers partial-cover queries on ``graph`` exactly
+    (see ``_route``)."""
+    return _route(graph, exact_max_n)[0]
 
 
 def solve_pvc(graph: Graph, t: int) -> PvcResult:
     """Minimum-cardinality vertex set covering at least t edges, found by
     the solver ``pick_solver`` chooses."""
-    method = pick_solver(graph)
-    if method == METHOD_TREE:
-        return pvc_tree(graph, t)
-    if method == METHOD_DEGREE_GREEDY:
-        return pvc_degree_greedy(dominant_view(graph), graph, t)
-    return pvc_exact(graph, t)
+    return _route(graph)[1](t)
 
 
 def _validate_view(view: BipartitionView, graph: Graph) -> None:
@@ -293,41 +302,6 @@ def _validate_view(view: BipartitionView, graph: Graph) -> None:
 
 # ---------------------------------------------------------------------------
 # forest solver: subtree knapsack over exact-coverage tables
-
-
-def _forest_structure(graph: Graph):
-    # BFS from each component's lowest id; a vertex's children, in
-    # increasing id order, are the tuple of vertices it enqueues (a leaf's is
-    # the shared empty tuple)
-    n = graph.n
-    parent = [-1] * n
-    seen = [False] * n
-    children: list[tuple[int, ...]] = [()] * n
-    roots: list[int] = []
-    order: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        roots.append(start)
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            lo = len(queue)
-            for u in sorted(graph.adjacency[v]):
-                if u == parent[v]:
-                    continue
-                if seen[u]:
-                    raise ValueError("graph contains a cycle; the tree solver needs a forest")
-                seen[u] = True
-                parent[u] = v
-                queue.append(u)
-            if len(queue) > lo:
-                children[v] = tuple(queue[lo:])
-        order.extend(queue)
-    return roots, children, order
 
 
 def _child_tables(c: np.ndarray) -> np.ndarray:
@@ -374,7 +348,7 @@ def _split(prev: np.ndarray, g, c: int, value: int) -> int:
     raise AssertionError("min-plus split not found")
 
 
-def pvc_tree(graph: Graph, t: int) -> PvcResult:
+def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult:
     """Exact minimum partial cover for forests, polynomial in n and t.
 
     Each vertex carries one (2, L) table: row 0 with the vertex unchosen,
@@ -384,10 +358,14 @@ def pvc_tree(graph: Graph, t: int) -> PvcResult:
     children is one step, through one ``_run_link``, and any other child is
     one. Vertices whose children have the same sequence of shapes have the
     same tables, so each such shape is folded once per call and shared.
-    Components combine through one more knapsack.
+    Components combine through one more knapsack. Each component is rooted
+    at its lowest id and each vertex's children are in increasing id order,
+    as the graph's ``walk`` (``_walk`` when the router passes it) gives them.
     """
     _check_target(graph, t)
-    roots, children, order = _forest_structure(graph)
+    roots, children, order, forest, _ = walk(graph) if _walk is None else _walk
+    if not forest:
+        raise ValueError("graph contains a cycle; the tree solver needs a forest")
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
 

@@ -370,3 +370,17 @@ def test_numpy_fallback_subprocess(tmp_path):
         text=True,
     )
     assert check.stdout.strip() == "numpy"
+
+
+@pytest.mark.parametrize("command", [("pvc", "-t", "0"), ("smon", "-t", "1")])
+def test_header_above_the_vertex_limit_exits_2(capsys, tmp_path, monkeypatch, command):
+    from pvcmon.graph import Graph
+
+    def unreachable(*args):
+        raise AssertionError("from_edges reached")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(unreachable))
+    path = tmp_path / "huge.txt"
+    path.write_text("300000000 0\n")
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: line 1: n=300000000 exceeds the limit of 1000000 vertices\n")

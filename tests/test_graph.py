@@ -14,6 +14,7 @@ from pvcmon import (
     parse_graph,
     to_edge_list_text,
 )
+from pvcmon.graph import MAX_VERTICES
 from pvcmon.corpus import (
     complete_bipartite,
     complete_graph,
@@ -158,3 +159,21 @@ def test_from_edges_normalizes_order():
     a = Graph.from_edges(3, [(2, 1), (1, 0)])
     b = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert a == b
+
+
+@pytest.mark.parametrize("n", [300_000_000, MAX_VERTICES + 1])
+def test_parse_refuses_a_header_above_the_vertex_limit(n, monkeypatch):
+    # refused from the header alone: no Graph is built
+    def unreachable(*args):
+        raise AssertionError("from_edges reached")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(unreachable))
+    with pytest.raises(GraphFormatError, match=f"^line 2: n={n} exceeds the limit of 1000000 vertices$"):
+        parse_graph(f"# header\n{n} 0\n")
+
+
+def test_parse_passes_a_header_at_the_vertex_limit_on(monkeypatch):
+    built = []
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(lambda n, edges: built.append((n, edges))))
+    parse_graph(f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n")
+    assert built == [(MAX_VERTICES, [(0, MAX_VERTICES - 1)])]

@@ -216,3 +216,45 @@ def test_feasible_averages_match_fraction_filter():
             if Fraction(p, q) * g.n <= 2 * g.m
         })
         assert _feasible_averages(g) == by_fractions
+
+
+@st.composite
+def walk_graphs(draw, max_n=40):
+    # a random forest (each vertex hangs off an earlier one or starts a new
+    # tree, so some stay isolated), a few extra edges that may close even or
+    # odd cycles, and a random relabelling, so roots are not always id 0
+    n = draw(st.integers(0, max_n))
+    edges = {(p, v) for v in range(1, n) if (p := draw(st.integers(-2, v - 1))) >= 0}
+    if n >= 2:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_graphs())
+def test_walk_agrees_with_networkx(g):
+    nx = pytest.importorskip("networkx")
+    from pvcmon.graph import bipartition, is_forest, walk
+
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    # networkx calls the graph without vertices pointless and raises
+    assert is_forest(g) == (g.n == 0 or nx.is_forest(ref))
+    lowest = sorted(min(c) for c in nx.connected_components(ref))
+    view = bipartition(g)
+    assert (view is None) == (not nx.is_bipartite(ref))
+    if view is not None:
+        x = set(view.x)
+        assert all((u in x) != (v in x) for u, v in g.edges)
+        assert set(lowest) <= x
+        assert sorted(view.x + view.y) == list(range(g.n))
+    w = walk(g)
+    assert sorted(w.order) == list(range(g.n))
+    if w.forest:
+        assert w.roots == lowest
+        assert all(list(kids) == sorted(kids) for kids in w.children)
+        assert sorted((min(v, u), max(v, u)) for v, kids in enumerate(w.children) for u in kids) == list(g.edges)

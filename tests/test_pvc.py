@@ -12,12 +12,14 @@ from pvcmon import (
     PvcbInstance,
     bipartition,
     coverage,
+    pick_solver,
     pvc_decide,
     pvc_degree_greedy,
     pvc_exact,
     pvc_greedy_upper,
     pvc_rho_decide,
     pvc_tree,
+    solve_pvc,
 )
 from pvcmon.corpus import (
     complete_bipartite,
@@ -541,6 +543,19 @@ class TestSolverState:
         assert g == twin and hash(g) == hash(twin)
         assert (hash(g), repr(g)) == before
         assert g._pvc_state is not None and twin._pvc_state is None
+
+    def test_walk_does_not_touch_the_graph(self):
+        # the walk flows as a value: neither the tree DP nor the routed
+        # queries that read it store anything on the graph
+        g = random_recursive_tree(300, random.Random(3))
+        twin = fresh_copy(g)
+        before = (hash(g), repr(g), dict(vars(g)))
+        pvc_tree(g, g.m // 3)
+        solve_pvc(g, g.m // 2)
+        pick_solver(g)
+        assert g == twin and hash(g) == hash(twin)
+        assert (hash(g), repr(g), dict(vars(g))) == before
+        assert g._pvc_state is None
 
     def test_threads_on_shared_graphs(self):
         import sys

@@ -70,3 +70,49 @@ def test_routing_golden_digest(capsys, tmp_path):
                     payload = json.dumps(report, sort_keys=True)
                     h.update(f"{solver} {guard} {t} {code} {err!r} {payload}\n".encode())
     assert h.hexdigest() == ROUTING_DIGEST
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts of graph walks and view checks made while the test runs."""
+    import pvcmon.graph
+    import pvcmon.pvc
+
+    counts = {"walk": 0, "validate": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    walk = counting("walk", pvcmon.graph.walk)
+    monkeypatch.setattr(pvcmon.graph, "walk", walk)
+    monkeypatch.setattr(pvcmon.pvc, "walk", walk)
+    monkeypatch.setattr(pvcmon.pvc, "_validate_view", counting("validate", pvcmon.pvc._validate_view))
+    return counts
+
+
+def test_routed_tree_query_walks_once(walks, capsys, tmp_path):
+    g = random_recursive_tree(2000, random.Random(12))
+    assert solve_pvc(g, g.m // 3).method == "tree_dp"
+    assert walks == {"walk": 1, "validate": 0}
+    path = tmp_path / "tree.txt"
+    path.write_text(to_edge_list_text(g))
+    walks["walk"] = 0
+    assert main(["pvc", str(path), "-t", str(g.m // 3)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["method"] == "tree_dp"
+    assert walks == {"walk": 1, "validate": 0}
+
+
+def test_routed_bipartite_query_walks_once(walks):
+    g = complete_bipartite(20, 400)
+    assert solve_pvc(g, g.m // 2).method == "degree_greedy"
+    # the degree greedy still checks the view it is given
+    assert walks == {"walk": 1, "validate": 1}
+
+
+def test_small_graphs_route_without_a_walk(walks):
+    g = random_tree(30, random.Random(1))
+    assert solve_pvc(g, g.m).method == "exact"
+    assert walks["walk"] == 0
