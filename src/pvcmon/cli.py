@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import GadgetConstructionError, GraphFormatError, InfeasibleTargetError
-from .graph import Graph, coverage, parse_graph
+from .graph import Graph, _coerce_rational, coverage, parse_graph
 from .monopoly import (
     ThresholdAssignment,
     _required_total,
@@ -33,7 +33,6 @@ from .pvc import (
     METHOD_EXACT,
     METHOD_HEURISTIC,
     _route,
-    dominant_view,
     pvc_degree_greedy,
     pvc_exact,
     pvc_greedy_upper,
@@ -52,7 +51,7 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(
             f"expected an integer or 'p/q' rational (decimals are rejected), got {text!r}"
         )
-    return Fraction(text.strip())
+    return _coerce_rational(text.strip())
 
 
 def _read_graph(path: str) -> Graph:
@@ -103,10 +102,7 @@ def _cmd_pvc(args, graph: Graph) -> dict:
     elif solver == "tree":
         res = pvc_tree(graph, t)
     elif solver == "degreeGreedy":
-        view = dominant_view(graph)
-        if view is None:
-            raise ValueError("degreeGreedy requires a bipartite graph")
-        res = pvc_degree_greedy(view, graph, t)
+        res = pvc_degree_greedy(graph, t)
     elif solver == "greedy":
         res = pvc_greedy_upper(graph, t)
     else:

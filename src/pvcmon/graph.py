@@ -1,7 +1,8 @@
 """Simple undirected graphs: edge-list parsing, coverage counting, the walk.
 
-``walk`` is the one structural traversal, a BFS that ``is_forest``,
-``bipartition`` and the solvers read; it is returned, never kept on the graph.
+``walk`` is the one structural traversal, a BFS whose forest flag
+``is_forest`` reads and whose rooted children and 2-colouring the solvers
+read; it is returned, never kept on the graph.
 
 A graph's vertices and edges never change after construction, and every
 function here is pure. A ``Graph`` also carries one private slot that
@@ -82,33 +83,21 @@ class Graph:
         return v in self.adjacency[u] if 0 <= u < self.n else False
 
 
-@dataclass(frozen=True)
-class BipartitionView:
-    """A validated two-sided view of a bipartite graph.
-
-    ``sorted_degrees_x`` lists the degrees of the X side in nonincreasing
-    order; ``min_degree_x`` / ``max_degree_y`` are the side extremes that the
-    degree-greedy solver checks its hypothesis against.
-    """
-
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    sorted_degrees_x: tuple[int, ...]
-    min_degree_x: int
-    max_degree_y: int
-
-
 def _coerce_rational(value: Rational) -> Fraction:
     """An exact rational from an int, a 'p/q' string or a Fraction.
 
     Floats raise TypeError: a float such as 0.1 is not the fraction it
-    prints as, and a ceiling taken of it can be off by one.
+    prints as, and a ceiling taken of it can be off by one. A zero
+    denominator raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("pass an exact rational (int, 'p/q' string, or Fraction), not a float")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def vertex_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:
@@ -253,37 +242,3 @@ def walk(graph: Graph) -> Walk:
 def is_forest(graph: Graph) -> bool:
     """True when the graph is acyclic (a forest, possibly disconnected)."""
     return walk(graph).forest
-
-
-def _make_view(graph: Graph, side: list[int], x_side: int = 0) -> BipartitionView:
-    # the vertices v with side[v] == x_side on X, the others on Y
-    deg = graph.degrees
-    x = tuple(v for v, s in enumerate(side) if s == x_side)
-    y = tuple(v for v, s in enumerate(side) if s != x_side)
-    degs_x = tuple(sorted((deg[v] for v in x), reverse=True))
-    return BipartitionView(
-        x=x,
-        y=y,
-        sorted_degrees_x=degs_x,
-        min_degree_x=min((deg[v] for v in x), default=0),
-        max_degree_y=max((deg[v] for v in y), default=0),
-    )
-
-
-def bipartition(graph: Graph, x_hint: Optional[Iterable[int]] = None) -> Optional[BipartitionView]:
-    """Two-color the graph, or validate a caller-supplied X side.
-
-    Without a hint, the colouring of ``walk`` gives the sides: the side
-    containing each component's smallest vertex id goes to X; returns None if
-    some component has an odd cycle. With a hint, the partition (X, V - X) is
-    checked: every edge must cross, otherwise ValueError.
-    """
-    if x_hint is not None:
-        xs = vertex_subset(graph, x_hint)
-        for u, v in graph.edges:
-            if (u in xs) == (v in xs):
-                raise ValueError(f"edge ({u}, {v}) does not cross the hinted bipartition")
-        return _make_view(graph, [int(v not in xs) for v in range(graph.n)])
-
-    side = walk(graph).side
-    return None if side is None else _make_view(graph, side)

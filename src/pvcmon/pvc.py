@@ -8,8 +8,10 @@ consecutive leaf children being one step. Vertices whose children have
 the same sequence of shapes share one list of folds, built once per call.
 Its traceback reads the folds and the children's tables back, and takes
 the first leaves of a run in closed form;
-``pvc_degree_greedy`` solves bipartite graphs whose X side degree-dominates
-the Y side; ``pvc_greedy_upper`` is the scalable heuristic upper bound.
+``pvc_degree_greedy`` solves bipartite graphs with a side X that
+degree-dominates the other side Y, taking both sides from the 2-colouring
+of the graph's walk; ``pvc_greedy_upper`` is the scalable heuristic upper
+bound.
 
 ``_route`` is the one place that chooses among the exact solvers:
 branch-and-bound up to ``EXACT_MAX_N`` vertices (faster than the tree DP's
@@ -41,16 +43,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InfeasibleTargetError
-from .graph import (
-    BipartitionView,
-    Graph,
-    Rational,
-    Walk,
-    _coerce_rational,
-    _make_view,
-    coverage,
-    walk,
-)
+from .graph import Graph, Rational, Walk, _coerce_rational, coverage, walk
 
 METHOD_EXACT = "exact"
 METHOD_TREE = "tree_dp"
@@ -218,17 +211,43 @@ def pvc_rho_decide(graph: Graph, l: int, rho: Rational) -> bool:
     return _decide(graph, math.ceil(rho * graph.m), l)
 
 
-def pvc_degree_greedy(view: BipartitionView, graph: Graph, t: int) -> PvcResult:
-    """Prefix of X in nonincreasing degree order; optimal when min deg X >= max deg Y."""
+def _orient(deg: tuple[int, ...], side: list[int]) -> tuple[int, int, int]:
+    """The side of a 2-colouring taken as X, with min deg X and max deg Y.
+
+    X is the side that degree-dominates (min deg X >= max deg Y), and a
+    vertex of degree 0 is on Y whichever side it is coloured. When both
+    sides dominate (every vertex of degree above 0 has one degree), X is
+    side 0, or side 1 if some vertex is isolated; that is the X, and so
+    the witnesses, of earlier releases, which counted isolated vertices on
+    side 0. When neither side dominates, the numbers are side 1's.
+    """
+    bounds = [
+        (min((d for d, s in zip(deg, side) if s == x and d), default=0),
+         max((d for d, s in zip(deg, side) if s != x), default=0))
+        for x in (0, 1)
+    ]
+    dominates = [low >= high for low, high in bounds]
+    x_side = 0 if dominates[0] and (0 not in deg or not dominates[1]) else 1
+    return (x_side, *bounds[x_side])
+
+
+def pvc_degree_greedy(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult:
+    """Prefix of X in nonincreasing degree order (ties: lowest id); optimal
+    when X degree-dominates Y (min deg X >= max deg Y).
+
+    X and Y come from the 2-colouring of the graph's ``walk`` (``_walk``
+    when the router passes it), oriented by ``_orient``. A graph that is not
+    bipartite, or has no dominating side, raises ValueError.
+    """
+    side = (walk(graph) if _walk is None else _walk).side
+    if side is None:
+        raise ValueError("degreeGreedy requires a bipartite graph")
     _check_target(graph, t)
-    _validate_view(view, graph)
-    if view.min_degree_x < view.max_degree_y:
-        raise ValueError(
-            f"degree hypothesis violated: min degree on X is {view.min_degree_x}"
-            f" < max degree on Y {view.max_degree_y}"
-        )
     deg = graph.degrees
-    order = sorted(view.x, key=lambda v: (-deg[v], v))
+    x_side, low, high = _orient(deg, side)
+    if low < high:
+        raise ValueError(f"degree hypothesis violated: min degree on X is {low} < max degree on Y {high}")
+    order = sorted((v for v, s in enumerate(side) if s == x_side and deg[v]), key=lambda v: (-deg[v], v))
     chosen: list[int] = []
     achieved = 0
     for v in order:
@@ -238,23 +257,6 @@ def pvc_degree_greedy(view: BipartitionView, graph: Graph, t: int) -> PvcResult:
         achieved += deg[v]
     # X touches every edge, so the prefix sums reach m >= t
     return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_DEGREE_GREEDY)
-
-
-def _dominant(graph: Graph, side: Optional[list[int]]) -> Optional[BipartitionView]:
-    # the view of a walk's colouring, its sides swapped unless side 0 dominates
-    if side is None:
-        return None
-    view = _make_view(graph, side)
-    return view if view.min_degree_x >= view.max_degree_y else _make_view(graph, side, 1)
-
-
-def dominant_view(graph: Graph) -> Optional[BipartitionView]:
-    """The graph's bipartition, oriented so that X degree-dominates Y
-    (min degree on X >= max degree on Y) whenever either orientation does.
-
-    None when the graph is not bipartite.
-    """
-    return _dominant(graph, walk(graph).side)
 
 
 def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[[int], PvcResult]]:
@@ -269,9 +271,10 @@ def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[
         w = walk(graph)
         if w.forest:
             return METHOD_TREE, lambda t: pvc_tree(graph, t, _walk=w)
-        view = _dominant(graph, w.side)
-        if view is not None and view.min_degree_x >= view.max_degree_y:
-            return METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(view, graph, t)
+        if w.side is not None:
+            _, low, high = _orient(graph.degrees, w.side)
+            if low >= high:
+                return METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(graph, t, _walk=w)
     return METHOD_EXACT, lambda t: pvc_exact(graph, t)
 
 
@@ -285,19 +288,6 @@ def solve_pvc(graph: Graph, t: int) -> PvcResult:
     """Minimum-cardinality vertex set covering at least t edges, found by
     the solver ``pick_solver`` chooses."""
     return _route(graph)[1](t)
-
-
-def _validate_view(view: BipartitionView, graph: Graph) -> None:
-    xs = set(view.x)
-    ys = set(view.y)
-    if xs & ys or xs | ys != set(range(graph.n)):
-        raise ValueError("view sides do not partition the vertex set")
-    for u, v in graph.edges:
-        if (u in xs) == (v in xs):
-            raise ValueError(f"edge ({u}, {v}) does not cross the view's sides")
-    deg = graph.degrees
-    if tuple(sorted((deg[v] for v in view.x), reverse=True)) != view.sorted_degrees_x:
-        raise ValueError("view degree list is stale for this graph")
 
 
 # ---------------------------------------------------------------------------

@@ -184,18 +184,33 @@ def gadget_edge_list(inst: GadgetInstance) -> str:
 
 
 def load_gadget(edge_list_text: str, sidecar_text: str) -> GadgetInstance:
-    """Rebuild and re-validate a gadget from its two serialized parts."""
+    """Rebuild and re-validate a gadget from its two serialized parts.
+
+    A sidecar that is not a JSON object, or that lacks a field or holds
+    one of the wrong type, raises GadgetConstructionError naming it.
+    """
     graph = parse_graph(edge_list_text)
     payload = json.loads(sidecar_text)
+    if not isinstance(payload, dict):
+        raise GadgetConstructionError(f"sidecar must be a JSON object, not {type(payload).__name__}")
+
+    def field(name, convert):
+        if name not in payload:
+            raise GadgetConstructionError(f"sidecar has no {name!r} field")
+        try:
+            return convert(payload[name])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise GadgetConstructionError(f"sidecar field {name!r} is malformed: {payload[name]!r}") from None
+
     inst = GadgetInstance(
         graph=graph,
-        rho=Fraction(payload["rho"]),
-        r=int(payload["r"]),
-        s=int(payload["s"]),
-        star_center=int(payload["star_center"]),
-        path_end=int(payload["path_end"]),
-        pendant_anchor=int(payload["pendant_anchor"]),
-        roles=tuple(payload["roles"]),
+        rho=field("rho", Fraction),
+        r=field("r", int),
+        s=field("s", int),
+        star_center=field("star_center", int),
+        path_end=field("path_end", int),
+        pendant_anchor=field("pendant_anchor", int),
+        roles=field("roles", tuple),
     )
     _validate_instance(inst)
     return inst

@@ -15,7 +15,6 @@ import pytest
 
 from pvcmon import (
     InfeasibleTargetError,
-    bipartition,
     build_gadget,
     gadget_edge_list,
     gadget_sidecar_json,
@@ -108,11 +107,10 @@ def test_c6_degree_greedy_matches_exact():
     rng = random.Random(606)
     seen = 0
     while seen < 300:
-        g, xs = random_bipartite_degree_dominant(rng)
-        view = bipartition(g, x_hint=xs)
+        g, _ = random_bipartite_degree_dominant(rng)
         seen += 1
         for t in range(g.m + 1):
-            assert pvc_degree_greedy(view, g, t).size == pvc_exact(g, t).size
+            assert pvc_degree_greedy(g, t).size == pvc_exact(g, t).size
 
 
 def test_c7_tree_solver_matches_exact_and_scales():

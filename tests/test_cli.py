@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pvcmon
 from pvcmon.cli import main
 from pvcmon.corpus import path_graph, random_graph, random_tree
 from pvcmon.graph import to_edge_list_text
@@ -100,7 +103,7 @@ def test_out_of_memory_exits_5(capsys, p5_file, monkeypatch):
 
 
 def test_pvc_degree_greedy_solver_orients_the_view(capsys, tmp_path):
-    # star with its center last: the default bipartition puts the leaves on X
+    # star with its center last: side 0 of the walk's colouring holds the leaves
     star = tmp_path / "star.txt"
     star.write_text("4 3\n0 3\n1 3\n2 3\n")
     code, report = run_cli(capsys, "pvc", str(star), "-t", "3", "--solver", "degreeGreedy")
@@ -200,6 +203,16 @@ def test_sdyn_oracle_refuses_a_large_graph_before_solving(capsys, tmp_path, monk
 def test_decimal_rational_rejected(capsys, c4_file):
     code, _ = run_cli(capsys, "smon", c4_file, "-t", "1.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, options", [
+    ("smon", ("-t", "1/0")),
+    ("sdyn", ("-t", "3/0", "--oracle")),
+    ("reduce", ("-k", "1", "-t", "2", "--rho", "1/0")),
+])
+def test_zero_denominator_exits_2(capsys, c4_file, command, options):
+    assert main([command, c4_file, *options]) == 2
+    assert capsys.readouterr() == ("", f"error: zero denominator in {'3/0' if command == 'sdyn' else '1/0'!r}\n")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -356,10 +369,14 @@ def test_seed_order_flag(capsys, tmp_path):
 def test_numpy_fallback_subprocess(tmp_path):
     graph = tmp_path / "c4.txt"
     graph.write_text(C4_TEXT)
+    # the children import the pvcmon these tests import, installed or not
+    src = str(Path(pvcmon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "pvcmon.cli", "pvc", str(graph), "-t", "4", "--solver", "exact"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -368,6 +385,7 @@ def test_numpy_fallback_subprocess(tmp_path):
         [sys.executable, "-c", "from pvcmon import kernels; print(kernels.backend())"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert check.stdout.strip() == "numpy"
 

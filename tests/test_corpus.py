@@ -1,6 +1,6 @@
 import random
 
-from pvcmon import bipartition, is_forest
+from pvcmon import is_forest
 from pvcmon.corpus import (
     all_free_trees,
     all_labeled_graphs,
@@ -45,8 +45,10 @@ def test_degree_dominant_generator_meets_hypothesis():
     for _ in range(40):
         g, xs = random_bipartite_degree_dominant(rng)
         assert g.n <= 14
-        view = bipartition(g, x_hint=xs)
-        assert view.min_degree_x >= view.max_degree_y
+        x = set(xs)
+        assert all((u in x) != (v in x) for u, v in g.edges)
+        deg = g.degrees
+        assert min(deg[v] for v in x) >= max(deg[v] for v in range(g.n) if v not in x)
 
 
 def test_named_constructions():

@@ -6,15 +6,17 @@ import pytest
 from pvcmon import (
     Graph,
     GraphFormatError,
-    bipartition,
+    build_gadget,
     coverage,
     edge_density,
     induced_subgraph,
     is_forest,
     parse_graph,
+    pvc_rho_decide,
+    smon,
     to_edge_list_text,
 )
-from pvcmon.graph import MAX_VERTICES
+from pvcmon.graph import MAX_VERTICES, walk
 from pvcmon.corpus import (
     complete_bipartite,
     complete_graph,
@@ -124,29 +126,29 @@ def test_edge_density_relabel_invariant():
         assert edge_density(g) == edge_density(h)
 
 
+@pytest.mark.parametrize("call", [
+    lambda rho: smon(cycle_graph(4), rho),
+    lambda rho: pvc_rho_decide(cycle_graph(4), 1, rho),
+    lambda rho: build_gadget(cycle_graph(4), 1, 2, rho),
+], ids=["smon", "pvc_rho_decide", "build_gadget"])
+def test_zero_denominator_is_a_value_error(call):
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        call("1/0")
+
+
 def test_bipartition_even_cycle():
-    view = bipartition(cycle_graph(4))
-    assert view.x == (0, 2) and view.y == (1, 3)
+    assert walk(cycle_graph(4)).side == [0, 1, 0, 1]
 
 
 def test_bipartition_odd_cycle_absent():
-    assert bipartition(cycle_graph(5)) is None
-
-
-def test_bipartition_hint_k23():
-    g = complete_bipartite(2, 3)
-    view = bipartition(g, x_hint={0, 1})
-    assert view.min_degree_x == 3 and view.max_degree_y == 2
-    assert view.sorted_degrees_x == (3, 3)
-    with pytest.raises(ValueError):
-        bipartition(g, x_hint={0, 2})
+    assert walk(cycle_graph(5)).side is None
 
 
 def test_bipartition_smallest_id_lands_on_x():
-    # two components; each component's lowest id must sit on the X side
+    # two components; each component's lowest id must sit on side 0, the
+    # side the degree greedy tries as X first
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
-    view = bipartition(g)
-    assert 0 in view.x and 2 in view.x
+    assert walk(g).side == [0, 1, 0, 1, 0, 1]
 
 
 def test_is_forest():

@@ -237,7 +237,7 @@ def walk_graphs(draw, max_n=40):
 @given(walk_graphs())
 def test_walk_agrees_with_networkx(g):
     nx = pytest.importorskip("networkx")
-    from pvcmon.graph import bipartition, is_forest, walk
+    from pvcmon.graph import is_forest, walk
 
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
@@ -245,14 +245,12 @@ def test_walk_agrees_with_networkx(g):
     # networkx calls the graph without vertices pointless and raises
     assert is_forest(g) == (g.n == 0 or nx.is_forest(ref))
     lowest = sorted(min(c) for c in nx.connected_components(ref))
-    view = bipartition(g)
-    assert (view is None) == (not nx.is_bipartite(ref))
-    if view is not None:
-        x = set(view.x)
-        assert all((u in x) != (v in x) for u, v in g.edges)
-        assert set(lowest) <= x
-        assert sorted(view.x + view.y) == list(range(g.n))
     w = walk(g)
+    assert (w.side is None) == (not nx.is_bipartite(ref))
+    if w.side is not None:
+        assert len(w.side) == g.n and set(w.side) <= {0, 1}
+        assert all(w.side[u] != w.side[v] for u, v in g.edges)
+        assert all(w.side[r] == 0 for r in lowest)
     assert sorted(w.order) == list(range(g.n))
     if w.forest:
         assert w.roots == lowest

@@ -10,7 +10,6 @@ from pvcmon import (
     Graph,
     InfeasibleTargetError,
     PvcbInstance,
-    bipartition,
     coverage,
     pick_solver,
     pvc_decide,
@@ -387,32 +386,27 @@ def _shape_forests():
 
 class TestDegreeGreedy:
     def test_complete_bipartite_prefixes(self):
-        g = complete_bipartite(2, 3)
-        view = bipartition(g, x_hint={0, 1})
-        assert pvc_degree_greedy(view, g, 4).size == 2
-        g33 = complete_bipartite(3, 3)
-        view33 = bipartition(g33, x_hint={0, 1, 2})
-        assert pvc_degree_greedy(view33, g33, 3).size == 1
+        assert pvc_degree_greedy(complete_bipartite(2, 3), 4).size == 2
+        assert pvc_degree_greedy(complete_bipartite(3, 3), 3).size == 1
 
     def test_zero_target(self):
-        g = complete_bipartite(2, 2)
-        view = bipartition(g)
-        assert pvc_degree_greedy(view, g, 0).size == 0
+        assert pvc_degree_greedy(complete_bipartite(2, 2), 0).size == 0
 
     def test_hypothesis_enforced(self):
-        g = complete_bipartite(3, 2)  # hinted X side has the lower degrees
-        view = bipartition(g, x_hint={0, 1, 2})
-        assert view.min_degree_x == 2 and view.max_degree_y == 3
-        with pytest.raises(ValueError):
-            pvc_degree_greedy(view, g, 2)
+        # side 0 of K_{3,2} has the lower degrees, so X is side 1
+        assert pvc_degree_greedy(complete_bipartite(3, 2), 3).witness == {3}
+        # P4: each side has a degree-1 and a degree-2 vertex
+        with pytest.raises(ValueError, match="min degree on X is 1 < max degree on Y 2"):
+            pvc_degree_greedy(path_graph(4), 2)
+        with pytest.raises(ValueError, match="requires a bipartite graph"):
+            pvc_degree_greedy(cycle_graph(5), 2)
 
     def test_matches_exact(self):
         rng = random.Random(14)
         for _ in range(40):
-            g, xs = random_bipartite_degree_dominant(rng)
-            view = bipartition(g, x_hint=xs)
+            g, _ = random_bipartite_degree_dominant(rng)
             for t in range(0, g.m + 1, max(1, g.m // 5)):
-                got = pvc_degree_greedy(view, g, t)
+                got = pvc_degree_greedy(g, t)
                 assert got.size == pvc_exact(g, t).size
                 assert got.achieved_coverage == coverage(g, got.witness) >= t
 

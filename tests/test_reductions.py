@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,6 @@ import pytest
 from pvcmon import (
     GadgetConstructionError,
     Graph,
-    bipartition,
     build_gadget,
     gadget_edge_list,
     gadget_sidecar_json,
@@ -18,6 +18,7 @@ from pvcmon import (
     verify_lemma2,
 )
 from pvcmon.corpus import all_labeled_graphs, cycle_graph, path_graph, random_graph
+from pvcmon.graph import walk
 from pvcmon.reductions import ROLE_ORIGINAL, ROLE_PENDANT, gadget_parameters
 from pvcmon.verify import DEFAULT_RHOS, lemma2_battery
 
@@ -49,8 +50,8 @@ class TestPendantAugment:
                 assert aug.degree(v) == g.degree(v) + 3
             for u, v in g.edges:
                 assert aug.has_edge(u, v)
-            if bipartition(g) is not None:
-                assert bipartition(aug) is not None
+            if walk(g).side is not None:
+                assert walk(aug).side is not None
             if is_chordal(g):
                 assert is_chordal(aug)
 
@@ -105,8 +106,8 @@ class TestBuildGadget:
         for _ in range(8):
             g = random_graph(rng.randint(1, 4), 0.5, rng)
             inst = build_gadget(g, rng.randint(0, g.n), rng.randint(0, g.m), Fraction(1, 2))
-            if bipartition(g) is not None:
-                assert bipartition(inst.graph) is not None
+            if walk(g).side is not None:
+                assert walk(inst.graph).side is not None
             if is_chordal(g):
                 assert is_chordal(inst.graph)
 
@@ -163,6 +164,21 @@ class TestSerialization:
         assert bad != gadget_sidecar_json(inst)
         with pytest.raises(GadgetConstructionError):
             load_gadget(gadget_edge_list(inst), bad)
+
+
+    def test_malformed_sidecar_rejected(self):
+        inst = build_gadget(path_graph(3), 1, 1, Fraction(1, 3))
+        payload = json.loads(gadget_sidecar_json(inst))
+        del payload["path_end"]
+        with pytest.raises(GadgetConstructionError, match="no 'path_end' field"):
+            load_gadget(gadget_edge_list(inst), json.dumps(payload))
+        for text in ("[]", "3", '"rho"', "null"):
+            with pytest.raises(GadgetConstructionError, match="must be a JSON object"):
+                load_gadget(gadget_edge_list(inst), text)
+        for name, value in (("rho", "1/0"), ("r", None), ("s", "two"), ("roles", 5)):
+            bad = {**json.loads(gadget_sidecar_json(inst)), name: value}
+            with pytest.raises(GadgetConstructionError, match=f"field '{name}' is malformed"):
+                load_gadget(gadget_edge_list(inst), json.dumps(bad))
 
 
 class TestEquivalences:

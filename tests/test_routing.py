@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pvcmon import pick_solver, solve_pvc
+from pvcmon import pick_solver, pvc_exact, solve_pvc
 from pvcmon.cli import main
 from pvcmon.corpus import (
     complete_bipartite,
@@ -74,45 +74,57 @@ def test_routing_golden_digest(capsys, tmp_path):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts of graph walks and view checks made while the test runs."""
+    """Counts of graph walks made while the test runs."""
     import pvcmon.graph
     import pvcmon.pvc
 
-    counts = {"walk": 0, "validate": 0}
+    counts = {"walk": 0}
+    fn = pvcmon.graph.walk
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+    def walk(graph):
+        counts["walk"] += 1
+        return fn(graph)
 
-    walk = counting("walk", pvcmon.graph.walk)
     monkeypatch.setattr(pvcmon.graph, "walk", walk)
     monkeypatch.setattr(pvcmon.pvc, "walk", walk)
-    monkeypatch.setattr(pvcmon.pvc, "_validate_view", counting("validate", pvcmon.pvc._validate_view))
     return counts
 
 
 def test_routed_tree_query_walks_once(walks, capsys, tmp_path):
     g = random_recursive_tree(2000, random.Random(12))
     assert solve_pvc(g, g.m // 3).method == "tree_dp"
-    assert walks == {"walk": 1, "validate": 0}
+    assert walks == {"walk": 1}
     path = tmp_path / "tree.txt"
     path.write_text(to_edge_list_text(g))
     walks["walk"] = 0
     assert main(["pvc", str(path), "-t", str(g.m // 3)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["method"] == "tree_dp"
-    assert walks == {"walk": 1, "validate": 0}
+    assert walks == {"walk": 1}
 
 
 def test_routed_bipartite_query_walks_once(walks):
     g = complete_bipartite(20, 400)
     assert solve_pvc(g, g.m // 2).method == "degree_greedy"
-    # the degree greedy still checks the view it is given
-    assert walks == {"walk": 1, "validate": 1}
+    assert walks == {"walk": 1}
 
 
 def test_small_graphs_route_without_a_walk(walks):
     g = random_tree(30, random.Random(1))
     assert solve_pvc(g, g.m).method == "exact"
     assert walks["walk"] == 0
+
+
+def test_isolated_vertex_keeps_the_degree_greedy():
+    # K_{2,40} (X = {0, 1}) and one isolated vertex, which the walk colours
+    # onto side 0 with X; a vertex of degree 0 counts on Y
+    g = Graph.from_edges(43, [(x, 2 + y) for x in range(2) for y in range(40)])
+    assert pick_solver(g) == "degree_greedy"
+    for t in _targets(g):
+        assert solve_pvc(g, t).size == pvc_exact(g, t).size
+
+
+def test_regular_bipartite_graph_with_an_isolated_vertex_keeps_its_witness():
+    # both sides of C_36 dominate; with vertex 36 isolated, X is side 1
+    g = Graph.from_edges(37, cycle_graph(36).edges)
+    res = solve_pvc(g, 4)
+    assert res.method == "degree_greedy" and sorted(res.witness) == [1, 3]
