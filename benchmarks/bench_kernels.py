@@ -7,8 +7,9 @@ each verification battery at its default bounds.
 ``--json PATH`` also writes every row's wall time, with the backend, the
 Python and numpy versions and the CPU count, to PATH. The tree solver's
 rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
-the dispatch rows the graph walks each query makes (``walks``); neither
-depends on the machine.
+the dispatch rows the graph walks each query makes (``walks``), and the
+edgeless graph-build row the bytes per vertex its graph keeps
+(``bytes_per_vertex``, by tracemalloc); none depends on the machine.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import os
 import platform
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 from pvcmon import kernels, pvc
 from pvcmon.corpus import complete_bipartite, path_graph, random_graph, random_recursive_tree, random_tree
-from pvcmon.graph import Graph
+from pvcmon.graph import Graph, walk
 from pvcmon.pvc import (
     PvcbInstance,
     _csr_arrays,
@@ -70,20 +72,32 @@ def bench_cover_profile():
     _row(f"cover_profile n={g.n} m={g.m}", secs)
 
 
-def bench_bb_search():
-    # the lemma2 battery's right side: rho-decides on gadget graphs; each
-    # timed run starts from fresh graph objects, so the per-graph solver
-    # state is built inside the timing
+def _lemma2_gadgets():
+    # (gadget, k) for 40 lemma2-battery-shaped instances on 4 vertices
     rng = random.Random(2)
-    jobs = []
-    greedy_jobs = []
+    gadgets = []
     for _ in range(40):
         base = random_graph(4, 0.6, rng)
         k = rng.randint(0, 3)
         t = rng.randint(0, base.m)
-        inst = build_gadget(base, k, t, rng.choice((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))))
-        jobs.append((inst.graph, k + 1, inst.rho))
-        greedy_jobs.append((inst.graph, math.ceil(inst.rho * inst.graph.m)))
+        gadgets.append((build_gadget(base, k, t, rng.choice((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))), k))
+    return gadgets
+
+
+def _cli_queries():
+    # the benchmark cli workload's pvc trees, each at a random target
+    rng = random.Random(13)
+    mix = (2000, 2000, 1500, 1500, 1000, 1000) + (600,) * 30 + (300,) * 4
+    return [(g, rng.randint(1, g.m)) for g in (random_recursive_tree(n, rng) for n in mix)]
+
+
+def bench_bb_search():
+    # the lemma2 battery's right side: rho-decides on gadget graphs; each
+    # timed run starts from fresh graph objects, so the per-graph solver
+    # state is built inside the timing
+    gadgets = _lemma2_gadgets()
+    jobs = [(inst.graph, k + 1, inst.rho) for inst, k in gadgets]
+    greedy_jobs = [(inst.graph, math.ceil(inst.rho * inst.graph.m)) for inst, _ in gadgets]
 
     secs, _ = _time(lambda: sum(pvc_rho_decide(_fresh(g), l, rho) for g, l, rho in jobs))
     _row(f"pvc_rho_decide {len(jobs)} gadgets", secs, len(jobs))
@@ -182,13 +196,39 @@ def bench_tree_solver():
         secs, res = _time(lambda: pvc_tree(g, target), repeat=2)
         calls = _calls(kernels, "minplus", lambda: pvc_tree(g, target))
         _row(f"pvc_tree {label} (size {res.size})", secs, minplus_calls=calls)
-    # the benchmark cli workload's pvc trees, each at a random target
-    rng = random.Random(13)
-    mix = (2000, 2000, 1500, 1500, 1000, 1000) + (600,) * 30 + (300,) * 4
-    queries = [(g, rng.randint(1, g.m)) for g in (random_recursive_tree(n, rng) for n in mix)]
+    queries = _cli_queries()
     secs, _ = _time(lambda: [pvc_tree(g, t) for g, t in queries], repeat=2)
     calls = _calls(kernels, "minplus", lambda: [pvc_tree(g, t) for g, t in queries])
     _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries), minplus_calls=calls)
+
+
+def _bytes_per_vertex(n, edges):
+    # bytes per vertex that Graph.from_edges keeps, by tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = Graph.from_edges(n, edges)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == n
+    return round((kept - before) / n)
+
+
+def bench_graph_build():
+    # rebuilding graphs from their sorted edge lists, and walking them: the
+    # cli tree mix and the lemma2 battery's gadgets; then one edgeless
+    # header, with the bytes per vertex its graph keeps
+    trees = [g for g, _ in _cli_queries()]
+    gadgets = [inst.graph for inst, _ in _lemma2_gadgets()]
+    for label, graphs in (("cli tree mix", trees), ("lemma2 gadgets", gadgets)):
+        secs, _ = _time(lambda: [Graph.from_edges(g.n, g.edges) for g in graphs])
+        _row(f"Graph.from_edges {label} ({len(graphs)} graphs)", secs, len(graphs))
+    secs, _ = _time(lambda: [walk(g) for g in trees])
+    _row(f"walk cli tree mix ({len(trees)} trees)", secs, len(trees))
+    n = 100_000
+    secs, _ = _time(Graph.from_edges, n, [])
+    _row(f"Graph.from_edges edgeless n={n}", secs, bytes_per_vertex=_bytes_per_vertex(n, []))
 
 
 def bench_dispatch():
@@ -225,6 +265,7 @@ def main():
     bench_lemma1_decides()
     bench_minplus()
     bench_tree_solver()
+    bench_graph_build()
     bench_dispatch()
     bench_batteries()
     if args.json:

@@ -1,5 +1,9 @@
 """Simple undirected graphs: edge-list parsing, coverage counting, the walk.
 
+A ``Graph`` keeps its edges sorted and each vertex's neighbours as an
+increasing tuple, both fixed at construction; ``walk`` and the solvers
+read them in that order and never sort them again.
+
 ``walk`` is the one structural traversal, a BFS whose forest flag
 ``is_forest`` reads and whose rooted children and 2-colouring the solvers
 read; it is returned, never kept on the graph.
@@ -22,8 +26,8 @@ from .errors import GraphFormatError
 
 Rational = Union[int, str, Fraction]
 
-# The most vertices parse_graph accepts: a Graph takes ~430 bytes per vertex
-# before any edge, so a header at the limit costs ~0.43 GB.
+# The most vertices parse_graph accepts: an edgeless Graph peaks at ~73 bytes
+# per vertex while built and keeps ~8, so a header at the limit costs ~73 MB.
 MAX_VERTICES = 1_000_000
 
 
@@ -34,11 +38,17 @@ class Graph:
     Edges are stored normalized (u < v) and sorted lexicographically, so two
     graphs with the same edge set compare equal and serialize identically.
     Isolated vertices are legal: n comes from the header, not the edge list.
+
+    ``adjacency[v]`` is the tuple of v's neighbours in strictly increasing
+    order, the one neighbour order every reader relies on. ``from_edges``
+    gets it without a sort: walking the sorted edges, v meets its lower
+    neighbours (as the second endpoint) in increasing order before its
+    higher ones (as the first).
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
     # pvc.py's solver state for this object, stored on the instance on first
     # use. A plain class attribute, not a field: it takes no part in
     # construction, eq, hash or repr, so equal graphs stay equal and no two
@@ -62,11 +72,11 @@ class Graph:
             seen.add(e)
             normalized.append(e)
         normalized.sort()
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph(n, tuple(normalized), tuple(frozenset(s) for s in adj))
+            adj[u].append(v)
+            adj[v].append(u)
+        return Graph(n, tuple(normalized), tuple(map(tuple, adj)))
 
     @property
     def m(self) -> int:
@@ -225,7 +235,7 @@ def walk(graph: Graph) -> Walk:
         queue = [start]
         for v in queue:  # runs on over the vertices appended below
             lo = len(queue)
-            for u in sorted(adjacency[v]):
+            for u in adjacency[v]:
                 if side[u] < 0:
                     side[u] = 1 - side[v]
                     queue.append(u)

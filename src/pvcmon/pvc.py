@@ -157,7 +157,7 @@ def pvc_greedy_upper(graph: Graph, t: int) -> PvcResult:
 def _csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(graph.n + 1, dtype=np.int64)
     np.cumsum(graph.degrees, out=indptr[1:])
-    nbrs = np.fromiter(chain.from_iterable(map(sorted, graph.adjacency)), np.int64, 2 * graph.m)
+    nbrs = np.fromiter(chain.from_iterable(graph.adjacency), np.int64, 2 * graph.m)
     return indptr, nbrs
 
 

@@ -138,6 +138,10 @@ def _validate_instance(inst: GadgetInstance) -> None:
     g = inst.graph
     if len(roles) != g.n:
         raise GadgetConstructionError("role map length does not match the gadget order")
+    for name in ("star_center", "path_end", "pendant_anchor"):
+        vertex = getattr(inst, name)
+        if not 0 <= vertex < g.n:
+            raise GadgetConstructionError(f"{name} {vertex} is not a vertex id below n={g.n}")
     n0 = roles.count(ROLE_ORIGINAL)
     counts = {
         ROLE_PENDANT: 3 * n0,
@@ -161,6 +165,8 @@ def _validate_instance(inst: GadgetInstance) -> None:
         raise GadgetConstructionError("star size must be at least n + 3")
     if roles[inst.pendant_anchor] != ROLE_PENDANT:
         raise GadgetConstructionError("anchor must be a pendant vertex")
+    if inst.star_center not in g.adjacency[inst.pendant_anchor]:
+        raise GadgetConstructionError("anchor must attach to the star center")
     if inst.star_center not in g.adjacency[inst.path_end]:
         raise GadgetConstructionError("path end must attach to the star center")
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from pvcmon.corpus import (
     cycle_graph,
     path_graph,
     random_graph,
+    random_recursive_tree,
     star_graph,
 )
 
@@ -179,3 +181,27 @@ def test_parse_passes_a_header_at_the_vertex_limit_on(monkeypatch):
     monkeypatch.setattr(Graph, "from_edges", staticmethod(lambda n, edges: built.append((n, edges))))
     parse_graph(f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n")
     assert built == [(MAX_VERTICES, [(0, MAX_VERTICES - 1)])]
+
+
+def _bytes_per_vertex(n, edges):
+    # (kept, peak) bytes per vertex that Graph.from_edges allocates
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        graph = Graph.from_edges(n, edges)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.n == n
+    return (kept - before) / n, (peak - before) / n
+
+
+@pytest.mark.parametrize("shape, kept_max, peak_max", [("edgeless", 16, 128), ("recursive tree", 192, 400)])
+def test_graph_bytes_per_vertex(shape, kept_max, peak_max):
+    # an edgeless graph keeps one pointer per vertex (the shared empty
+    # tuple); a tree keeps its edge tuples and an average of two neighbours
+    n = 100_000
+    edges = [] if shape == "edgeless" else list(random_recursive_tree(n, random.Random(1)).edges)
+    kept, peak = _bytes_per_vertex(n, edges)
+    assert kept <= kept_max and peak <= peak_max, (kept, peak)

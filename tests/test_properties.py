@@ -219,6 +219,35 @@ def test_feasible_averages_match_fraction_filter():
 
 
 @st.composite
+def edge_inputs(draw, max_n=30):
+    # an edge set on n vertices, some of them isolated, and the same edges
+    # in a shuffled order with random ones given as (v, u)
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    shuffled = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, sorted(edges), [(v, u) if flip else (u, v) for (u, v), flip in zip(shuffled, flips)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_inputs())
+def test_adjacency_is_increasing_and_input_order_free(case):
+    nx = pytest.importorskip("networkx")
+    n, edges, scrambled = case
+    g = Graph.from_edges(n, scrambled)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    assert type(g.adjacency) is tuple and len(g.adjacency) == n
+    for v, nbrs in enumerate(g.adjacency):
+        assert type(nbrs) is tuple
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        assert nbrs == tuple(sorted(ref.neighbors(v)))
+    assert g == Graph.from_edges(n, edges)  # eq compares n, edges and adjacency
+
+
+@st.composite
 def walk_graphs(draw, max_n=40):
     # a random forest (each vertex hangs off an earlier one or starts a new
     # tree, so some stay isolated), a few extra edges that may close even or

@@ -179,6 +179,20 @@ class TestSerialization:
             bad = {**json.loads(gadget_sidecar_json(inst)), name: value}
             with pytest.raises(GadgetConstructionError, match=f"field '{name}' is malformed"):
                 load_gadget(gadget_edge_list(inst), json.dumps(bad))
+        # the golden C4 gadget; an id of n or more would index past the
+        # roles, and id - n would alias the right vertex from the end
+        inst = build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
+        n = inst.graph.n
+        for name in ("star_center", "path_end", "pendant_anchor"):
+            for value in (n, 10**9, -1, getattr(inst, name) - n):
+                bad = {**json.loads(gadget_sidecar_json(inst)), name: value}
+                with pytest.raises(GadgetConstructionError, match=f"{name} {value} is not a vertex id"):
+                    load_gadget(gadget_edge_list(inst), json.dumps(bad))
+        # a pendant, but not the one joined to the star center
+        assert inst.roles[5] == ROLE_PENDANT and inst.pendant_anchor == 4
+        bad = {**json.loads(gadget_sidecar_json(inst)), "pendant_anchor": 5}
+        with pytest.raises(GadgetConstructionError, match="anchor must attach to the star center"):
+            load_gadget(gadget_edge_list(inst), json.dumps(bad))
 
 
 class TestEquivalences:

@@ -66,6 +66,6 @@ def is_chordal(graph: Graph) -> bool:
         if not earlier:
             continue
         anchor = max(earlier, key=lambda u: pos[u])
-        if not (set(earlier) - {anchor}) <= graph.adjacency[anchor]:
+        if not (set(earlier) - {anchor}) <= set(graph.adjacency[anchor]):
             return False
     return True
