@@ -28,7 +28,7 @@ import numpy as np
 
 from pvcmon import kernels, pvc
 from pvcmon.corpus import complete_bipartite, path_graph, random_graph, random_recursive_tree, random_tree
-from pvcmon.graph import Graph, walk
+from pvcmon.graph import Graph, parse_graph, to_edge_list_text, walk
 from pvcmon.pvc import (
     PvcbInstance,
     _csr_arrays,
@@ -202,17 +202,17 @@ def bench_tree_solver():
     _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries), minplus_calls=calls)
 
 
-def _bytes_per_vertex(n, edges):
-    # bytes per vertex that Graph.from_edges keeps, by tracemalloc
+def _traced(fn, *args):
+    # fn(*args) with the bytes it keeps and its peak, by tracemalloc
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        graph = Graph.from_edges(n, edges)
-        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph.n == n
-    return round((kept - before) / n)
+    return result, kept - before, peak - before
 
 
 def bench_graph_build():
@@ -228,7 +228,23 @@ def bench_graph_build():
     _row(f"walk cli tree mix ({len(trees)} trees)", secs, len(trees))
     n = 100_000
     secs, _ = _time(Graph.from_edges, n, [])
-    _row(f"Graph.from_edges edgeless n={n}", secs, bytes_per_vertex=_bytes_per_vertex(n, []))
+    _, kept, _ = _traced(Graph.from_edges, n, [])
+    _row(f"Graph.from_edges edgeless n={n}", secs, bytes_per_vertex=round(kept / n))
+
+
+def bench_parse():
+    # parse_graph over the cli tree mix's texts and one 100,000-edge tree
+    # text; peak_bytes_per_edge is the parse's tracemalloc peak over its
+    # edges (the largest of the mix's), against ~12 B of text per edge
+    mix = [to_edge_list_text(g) for g, _ in _cli_queries()]
+    big = to_edge_list_text(random_recursive_tree(100_001, random.Random(1)))
+    for label, texts in ((f"cli tree mix ({len(mix)} texts)", mix), ("recursive tree m=100000", [big])):
+        secs, _ = _time(lambda: [parse_graph(text) for text in texts])
+        peaks = []
+        for text in texts:
+            graph, _, peak = _traced(parse_graph, text)
+            peaks.append(peak / graph.m)
+        _row(f"parse_graph {label}", secs, len(texts), peak_bytes_per_edge=round(max(peaks)))
 
 
 def bench_dispatch():
@@ -266,6 +282,7 @@ def main():
     bench_minplus()
     bench_tree_solver()
     bench_graph_build()
+    bench_parse()
     bench_dispatch()
     bench_batteries()
     if args.json:

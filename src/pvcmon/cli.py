@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import GadgetConstructionError, GraphFormatError, InfeasibleTargetError
-from .graph import Graph, _coerce_rational, coverage, parse_graph
+from .graph import Graph, _coerce_rational, _data_lines, coverage, parse_graph
 from .monopoly import (
     ThresholdAssignment,
     _required_total,
@@ -54,16 +54,17 @@ def _parse_rational(text: str) -> Fraction:
     return _coerce_rational(text.strip())
 
 
+def _read_text(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
+
+
 def _read_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_text(path))
 
 
 def _read_thresholds(path: str, graph: Graph) -> ThresholdAssignment:
     values = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(_read_text(path)):
         try:
             values.append(int(line))
         except ValueError:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import GraphFormatError
 
@@ -57,23 +57,22 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Normalize, range- and loop-check each edge in input order, then sort;
+        a repeated edge is found in the sorted pass, so the smallest is named."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
         normalized: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            normalized.append(e)
+            normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
+            if adj[u] and adj[u][-1] == v:
+                raise ValueError(f"duplicate edge {(u, v)}")
             adj[u].append(v)
             adj[v].append(u)
         return Graph(n, tuple(normalized), tuple(map(tuple, adj)))
@@ -119,24 +118,25 @@ def vertex_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:
     return out
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the canonical edge-list format.
-
-    The first data line is ``n m``; the next m data lines are ``u v`` with
-    0 <= u, v < n and u != v. Blank lines and lines starting with ``#`` are
-    ignored. Self-loops, duplicate edges, out-of-range ids, a wrong edge
-    count and n above ``MAX_VERTICES`` all raise :class:`GraphFormatError`,
-    the last before anything is allocated for the graph.
-    """
-    rows: list[tuple[int, str]] = []
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped line) for each line neither blank nor a ``#`` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
-    if not rows:
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the canonical edge-list format: a header ``n m``, then m lines ``u v``
+    with 0 <= u, v < n and u != v, among the lines ``_data_lines`` skips. A fault
+    raises :class:`GraphFormatError`; of several, the first found is named: the
+    header (n above ``MAX_VERTICES`` before any edge line is read), each edge
+    line's form in file order, the edge count, then ``Graph.from_edges``' checks.
+    """
+    lines = _data_lines(text)
+    lineno, header = next(lines, (0, None))
+    if header is None:
         raise GraphFormatError("missing header line 'n m'")
-    lineno, header = rows[0]
     parts = header.split()
     if len(parts) != 2:
         raise GraphFormatError(f"line {lineno}: header must be exactly 'n m'")
@@ -148,18 +148,17 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: n and m must be nonnegative")
     if n > MAX_VERTICES:
         raise GraphFormatError(f"line {lineno}: n={n} exceeds the limit of {MAX_VERTICES} vertices")
-    if len(rows) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: list[tuple[int, int]] = []
-    for lineno, line in rows[1:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: edge line must be exactly 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: edge endpoints must be integers") from None
-        edges.append((u, v))
+    if len(edges) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(edges)}")
     try:
         return Graph.from_edges(n, edges)
     except ValueError as exc:

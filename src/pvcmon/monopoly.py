@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InfeasibleTargetError
-from .graph import Graph, Rational, _coerce_rational, coverage, edge_density, vertex_subset
+from .graph import Graph, Rational, _coerce_rational, edge_density, vertex_subset
 from .pvc import solve_pvc
 
 

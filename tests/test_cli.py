@@ -243,6 +243,27 @@ def test_simulate_bad_thresholds(capsys, tmp_path, c4_file):
     assert code == 2
 
 
+def test_byte_order_mark_and_crlf_read_as_plain(capsys, tmp_path, c4_file):
+    # Notepad and PowerShell 5's Out-File -Encoding utf8 start a file with a
+    # UTF-8 byte-order mark
+    tau = tmp_path / "tau.txt"
+    tau.write_text("# thresholds\n2\n1\n1\n2\n")
+    bom_c4, bom_tau = tmp_path / "bom-c4.txt", tmp_path / "bom-tau.txt"
+    for plain, copy in ((Path(c4_file), bom_c4), (tau, bom_tau)):
+        copy.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    for plain, windows in (
+        (("pvc", c4_file, "-t", "2"), ("pvc", str(bom_c4), "-t", "2")),
+        (("simulate", c4_file, str(tau), "--seed", "0"), ("simulate", str(bom_c4), str(bom_tau), "--seed", "0")),
+    ):
+        runs = []
+        for argv in (plain, windows):
+            code, report = run_cli(capsys, *argv)
+            assert code == 0, argv
+            report.pop("elapsed_seconds")
+            runs.append(report)
+        assert runs[0] == runs[1]
+
+
 def test_reduce_writes_files(capsys, tmp_path, c4_file):
     out = tmp_path / "gadget"
     code, report = run_cli(

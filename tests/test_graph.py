@@ -63,6 +63,25 @@ def test_parse_errors(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # range and self-loop faults come before a duplicate, even an earlier one
+        ("3 3\n0 1\n1 0\n0 3", "edge (0, 3) out of range for n=3"),
+        ("3 3\n0 1\n0 1\n2 2", "self-loop at vertex 2"),
+        # the smallest duplicated edge is named, not the first repeat in the file
+        ("4 4\n2 3\n3 2\n1 0\n0 1", "duplicate edge (0, 1)"),
+        # a malformed edge line comes before a wrong edge count
+        ("3 1\n0 1\n1 x", "line 3: edge endpoints must be integers"),
+        ("3 3\n0 1\n1 2 0", "line 3: edge line must be exactly 'u v'"),
+    ],
+)
+def test_parse_names_the_first_fault_in_check_order(text, message):
+    with pytest.raises(GraphFormatError) as caught:
+        parse_graph(text)
+    assert str(caught.value) == message
+
+
 def test_serialization_round_trip():
     g = cycle_graph(5)
     assert parse_graph(to_edge_list_text(g)) == g
@@ -183,18 +202,17 @@ def test_parse_passes_a_header_at_the_vertex_limit_on(monkeypatch):
     assert built == [(MAX_VERTICES, [(0, MAX_VERTICES - 1)])]
 
 
-def _bytes_per_vertex(n, edges):
-    # (kept, peak) bytes per vertex that Graph.from_edges allocates
+def _traced_bytes(build, *args):
+    # build(*args), and the (kept, peak) bytes it allocates, by tracemalloc
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        graph = Graph.from_edges(n, edges)
+        graph = build(*args)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph.n == n
-    return (kept - before) / n, (peak - before) / n
+    return graph, kept - before, peak - before
 
 
 @pytest.mark.parametrize("shape, kept_max, peak_max", [("edgeless", 16, 128), ("recursive tree", 192, 400)])
@@ -203,5 +221,24 @@ def test_graph_bytes_per_vertex(shape, kept_max, peak_max):
     # tuple); a tree keeps its edge tuples and an average of two neighbours
     n = 100_000
     edges = [] if shape == "edgeless" else list(random_recursive_tree(n, random.Random(1)).edges)
-    kept, peak = _bytes_per_vertex(n, edges)
+    graph, kept, peak = _traced_bytes(Graph.from_edges, n, edges)
+    assert graph.n == n
+    kept, peak = kept / n, peak / n
     assert kept <= kept_max and peak <= peak_max, (kept, peak)
+
+
+@pytest.mark.parametrize("route, peak_max", [("parse_graph", 420), ("from_edges", 125)])
+def test_input_path_peak_bytes_per_edge(route, peak_max):
+    # the peak per edge while parsing (the text, ~12 B an edge, is made
+    # before) or building: the lines, the parsed and the normalized edge
+    # tuples and the adjacency, with no second copy of the lines and no set
+    # of seen edges
+    if route == "parse_graph":
+        tree = random_recursive_tree(100_001, random.Random(1))
+        m, args = tree.m, (to_edge_list_text(tree),)
+    else:
+        edges = list(random_graph(1500, 0.2, random.Random(7)).edges)
+        m, args = len(edges), (1500, edges)
+    graph, _, peak = _traced_bytes(parse_graph if route == "parse_graph" else Graph.from_edges, *args)
+    assert graph.m == m
+    assert peak / m <= peak_max, peak / m

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from pvcmon import (
+    GraphFormatError,
     PvcbInstance,
     coverage,
     dynamo_witness_tau,
@@ -245,6 +246,29 @@ def test_adjacency_is_increasing_and_input_order_free(case):
         assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
         assert nbrs == tuple(sorted(ref.neighbors(v)))
     assert g == Graph.from_edges(n, edges)  # eq compares n, edges and adjacency
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_inputs(), st.data())
+def test_parse_reads_scrambled_crlf_text_and_names_an_injected_duplicate(case, data):
+    n, edges, scrambled = case
+
+    def text(pairs):
+        # CRLF line ends, with blank and comment lines around the data lines
+        lines = []
+        for line in (f"{n} {len(pairs)}", *(f"{u} {v}" for u, v in pairs)):
+            lines += data.draw(st.lists(st.sampled_from(("", " \t", "# 0 1", "  #")), max_size=2))
+            lines.append(line)
+        return "\r\n".join(lines) + "\r\n"
+
+    assert parse_graph(text(scrambled)) == Graph.from_edges(n, edges)
+    if edges:
+        u, v = data.draw(st.sampled_from(edges))
+        at = data.draw(st.integers(0, len(scrambled)))
+        again = data.draw(st.sampled_from(((u, v), (v, u))))
+        with pytest.raises(GraphFormatError) as caught:
+            parse_graph(text([*scrambled[:at], again, *scrambled[at:]]))
+        assert str(caught.value) == f"duplicate edge {(u, v)}"
 
 
 @st.composite
