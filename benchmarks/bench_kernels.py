@@ -27,7 +27,15 @@ from fractions import Fraction
 import numpy as np
 
 from pvcmon import kernels, pvc
-from pvcmon.corpus import complete_bipartite, path_graph, random_graph, random_recursive_tree, random_tree
+from pvcmon.corpus import (
+    all_labeled_graphs,
+    complete_bipartite,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    random_recursive_tree,
+    random_tree,
+)
 from pvcmon.graph import Graph, parse_graph, to_edge_list_text, walk
 from pvcmon.pvc import (
     PvcbInstance,
@@ -38,8 +46,14 @@ from pvcmon.pvc import (
     pvc_tree,
     solve_pvc,
 )
-from pvcmon.reductions import build_gadget, pendant_triple_augment
-from pvcmon.verify import run_suite
+from pvcmon.reductions import (
+    build_gadget,
+    gadget_edge_list,
+    gadget_sidecar_json,
+    load_gadget,
+    pendant_triple_augment,
+)
+from pvcmon.verify import DEFAULT_RHOS, run_suite
 
 
 def _time(fn, *args, repeat=3):
@@ -261,6 +275,25 @@ def bench_dispatch():
         _row(f"solve_pvc {label}", secs, calls, walks=walks)
 
 
+def bench_gadgets():
+    # build_gadget at every (graph, k, t, rho) the lemma2 battery builds at
+    # its default bound n <= 4, then load_gadget on the golden C4 gadget
+    jobs = [
+        (g, k, t, rho)
+        for n in range(1, 5)
+        for g in all_labeled_graphs(n)
+        for rho in DEFAULT_RHOS
+        for k in range(n + 1)
+        for t in range(g.m + 1)
+    ]
+    secs, _ = _time(lambda: [build_gadget(*job) for job in jobs])
+    _row(f"build_gadget lemma2 battery n<=4 ({len(jobs)} builds)", secs, len(jobs))
+    inst = build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
+    texts = (gadget_edge_list(inst), gadget_sidecar_json(inst))
+    secs, _ = _time(lambda: [load_gadget(*texts) for _ in range(100)])
+    _row(f"load_gadget golden C4 (n={inst.graph.n})", secs, 100)
+
+
 def bench_batteries():
     print(f"\n{'battery':<44} {'time':>12} {'instances/s':>12}")
     for report in run_suite("all"):
@@ -284,6 +317,7 @@ def main():
     bench_graph_build()
     bench_parse()
     bench_dispatch()
+    bench_gadgets()
     bench_batteries()
     if args.json:
         report = {

@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import GadgetConstructionError, GraphFormatError, InfeasibleTargetError
 from .graph import Graph, _coerce_rational, _data_lines, coverage, parse_graph
 from .monopoly import (
+    ORACLE_GUARD_DEFAULT,
     ThresholdAssignment,
     _required_total,
     is_dynamic_monopoly,
@@ -38,10 +39,8 @@ from .pvc import (
     pvc_greedy_upper,
     pvc_tree,
 )
-from .reductions import build_gadget, gadget_edge_list, gadget_sidecar_json
+from .reductions import _sidecar_fields, build_gadget, gadget_edge_list, gadget_sidecar_json
 from .verify import run_suite
-
-ORACLE_GUARD_DEFAULT = 14
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -183,16 +182,9 @@ def _cmd_simulate(args, graph: Graph) -> dict:
 def _cmd_reduce(args, graph: Graph) -> dict:
     rho = _parse_rational(args.rho)
     inst = build_gadget(graph, args.budget, args.target, rho)
-    payload = {
-        "rho": str(inst.rho),
-        "r": inst.r,
-        "s": inst.s,
-        "gadget_n": inst.graph.n,
-        "gadget_m": inst.graph.m,
-        "star_center": inst.star_center,
-        "path_end": inst.path_end,
-        "pendant_anchor": inst.pendant_anchor,
-    }
+    sidecar = _sidecar_fields(inst)
+    payload = {**sidecar, "gadget_n": inst.graph.n, "gadget_m": inst.graph.m}
+    del payload["roles"]
     if args.output:
         edge_path = Path(args.output + ".edgelist")
         meta_path = Path(args.output + ".json")
@@ -201,7 +193,7 @@ def _cmd_reduce(args, graph: Graph) -> dict:
         payload["files"] = {"edge_list": str(edge_path), "sidecar": str(meta_path)}
     else:
         payload["edge_list"] = gadget_edge_list(inst)
-        payload["sidecar"] = json.loads(gadget_sidecar_json(inst))
+        payload["sidecar"] = sidecar
     return payload
 
 

@@ -25,6 +25,9 @@ from .errors import InfeasibleTargetError
 from .graph import Graph, Rational, _coerce_rational, edge_density, vertex_subset
 from .pvc import solve_pvc
 
+# Largest graph sdyn_via_subgraph enumerates unless told otherwise (2^14 subsets).
+ORACLE_GUARD_DEFAULT = 14
+
 
 @dataclass(frozen=True)
 class ThresholdAssignment:
@@ -235,7 +238,7 @@ def sparse_profile(graph: Graph) -> list[dict[int, int]]:
 def sdyn_via_subgraph(
     graph: Graph,
     t: Rational,
-    max_n: int = 14,
+    max_n: int = ORACLE_GUARD_DEFAULT,
     profile: Optional[list[dict[int, int]]] = None,
 ) -> tuple[int, frozenset[int]]:
     """Independent route to the smallest dynamic monopoly size.

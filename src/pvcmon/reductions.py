@@ -6,6 +6,8 @@ Two constructions are provided, with exhaustive desk-scale verifiers:
   original vertex, shifting any coverage target by exactly 3k.
 * ``build_gadget`` glues a large star and a calibrated path onto the
   augmented graph, turning a budgeted instance into a fixed-fraction one.
+  ``load_gadget`` accepts its serialized form only if it matches exactly
+  the layout (``_layout``) that the sidecar's own parameters give.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GadgetConstructionError
-from .graph import Graph, Rational, _coerce_rational, parse_graph, to_edge_list_text
-from .pvc import PvcbInstance, pvc_decide, pvc_rho_decide
+from .graph import MAX_VERTICES, Graph, Rational, _coerce_rational, parse_graph, to_edge_list_text
+from .pvc import PvcbInstance, _check_target, pvc_decide, pvc_rho_decide
 
 ROLE_ORIGINAL = "original"
 ROLE_PENDANT = "pendant"
@@ -49,6 +51,31 @@ def _pendant_edges(n: int) -> list[tuple[int, int]]:
     return [(v, n + 3 * v + j) for v in range(n) for j in range(3)]
 
 
+def _layout(n: int, r: int, s: int):
+    """(roles, star_center, path_end, pendant_anchor, edges) of the gadget with
+    n original vertices, r star leaves and s path vertices; ``edges`` are all
+    but the original-original ones, normalized (u < v). Refuses an order above
+    ``MAX_VERTICES`` before building anything."""
+    order = 4 * n + r + 1 + s
+    if order > MAX_VERTICES:
+        raise GadgetConstructionError(
+            f"gadget order {order} (r={r}, s={s}) exceeds the limit of {MAX_VERTICES} vertices"
+        )
+    star_center = 4 * n
+    path_end = star_center + 1 + r
+    pendant_anchor = n  # lowest-id pendant (belongs to original vertex 0)
+    roles = ((ROLE_ORIGINAL,) * n + (ROLE_PENDANT,) * (3 * n) + (ROLE_STAR_CENTER,)
+             + (ROLE_STAR_LEAF,) * r + (ROLE_PATH,) * s)
+    edges = [
+        *_pendant_edges(n),
+        *((star_center, leaf) for leaf in range(star_center + 1, path_end)),
+        *((v, v + 1) for v in range(path_end, order - 1)),
+        (star_center, path_end),
+        (pendant_anchor, star_center),
+    ]
+    return roles, star_center, path_end, pendant_anchor, edges
+
+
 def pendant_triple_augment(graph: Graph) -> tuple[Graph, dict[int, str]]:
     """Attach three pendant vertices to every original vertex.
 
@@ -58,6 +85,12 @@ def pendant_triple_augment(graph: Graph) -> tuple[Graph, dict[int, str]]:
     n = graph.n
     roles = {v: ROLE_ORIGINAL if v < n else ROLE_PENDANT for v in range(4 * n)}
     return Graph.from_edges(4 * n, [*graph.edges, *_pendant_edges(n)]), roles
+
+
+def _star_size(n: int, rho: Fraction) -> int:
+    # r = ceil(rho / (1 - rho) * (n(n - 1)/2 + 3n)) + n + 3, in integers
+    a, b = rho.numerator, rho.denominator
+    return -(-a * (n * (n - 1) // 2 + 3 * n) // (b - a)) + n + 3
 
 
 def gadget_parameters(graph: Graph, k: int, t: int, rho: Rational) -> tuple[int, int]:
@@ -70,7 +103,7 @@ def gadget_parameters(graph: Graph, k: int, t: int, rho: Rational) -> tuple[int,
     rho = _coerce_rational(rho)
     a, b = rho.numerator, rho.denominator
     n, m = graph.n, graph.m
-    r = -(-a * (n * (n - 1) // 2 + 3 * n) // (b - a)) + n + 3
+    r = _star_size(n, rho)
     s = (b * (t + 3 * k + r + 1) - a * (r + m + 3 * n)) // a
     return r, s
 
@@ -80,9 +113,11 @@ def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
 
     H is the pendant-augmented graph plus a star on r leaves and a path on
     s vertices, joined by two edges: star center to path end, and star
-    center to the lowest-id pendant. A computed path length below 1 is a
-    construction failure and raises, reporting the parameters. A float rho
-    raises TypeError.
+    center to the lowest-id pendant. A target above m raises
+    InfeasibleTargetError, as ``pvc`` does. A computed path length below 1,
+    or an order 4n + r + 1 + s above ``graph.MAX_VERTICES``, is a
+    construction failure and raises, reporting the parameters, before
+    anything is built. A float rho raises TypeError.
     """
     rho = _coerce_rational(rho)
     if not (0 < rho < 1):
@@ -93,87 +128,20 @@ def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
         raise ValueError("k and t must be nonnegative")
     if k > graph.n:
         raise ValueError(f"budget k={k} exceeds vertex count {graph.n}")
+    _check_target(graph, t)
     n, m = graph.n, graph.m
     r, s = gadget_parameters(graph, k, t, rho)
     if s < 1:
         raise GadgetConstructionError(
             f"path length s={s} < 1 for n={n}, m={m}, k={k}, t={t}, rho={rho}, r={r}"
         )
-    edges = [*graph.edges, *_pendant_edges(n)]
-    roles = [ROLE_ORIGINAL] * n + [ROLE_PENDANT] * (3 * n)
-
-    star_center = 4 * n
-    roles.append(ROLE_STAR_CENTER)
-    for i in range(r):
-        edges.append((star_center, star_center + 1 + i))
-        roles.append(ROLE_STAR_LEAF)
-
-    path_end = star_center + 1 + r
-    for i in range(s):
-        roles.append(ROLE_PATH)
-        if i + 1 < s:
-            edges.append((path_end + i, path_end + i + 1))
-
-    pendant_anchor = n  # lowest-id pendant (belongs to original vertex 0)
-    edges.append((star_center, path_end))
-    edges.append((star_center, pendant_anchor))
-
-    gadget = Graph.from_edges(4 * n + r + 1 + s, edges)
-    instance = GadgetInstance(
-        graph=gadget,
-        rho=rho,
-        r=r,
-        s=s,
-        star_center=star_center,
-        path_end=path_end,
-        pendant_anchor=pendant_anchor,
-        roles=tuple(roles),
-    )
-    _validate_instance(instance)
-    return instance
+    roles, star_center, path_end, pendant_anchor, edges = _layout(n, r, s)
+    gadget = Graph.from_edges(len(roles), [*graph.edges, *edges])
+    return GadgetInstance(gadget, rho, r, s, star_center, path_end, pendant_anchor, roles)
 
 
-def _validate_instance(inst: GadgetInstance) -> None:
-    roles = inst.roles
-    g = inst.graph
-    if len(roles) != g.n:
-        raise GadgetConstructionError("role map length does not match the gadget order")
-    for name in ("star_center", "path_end", "pendant_anchor"):
-        vertex = getattr(inst, name)
-        if not 0 <= vertex < g.n:
-            raise GadgetConstructionError(f"{name} {vertex} is not a vertex id below n={g.n}")
-    n0 = roles.count(ROLE_ORIGINAL)
-    counts = {
-        ROLE_PENDANT: 3 * n0,
-        ROLE_STAR_CENTER: 1,
-        ROLE_STAR_LEAF: inst.r,
-        ROLE_PATH: inst.s,
-    }
-    for role, expected in counts.items():
-        if roles.count(role) != expected:
-            raise GadgetConstructionError(f"expected {expected} vertices with role {role}")
-    m0 = sum(
-        1 for u, v in g.edges if roles[u] == ROLE_ORIGINAL and roles[v] == ROLE_ORIGINAL
-    )
-    if g.n != 4 * n0 + inst.r + 1 + inst.s:
-        raise GadgetConstructionError("gadget order does not match 4n + r + 1 + s")
-    if g.m != m0 + 3 * n0 + inst.r + inst.s + 1:
-        raise GadgetConstructionError("gadget size does not match m + 3n + r + s + 1")
-    if g.degree(inst.star_center) != inst.r + 2:
-        raise GadgetConstructionError("star center must have degree r + 2")
-    if inst.r < n0 + 3:
-        raise GadgetConstructionError("star size must be at least n + 3")
-    if roles[inst.pendant_anchor] != ROLE_PENDANT:
-        raise GadgetConstructionError("anchor must be a pendant vertex")
-    if inst.star_center not in g.adjacency[inst.pendant_anchor]:
-        raise GadgetConstructionError("anchor must attach to the star center")
-    if inst.star_center not in g.adjacency[inst.path_end]:
-        raise GadgetConstructionError("path end must attach to the star center")
-
-
-def gadget_sidecar_json(inst: GadgetInstance) -> str:
-    """Byte-stable JSON sidecar carrying the gadget parameters and roles."""
-    payload = {
+def _sidecar_fields(inst: GadgetInstance) -> dict:
+    return {
         "rho": str(inst.rho),
         "r": inst.r,
         "s": inst.s,
@@ -182,7 +150,11 @@ def gadget_sidecar_json(inst: GadgetInstance) -> str:
         "pendant_anchor": inst.pendant_anchor,
         "roles": list(inst.roles),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def gadget_sidecar_json(inst: GadgetInstance) -> str:
+    """Byte-stable JSON sidecar carrying the gadget parameters and roles."""
+    return json.dumps(_sidecar_fields(inst), indent=2, sort_keys=True) + "\n"
 
 
 def gadget_edge_list(inst: GadgetInstance) -> str:
@@ -190,11 +162,11 @@ def gadget_edge_list(inst: GadgetInstance) -> str:
 
 
 def load_gadget(edge_list_text: str, sidecar_text: str) -> GadgetInstance:
-    """Rebuild and re-validate a gadget from its two serialized parts.
-
-    A sidecar that is not a JSON object, or that lacks a field or holds
-    one of the wrong type, raises GadgetConstructionError naming it.
-    """
+    """Rebuild a gadget from its two serialized parts, which must match the
+    layout of n (the sidecar's ``original`` roles), r and s in order, roles,
+    named ids and non-original edges, with 0 < rho < 1 and r the star size
+    for (n, rho). Any fault, or a sidecar field missing or malformed, raises
+    GadgetConstructionError naming it."""
     graph = parse_graph(edge_list_text)
     payload = json.loads(sidecar_text)
     if not isinstance(payload, dict):
@@ -218,7 +190,32 @@ def load_gadget(edge_list_text: str, sidecar_text: str) -> GadgetInstance:
         pendant_anchor=field("pendant_anchor", int),
         roles=field("roles", tuple),
     )
-    _validate_instance(inst)
+    if not (0 < inst.rho < 1):
+        raise GadgetConstructionError(f"rho must lie strictly between 0 and 1, got {inst.rho}")
+    n = inst.roles.count(ROLE_ORIGINAL)
+    r = _star_size(n, inst.rho)
+    if inst.r != r:
+        raise GadgetConstructionError(f"star size r={inst.r} does not match r={r} for rho={inst.rho}, n={n}")
+    roles, star_center, path_end, pendant_anchor, edges = _layout(n, inst.r, inst.s)
+    if graph.n != len(roles):
+        raise GadgetConstructionError(f"gadget order {graph.n} does not match 4n + r + 1 + s = {len(roles)}")
+    if inst.roles != roles:
+        raise GadgetConstructionError(f"roles do not match the layout for n={n}, r={inst.r}, s={inst.s}")
+    for name, want, rule in (
+        ("star_center", star_center, "star center must follow the pendants"),
+        ("path_end", path_end, "path end must follow the star leaves"),
+        ("pendant_anchor", pendant_anchor, "anchor must attach to the star center"),
+    ):
+        vertex = getattr(inst, name)
+        if not 0 <= vertex < graph.n:
+            raise GadgetConstructionError(f"{name} {vertex} is not a vertex id below n={graph.n}")
+        if vertex != want:
+            raise GadgetConstructionError(f"{rule}: {name} is {vertex}, the layout's is {want}")
+    wrong = {e for e in graph.edges if e[1] >= n}.symmetric_difference(edges)
+    if wrong:
+        edge = min(wrong)
+        kind = "unexpected" if graph.has_edge(*edge) else "missing"
+        raise GadgetConstructionError(f"edge set does not match the layout: {kind} edge {edge}")
     return inst
 
 

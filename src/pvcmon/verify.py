@@ -30,6 +30,8 @@ from .pvc import PvcbInstance, pvc_decide, pvc_rho_decide
 from .reductions import _lemma1_holds, build_gadget, pendant_triple_augment
 
 DEFAULT_RHOS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+DENOMINATORS = (1, 2, 3)  # of the averages p/q the theorems battery checks
+MAX_GRAPHS = 100_000  # theorem_corpus holds them all; 100,000 take ~40 s on 2 vCPUs
 
 
 @dataclass
@@ -115,8 +117,8 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
     return report
 
 
-def _feasible_averages(graph: Graph, denominators=(1, 2, 3)) -> list[Fraction]:
-    """Every average p/q (p <= 2m, q a denominator) with (p/q) n <= 2m, sorted.
+def _feasible_averages(graph: Graph) -> list[Fraction]:
+    """Every average p/q (p <= 2m, q in DENOMINATORS) with (p/q) n <= 2m, sorted.
 
     The test runs in integers, p n <= 2m q, so only the kept pairs become
     Fractions.
@@ -124,7 +126,7 @@ def _feasible_averages(graph: Graph, denominators=(1, 2, 3)) -> list[Fraction]:
     degree_sum = 2 * graph.m
     out = {
         Fraction(p, q)
-        for q in denominators
+        for q in DENOMINATORS
         for p in range(1, degree_sum + 1)
         if p * graph.n <= degree_sum * q
     }
@@ -168,12 +170,7 @@ def theorem_corpus(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) ->
         out.append(random_graph(n, p, rng))
     return out
 
-def theorem_battery(
-    n_graphs: int = 500,
-    max_n: int = 8,
-    seed: int = 20240817,
-    denominators=(1, 2, 3),
-) -> BatteryReport:
+def theorem_battery(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) -> BatteryReport:
     """Static and dynamic monopoly identities on a random corpus.
 
     For every feasible average t the computed sizes must match both
@@ -186,7 +183,7 @@ def theorem_battery(
         cover_prof = oracles.cover_profile(graph)
         phi_prof = _phi_total_profile(graph)
         sparse_prof = sparse_profile(graph)
-        for t in _feasible_averages(graph, denominators):
+        for t in _feasible_averages(graph):
             report.instances += 1
             record = {**_graph_key(graph), "t": str(t)}
             nt_ceil = math.ceil(graph.n * t)
@@ -268,12 +265,17 @@ def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = 
     For a specific suite the size bound is taken as given, up to a hard cap
     (lemma1 6, lemma2 5, theorems 14; above it ValueError); for 'all' it can
     only shrink each battery's standard bound (useful for quick sweeps).
+    The theorems graph count must lie in 1..MAX_GRAPHS.
     Each report carries its battery's wall time.
     """
     if size_bound is not None and size_bound < 1:
         raise ValueError(f"size bound must be at least 1, got {size_bound}")
     if n_graphs is not None and n_graphs < 1:
         raise ValueError(f"graph count must be at least 1, got {n_graphs}")
+    if n_graphs is not None and n_graphs > MAX_GRAPHS:
+        raise ValueError(
+            f"the theorems suite holds every graph in memory; graph count must be <= {MAX_GRAPHS}"
+        )
     clamp = suite == "all"
     reports = []
     if suite in ("lemma1", "all"):

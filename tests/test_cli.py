@@ -277,6 +277,48 @@ def test_reduce_writes_files(capsys, tmp_path, c4_file):
     assert meta["rho"] == "1/2"
 
 
+P3_TEXT = "3 2\n0 1\n1 2\n"
+
+
+@pytest.mark.parametrize("options, code, err", [
+    (("-t", "99"), 3, "error: infeasible parameters: target 99 exceeds edge count 2\n"),
+    (("-t", "-1"), 2, "error: k and t must be nonnegative\n"),
+], ids=["above-m", "negative"])
+def test_reduce_rejects_targets_outside_0_to_m(capsys, tmp_path, options, code, err):
+    path = tmp_path / "p3.txt"
+    path.write_text(P3_TEXT)
+    assert main(["reduce", str(path), "-k", "1", *options, "--rho", "1/2"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("target, rho, code, err", [
+    ("1000000000000", "1/2", 3, "infeasible parameters: target 1000000000000 exceeds edge count 2"),
+    ("2", "1/1000000000", 2,
+     "gadget order 13000000002 (r=7, s=12999999982) exceeds the limit of 1000000 vertices"),
+    ("2", "999999999/1000000000", 2,
+     "gadget order 12000000014 (r=11999999994, s=7) exceeds the limit of 1000000 vertices"),
+], ids=["t-10^12", "long-path", "large-star"])
+def test_reduce_refuses_unbounded_gadgets(tmp_path, target, rho, code, err):
+    # each gadget would have ~10^10 or more vertices; the child's address
+    # space is capped at 1 GiB, so without the checks the build fails there
+    # with exit 5 instead of exhausting the machine's memory
+    path = tmp_path / "p3.txt"
+    path.write_text(P3_TEXT)
+    src = str(Path(pvcmon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from pvcmon.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "reduce", str(path), "-k", "1", "-t", target, "--rho", rho],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error: {err}\n")
+
+
 def test_verify_small_battery(capsys):
     runs = []
     for _ in range(2):
@@ -300,6 +342,8 @@ def test_verify_small_battery(capsys):
         (("theorems", "--count", "-3"), "graph count must be at least 1, got -3"),
         (("lemma1", "--size-bound", "0"), "size bound must be at least 1, got 0"),
         (("all", "--size-bound", "-2"), "size bound must be at least 1, got -2"),
+        (("theorems", "--count", "100001"),
+         "the theorems suite holds every graph in memory; graph count must be <= 100000"),
     ],
 )
 def test_verify_rejects_nonpositive_bounds(capsys, argv, message):

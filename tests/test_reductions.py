@@ -18,7 +18,7 @@ from pvcmon import (
     verify_lemma2,
 )
 from pvcmon.corpus import all_labeled_graphs, cycle_graph, path_graph, random_graph
-from pvcmon.graph import walk
+from pvcmon.graph import to_edge_list_text, walk
 from pvcmon.reductions import ROLE_ORIGINAL, ROLE_PENDANT, gadget_parameters
 from pvcmon.verify import DEFAULT_RHOS, lemma2_battery
 
@@ -153,6 +153,19 @@ class TestSerialization:
         again = load_gadget(gadget_edge_list(inst), gadget_sidecar_json(inst))
         assert again == inst
 
+    def test_every_battery_gadget_loads(self):
+        # every gadget lemma2_battery(max_n=3) builds matches its own layout
+        loaded = 0
+        for n in range(1, 4):
+            for g in all_labeled_graphs(n):
+                for k in range(n + 1):
+                    for t in range(g.m + 1):
+                        for rho in DEFAULT_RHOS:
+                            inst = build_gadget(g, k, t, rho)
+                            assert load_gadget(gadget_edge_list(inst), gadget_sidecar_json(inst)) == inst
+                            loaded += 1
+        assert loaded == lemma2_battery(max_n=3).instances
+
     def test_sidecar_is_byte_stable(self):
         inst = build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
         assert gadget_sidecar_json(inst) == gadget_sidecar_json(inst)
@@ -193,6 +206,27 @@ class TestSerialization:
         bad = {**json.loads(gadget_sidecar_json(inst)), "pendant_anchor": 5}
         with pytest.raises(GadgetConstructionError, match="anchor must attach to the star center"):
             load_gadget(gadget_edge_list(inst), json.dumps(bad))
+
+    def test_gadget_off_its_layout_rejected(self):
+        # the golden C4 gadget (rho 1/2, so r = 25; rho 1/3 would give 16)
+        inst = build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
+        edges, sidecar = gadget_edge_list(inst), json.loads(gadget_sidecar_json(inst))
+        p = inst.path_end
+
+        def rewired(drop, add):
+            kept = [e for e in inst.graph.edges if e != drop] + [add]
+            return to_edge_list_text(Graph.from_edges(inst.graph.n, kept))
+
+        for text, fields, message in (
+            (edges, {"rho": "3/2"}, "rho must lie strictly between 0 and 1, got 3/2"),
+            (edges, {"rho": "-1"}, "rho must lie strictly between 0 and 1, got -1"),
+            (edges, {"rho": "1/3"}, r"star size r=25 does not match r=16 for rho=1/3, n=4"),
+            (edges, {"s": 10**12}, r"gadget order 1000000000042 \(r=25, s=1000000000000\) exceeds"),
+            (rewired((p + 3, p + 4), (p + 2, p + 4)), {}, rf"unexpected edge \({p + 2}, {p + 4}\)"),
+            (rewired((0, 5), (5, inst.star_center + 1)), {}, r"missing edge \(0, 5\)"),
+        ):
+            with pytest.raises(GadgetConstructionError, match=message):
+                load_gadget(text, json.dumps({**sidecar, **fields}))
 
 
 class TestEquivalences:
