@@ -7,9 +7,11 @@ each verification battery at its default bounds.
 ``--json PATH`` also writes every row's wall time, with the backend, the
 Python and numpy versions and the CPU count, to PATH. The tree solver's
 rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
-the dispatch rows the graph walks each query makes (``walks``), and the
-edgeless graph-build row the bytes per vertex its graph keeps
-(``bytes_per_vertex``, by tracemalloc); none depends on the machine.
+its path and recursive rows give the call's tracemalloc peak
+(``peak_bytes``); the dispatch rows count the graph walks each query makes
+(``walks``), and the edgeless graph-build row the bytes per vertex its
+graph keeps (``bytes_per_vertex``, by tracemalloc). None of these counts
+depends on the machine.
 """
 
 from __future__ import annotations
@@ -175,6 +177,11 @@ def bench_minplus():
         _row(f"minplus {'x'.join(map(str, (*shape, rows, cols)))}", secs, calls)
     secs, _ = _time(kernels.minplus, table(1200), table(1200))
     _row("minplus 1200x1200", secs)
+    # a short fold of two list tables, which the plain-Python loop answers
+    pairs = [(tuple(table(2, 3).tolist()), tuple(table(2, 16).tolist())) for _ in range(16)]
+    batch = [pairs[i % 16] for i in range(10000)]
+    secs, _ = _time(lambda: [kernels.minplus(a, b) for a, b in batch])
+    _row("minplus 2x3x16 lists", secs, len(batch))
 
 
 def _calls(module, name, fn):
@@ -197,19 +204,27 @@ def _calls(module, name, fn):
 
 def bench_tree_solver():
     # random_tree and path_graph guard the shapes with few repeated subtrees
-    # and few leaf runs against a slowdown; the path is the deepest tree
+    # and few leaf runs against a slowdown; the path is the deepest tree.
+    # The recursive n=600 tree is the size of the cli workload's 30 trees
+    # that set its 90th percentile. The path and recursive rows also give
+    # the call's tracemalloc peak (peak_bytes).
     uniform = random_tree(2000, random.Random(11))
     recursive = random_recursive_tree(2000, random.Random(12))
+    recursive_600 = random_recursive_tree(600, random.Random(12))
     path = path_graph(2000)
-    for label, g, target in (
-        ("n=2000 t=m", uniform, uniform.m),
-        ("n=2000 t=m/3", uniform, uniform.m // 3),
-        ("recursive n=2000 t=m/3", recursive, recursive.m // 3),
-        ("path n=2000 t=m/3", path, path.m // 3),
+    for label, g, target, traced in (
+        ("n=2000 t=m", uniform, uniform.m, False),
+        ("n=2000 t=m/3", uniform, uniform.m // 3, False),
+        ("recursive n=2000 t=m/3", recursive, recursive.m // 3, True),
+        ("recursive n=600 t=m/3", recursive_600, recursive_600.m // 3, True),
+        ("path n=2000 t=m/3", path, path.m // 3, True),
     ):
         secs, res = _time(lambda: pvc_tree(g, target), repeat=2)
         calls = _calls(kernels, "minplus", lambda: pvc_tree(g, target))
-        _row(f"pvc_tree {label} (size {res.size})", secs, minplus_calls=calls)
+        counts = {"minplus_calls": calls}
+        if traced:
+            counts["peak_bytes"] = _traced(pvc_tree, g, target)[2]
+        _row(f"pvc_tree {label} (size {res.size})", secs, **counts)
     queries = _cli_queries()
     secs, _ = _time(lambda: [pvc_tree(g, t) for g, t in queries], repeat=2)
     calls = _calls(kernels, "minplus", lambda: [pvc_tree(g, t) for g, t in queries])

@@ -1,15 +1,15 @@
 """Hot search kernels, one source each.
 
-The subset-enumeration profile and the min-plus merge are vectorized numpy;
-``_cover_profile_loop`` is the plain-Python reference the tests check the
-profile against. The min-plus merge convolves stacked tables (the tree DP's
-two vertex states) in one call and goes by blocks of rows, each block one
-skewed buffer and one min, instead of one numpy step per row. The
-branch-and-bound search is plain Python over lists, has one mode (the
-smallest cover below a given incumbent; decisions ask ``pvc.solve_pvc`` and
-compare its size) and prunes with two bounds: the uncoverable-edge count
-(edges whose endpoints are both skipped) and the degree-sum bound.
-``benchmarks/bench_kernels.py`` times the kernels.
+The subset-enumeration profile is vectorized numpy; ``_cover_profile_loop``
+is the plain-Python reference the tests check it against. The min-plus
+merge convolves stacked tables (the tree DP's two vertex states) in one
+call: short list tables in a plain-Python loop, arrays by blocks of rows,
+each block one skewed buffer and one min, instead of one numpy step per
+row. The branch-and-bound search is plain Python over lists, has one mode
+(the smallest cover below a given incumbent; decisions ask
+``pvc.solve_pvc`` and compare its size) and prunes with two bounds: the
+uncoverable-edge count (edges whose endpoints are both skipped) and the
+degree-sum bound. ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
@@ -163,18 +163,34 @@ def bb_min_cover(n, indptr, nbrs, target, incumbent):
 # operand's length): 128 KiB of int64, small enough to stay in cache.
 _BLOCK_CELLS = 1 << 14
 
+# Largest fold, in sums a row (the two operands' lengths multiplied), that
+# min-plus on list operands runs as a plain-Python loop: below it numpy's
+# per-call overhead of a few microseconds outweighs the arithmetic.
+LIST_CELLS = 48
 
-def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+
+def minplus(a, b):
     """Min-plus convolution along the last axis; INF marks unreachable entries.
 
     ``a`` and ``b`` have the same leading shape (the tree DP stacks a
     vertex's two state tables as one (2, L) operand), and each row of the
-    result convolves the matching rows. A one-cell operand, the tree DP's
-    every first fold into a base table, takes one add and a clamp. Longer
+    result convolves the matching rows. An operand is an int64 array or,
+    for short tables, a sequence of rows that are Python lists of ints
+    (the tree DP's pair of lists). When both are lists and the fold has at
+    most ``LIST_CELLS`` sums a row, a plain-Python loop answers with a tuple
+    of row lists; otherwise the numpy path answers with a new array,
+    converting any list operand. There a one-cell operand, the tree DP's
+    every first fold into a base table, takes one add and a clamp; longer
     ones go by blocks of ``_BLOCK_CELLS // len(b)`` cells of the shorter
-    operand (``_skew_min``); a block that holds them all is the result.
-    Inputs are never written, and the result is a new array.
+    operand (``_skew_min``), and a block that holds them all is the result.
+    Inputs are never written.
     """
+    if type(a) is not np.ndarray:
+        if type(b) is not np.ndarray and len(a[0]) * len(b[0]) <= LIST_CELLS:
+            return _minplus_lists(a, b)
+        a = np.array(a, dtype=np.int64)
+    if type(b) is not np.ndarray:
+        b = np.array(b, dtype=np.int64)
     if a.shape[-1] > b.shape[-1]:
         a, b = b, a
     la, lb = a.shape[-1], b.shape[-1]
@@ -193,6 +209,32 @@ def minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.minimum(seg, part, out=seg)
     np.minimum(out, INF, out=out)
     return out
+
+
+def _minplus_lists(a, b) -> tuple:
+    """Min-plus of two sequences of list rows, row by row, in plain Python.
+
+    A one-cell row x shifts the other row by x (INF past INF - x). Longer
+    rows start all INF, and each finite cell x of the shorter row lowers the
+    cells it reaches to x plus the longer row; the INF start clamps every
+    sum above INF.
+    """
+    out = []
+    for ra, rb in zip(a, b):
+        if len(ra) > len(rb):
+            ra, rb = rb, ra
+        if len(ra) == 1:
+            x = ra[0]
+            lim = INF - x
+            out.append([x + y if y < lim else INF for y in rb])
+            continue
+        lb = len(rb)
+        row = [INF] * (len(ra) + lb - 1)
+        for i, x in enumerate(ra):
+            if x < INF:
+                row[i:i + lb] = [p if p < (s := x + y) else s for p, y in zip(row[i:i + lb], rb)]
+        out.append(row)
+    return tuple(out)
 
 
 def _skew_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 ``pvc_exact`` runs branch-and-bound and is exact for any graph it finishes
 on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests, which
-keeps a vertex's two states (unchosen, chosen) as one (2, L) table and
-folds its children in with one min-plus call for both per step, a run of
-consecutive leaf children being one step. Vertices whose children have
-the same sequence of shapes share one list of folds, built once per call.
-Its traceback reads the folds and the children's tables back, and takes
-the first leaves of a run in closed form;
+keeps a vertex's two states (unchosen, chosen) as one table and folds its
+children in with one ``kernels.minplus`` call for both per step, a run of
+consecutive leaf children being one step. A table is a pair of Python
+lists while min-plus folds it by its plain-Python loop (``LIST_CELLS``)
+and a (2, L) int64 array after, so the many short folds of a shallow tree
+pay no numpy call overhead. Vertices whose children have the same
+sequence of shapes share one list of folds, built once per call, and a
+list-sized child link is built once per call and shape. A forest whose
+tables would exceed ``TREE_DP_MAX_CELLS`` cells is refused before any is
+built. The traceback reads the folds and the children's tables back, and
+takes the first leaves of a run in closed form;
 ``pvc_degree_greedy`` solves bipartite graphs with a side X that
 degree-dominates the other side Y, taking both sides from the 2-colouring
 of the graph's walk; ``pvc_greedy_upper`` is the scalable heuristic upper
@@ -16,9 +21,10 @@ bound.
 ``_route`` is the one place that chooses among the exact solvers:
 branch-and-bound up to ``EXACT_MAX_N`` vertices (faster than the tree DP's
 numpy overhead there), then, from one ``graph.walk``, the tree DP for
-forests, degree greedy for bipartite graphs with a degree-dominating side,
+forests, degree greedy for bipartite graphs with a degree-dominating side
+(each component oriented on its own when the whole colouring has none),
 and branch-and-bound for everything else. It returns the method, which
-``pick_solver`` reports, with its solver bound to the walk it read.
+``pick_solver`` reports, with its solver bound to what it read.
 
 What does not depend on the target is computed once per graph object and
 kept on it (``_solver_state``): the greedy's pick order with the coverage
@@ -231,22 +237,55 @@ def _orient(deg: tuple[int, ...], side: list[int]) -> tuple[int, int, int]:
     return (x_side, *bounds[x_side])
 
 
-def pvc_degree_greedy(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult:
+def _oriented(deg: tuple[int, ...], w: Walk) -> Optional[tuple[list[int], int]]:
+    """A 2-colouring of the walk's bipartite graph with a side X that
+    degree-dominates, and X's side; None when there is none.
+
+    The walk's colouring is oriented as a whole by ``_orient`` first. When
+    no side dominates there, each component's colouring is flipped, where
+    needed, so that its own dominating side is side 0, and the flipped
+    colouring is oriented again. A component is a run of the walk's visit
+    order that starts at its root.
+    """
+    x_side, low, high = _orient(deg, w.side)
+    if low >= high:
+        return w.side, x_side
+    flipped = w.side[:]
+    is_root = set(w.roots)
+    starts = [i for i, v in enumerate(w.order) if v in is_root] + [len(w.order)]
+    for lo, hi in zip(starts, starts[1:]):
+        comp = w.order[lo:hi]
+        x_side, low, high = _orient([deg[v] for v in comp], [flipped[v] for v in comp])
+        if low < high:
+            return None
+        if x_side:
+            for v in comp:
+                flipped[v] ^= 1
+    x_side, low, high = _orient(deg, flipped)
+    return (flipped, x_side) if low >= high else None
+
+
+def pvc_degree_greedy(graph: Graph, t: int, *, _sides: Optional[tuple[list[int], int]] = None) -> PvcResult:
     """Prefix of X in nonincreasing degree order (ties: lowest id); optimal
     when X degree-dominates Y (min deg X >= max deg Y).
 
-    X and Y come from the 2-colouring of the graph's ``walk`` (``_walk``
-    when the router passes it), oriented by ``_orient``. A graph that is not
-    bipartite, or has no dominating side, raises ValueError.
+    X and Y come from the 2-colouring of the graph's ``walk``, oriented as a
+    whole by ``_orient``; a graph that is not bipartite, or has no
+    dominating side, raises ValueError. The router passes the colouring and
+    X side it found by ``_oriented`` (``_sides``), which orients each
+    component on its own where the whole colouring has no dominating side.
     """
-    side = (walk(graph) if _walk is None else _walk).side
+    side = walk(graph).side if _sides is None else _sides[0]
     if side is None:
         raise ValueError("degreeGreedy requires a bipartite graph")
     _check_target(graph, t)
     deg = graph.degrees
-    x_side, low, high = _orient(deg, side)
-    if low < high:
-        raise ValueError(f"degree hypothesis violated: min degree on X is {low} < max degree on Y {high}")
+    if _sides is None:
+        x_side, low, high = _orient(deg, side)
+        if low < high:
+            raise ValueError(f"degree hypothesis violated: min degree on X is {low} < max degree on Y {high}")
+    else:
+        x_side = _sides[1]
     order = sorted((v for v, s in enumerate(side) if s == x_side and deg[v]), key=lambda v: (-deg[v], v))
     chosen: list[int] = []
     achieved = 0
@@ -261,20 +300,20 @@ def pvc_degree_greedy(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> 
 
 def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[[int], PvcResult]]:
     """The method that answers partial-cover queries on ``graph`` exactly,
-    and its solver as a function of the target, bound to the walk it read.
+    and its solver as a function of the target, bound to the walk it read
+    (or, for degree greedy, the colouring it oriented).
 
     Branch-and-bound for graphs of at most ``exact_max_n`` vertices; above
     that the tree DP for forests, degree greedy for bipartite graphs with a
-    degree-dominating side, and branch-and-bound otherwise.
+    degree-dominating side (``_oriented``), and branch-and-bound otherwise.
     """
     if graph.n > exact_max_n:
         w = walk(graph)
         if w.forest:
             return METHOD_TREE, lambda t: pvc_tree(graph, t, _walk=w)
-        if w.side is not None:
-            _, low, high = _orient(graph.degrees, w.side)
-            if low >= high:
-                return METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(graph, t, _walk=w)
+        sides = None if w.side is None else _oriented(graph.degrees, w)
+        if sides is not None:
+            return METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(graph, t, _sides=sides)
     return METHOD_EXACT, lambda t: pvc_exact(graph, t)
 
 
@@ -294,12 +333,17 @@ def solve_pvc(graph: Graph, t: int) -> PvcResult:
 # forest solver: subtree knapsack over exact-coverage tables
 
 
-def _child_tables(c: np.ndarray) -> np.ndarray:
+def _child_tables(c):
     # Fold the child's (2, L) tables into the parent view, accounting for the
     # connecting edge: index shifts by one exactly when that edge is covered.
     # Row 0 (parent unchosen), g0[x]: child unchosen with the edge open
     # (c[0][x]), or chosen covering it (c[1][x - 1]); row 1, g1[x]: a chosen
-    # parent always covers it, so g1[0] is INF. Entries are <= INF.
+    # parent always covers it, so g1[0] is INF. Entries are <= INF. A pair of
+    # lists gives a pair of lists, an array an array.
+    if type(c) is tuple:
+        c0, c1 = c
+        return ([c0[0], *[p if p < q else q for p, q in zip(c0[1:], c1)], c1[-1]],
+                [kernels.INF, *[p if p < q else q for p, q in zip(c0, c1)]])
     length = c.shape[1]
     g = np.empty((2, length + 1), dtype=np.int64)
     g[0, 0] = c[0, 0]
@@ -312,24 +356,77 @@ def _child_tables(c: np.ndarray) -> np.ndarray:
 
 # A vertex's tables before any child: no edge covered, at cost 0 unchosen and
 # 1 chosen. Every leaf keeps them. Read-only: min-plus never writes its inputs.
-_BASE = np.array([[0], [1]], dtype=np.int64)
-_BASE.setflags(write=False)
+_BASE = ([0], [1])
 
 
-def _run_link(r: int) -> np.ndarray:
+def _run_link(r: int):
     # The link of a run of r leaf children, folded in at once. With the
     # parent unchosen, x of their edges are covered by choosing x leaves
     # (row 0 is 0, 1, ..., r); a chosen parent covers all r with no leaf
     # chosen (row 1 is INF but for a 0 at r). Min-plus with the INF clamp is
     # associative, so one fold through it gives the table that folding the
-    # r leaves in one by one gives.
-    link = np.full((2, r + 1), kernels.INF, dtype=np.int64)
-    link[0] = np.arange(r + 1)
-    link[1, r] = 0
-    return link
+    # r leaves in one by one gives. A link short enough for the list loop
+    # of min-plus is a pair of lists, a longer one an array.
+    link = ([*range(r + 1)], [kernels.INF] * r + [0])
+    return link if r < kernels.LIST_CELLS else np.array(link, dtype=np.int64)
 
 
-def _split(prev: np.ndarray, g, c: int, value: int) -> int:
+# Most table cells one ``pvc_tree`` call may build (~0.8 GB as int64): a
+# path of 8,000 vertices needs ~64 million, one of 20,000 ~400 million.
+TREE_DP_MAX_CELLS = 100_000_000
+
+
+def _shape_keys(children, order, shape: list[int]):
+    """Yield the key of each new subtree shape: the shapes of its vertex's
+    children, in order.
+
+    Shape 0 is a leaf, and the others are numbered 1, 2, ... in the order
+    their keys are yielded; ``shape[v]`` is set for every vertex. ``order``
+    lists every parent before its children, so read backwards each child's
+    shape is known first. A consumer may fold each shape as it is yielded.
+    """
+    shape_ids: dict[tuple[int, ...], int] = {(): 0}
+    for v in reversed(order):
+        if not children[v]:
+            continue  # a leaf keeps shape 0
+        key = tuple([shape[u] for u in children[v]])
+        k = shape_ids.get(key)
+        if k is None:
+            k = shape_ids[key] = len(shape_ids)
+            yield key
+        shape[v] = k
+
+
+def _dp_cells(keys) -> int:
+    """Table cells the tree DP builds for a leaf and the shapes ``keys``:
+    two rows per table, one table before any child and one after each
+    step, a run of leaf children being one step, each table one cell
+    longer than the edges it covers.
+
+    On an n-vertex forest this is at most 2n(n + 1). A table's length is
+    the number of vertices in its vertex and the children folded so far.
+    So a vertex counts once in each of its own tables (fewer than 2n tables
+    in all), and at each ancestor once for each child folded at or after
+    its own branch (fewer than n children in all).
+    """
+    edges = [0]  # per shape, the edges its subtree holds
+    cells = 2  # the leaf's one table
+    for key in keys:
+        length = total = 1
+        for inner, steps in groupby(key, bool):
+            if inner:
+                for u_shape in steps:
+                    length += edges[u_shape] + 1
+                    total += length
+            else:
+                length += sum(1 for _ in steps)
+                total += length
+        edges.append(length - 1)
+        cells += 2 * total
+    return cells
+
+
+def _split(prev, g, c: int, value: int) -> int:
     """Smallest x with prev[c - x] + g[x] == value: the share of c that
     the last folded table g takes in a min-plus fold reaching value."""
     for x in range(max(0, c - len(prev) + 1), min(c, len(g) - 1) + 1):
@@ -348,9 +445,15 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     children is one step, through one ``_run_link``, and any other child is
     one. Vertices whose children have the same sequence of shapes have the
     same tables, so each such shape is folded once per call and shared.
-    Components combine through one more knapsack. Each component is rooted
-    at its lowest id and each vertex's children are in increasing id order,
-    as the graph's ``walk`` (``_walk`` when the router passes it) gives them.
+    A table is a pair of Python lists while ``kernels.minplus`` folds it by
+    its plain-Python loop, and a (2, L) int64 array once a fold is too long
+    for that; a child shape's link is built once per call while it is a
+    pair of lists, and per fold once it is an array, so that no long link
+    is kept. Components combine through one more knapsack. Each component
+    is rooted at its lowest id and each vertex's children are in increasing
+    id order, as the graph's ``walk`` (``_walk`` when the router passes it)
+    gives them. A forest whose tables would hold more than
+    ``TREE_DP_MAX_CELLS`` cells raises ValueError before any is built.
     """
     _check_target(graph, t)
     roots, children, order, forest, _ = walk(graph) if _walk is None else _walk
@@ -359,33 +462,48 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
 
-    # shape[v] indexes folds, keyed in shape_ids by the shapes of v's
-    # children in order (0 is a leaf). folds[k]: the (2, L) table of shape k
-    # before any child and after each step; the last covers the subtree.
+    # the DP builds at most 2n(n + 1) cells (``_dp_cells``), so only larger
+    # forests are counted
     shape = [0] * graph.n
-    folds = [(_BASE,)]
-    shape_ids: dict[tuple, int] = {(): 0}
-    run_links: dict[int, np.ndarray] = {}
-    for v in reversed(order):
-        key = tuple([shape[u] for u in children[v]])
-        k = shape_ids.get(key)
-        if k is None:
-            seq = [_BASE]
-            for inner, steps in groupby(key, bool):
-                if inner:
-                    for u_shape in steps:
-                        seq.append(kernels.minplus(seq[-1], _child_tables(folds[u_shape][-1])))
-                else:
-                    r = sum(1 for _ in steps)
-                    link = run_links.get(r)
-                    if link is None:
-                        link = run_links[r] = _run_link(r)
-                    seq.append(kernels.minplus(seq[-1], link))
-            k = shape_ids[key] = len(folds)
-            folds.append(tuple(seq))
-        shape[v] = k
+    if 2 * graph.n * (graph.n + 1) > TREE_DP_MAX_CELLS:
+        cells = _dp_cells(_shape_keys(children, order, shape))
+        if cells > TREE_DP_MAX_CELLS:
+            raise ValueError(f"tree DP needs {cells:,} table cells, above the limit of {TREE_DP_MAX_CELLS:,}")
 
-    exacts = [folds[shape[r]][-1].min(axis=0) for r in roots]
+    # folds[k]: the tables of shape k before any child and after each step,
+    # the last covering the subtree. Leaf-run links, and child links while
+    # they are pairs of lists, are kept for this call; an array child link
+    # is dropped as soon as it is folded in.
+    links: dict[int, object] = {}
+    run_links: dict[int, object] = {}
+    folds = [(_BASE,)]
+
+    def child_link(u_shape):
+        link = links.get(u_shape)
+        if link is None:
+            link = _child_tables(folds[u_shape][-1])
+            if type(link) is tuple:
+                links[u_shape] = link
+        return link
+
+    # each shape is folded as soon as its key is found: finding every key
+    # first left the same tracemalloc peak but a heap with more freed holes,
+    # and raised the peak RSS on a 4,000-vertex path from 184 to 280 MB
+    for key in _shape_keys(children, order, shape):
+        seq = [_BASE]
+        for inner, steps in groupby(key, bool):
+            if inner:
+                for u_shape in steps:
+                    seq.append(kernels.minplus(seq[-1], child_link(u_shape)))
+            else:
+                r = sum(1 for _ in steps)
+                link = run_links.get(r)
+                if link is None:
+                    link = run_links[r] = _run_link(r)
+                seq.append(kernels.minplus(seq[-1], link))
+        folds.append(tuple(seq))
+
+    exacts = [np.asarray(folds[shape[r]][-1]).min(axis=0) for r in roots]
     comp_tables = [np.minimum.accumulate(exact[::-1])[::-1] for exact in exacts]
     prefixes: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     for tab in comp_tables:
@@ -417,7 +535,7 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     return PvcResult(size, witness, achieved, METHOD_TREE)
 
 
-def _link_split(prev: np.ndarray, child: np.ndarray, c: int, value: int, s: int) -> tuple[int, int]:
+def _link_split(prev, child, c: int, value: int, s: int) -> tuple[int, int]:
     """The share x of c that a child's link takes in a fold reaching value
     with its parent in state s, and the child's state there.
 
@@ -429,10 +547,10 @@ def _link_split(prev: np.ndarray, child: np.ndarray, c: int, value: int, s: int)
     x - 1. The unchosen child wins a tie, as in the link's minimum.
     """
     c0, c1 = child
-    length = c0.shape[0]
+    length = len(c0)
     # g1[0] is INF (a chosen parent always covers the link edge), so with
     # s == 1 the scan starts at x = 1
-    for x in range(max(s, c - prev.shape[0] + 1), min(c, length) + 1):
+    for x in range(max(s, c - len(prev) + 1), min(c, length) + 1):
         rest = value - int(prev[c - x])
         if x - s < length and int(c0[x - s]) == rest:
             return x, 0
@@ -442,6 +560,8 @@ def _link_split(prev: np.ndarray, child: np.ndarray, c: int, value: int, s: int)
 
 
 def _traceback(root, root_state, root_cov, shape, folds, children, selected) -> None:
+    # An unchosen vertex whose folded children cover no edge picks no vertex
+    # below: every split of 0 is 0, so its remaining children are skipped.
     stack = [(root, root_state, root_cov)]
     while stack:
         v, s, c = stack.pop()
@@ -451,6 +571,8 @@ def _traceback(root, root_state, root_cov, shape, folds, children, selected) -> 
         kids = children[v]
         j = len(kids)
         for i in range(len(seq) - 1, 0, -1):
+            if not (c or s):
+                break
             prev, value = seq[i - 1][s], int(seq[i][s][c])
             u = kids[j - 1]
             if shape[u]:

@@ -467,3 +467,12 @@ def test_header_above_the_vertex_limit_exits_2(capsys, tmp_path, monkeypatch, co
     path.write_text("300000000 0\n")
     assert main([command[0], str(path), *command[1:]]) == 2
     assert capsys.readouterr() == ("", "error: line 1: n=300000000 exceeds the limit of 1000000 vertices\n")
+
+
+def test_tree_dp_above_the_cell_limit_exits_2(capsys, tmp_path):
+    # a 20,000-vertex path needs ~400 million table cells (~3.2 GB)
+    path = tmp_path / "path.txt"
+    path.write_text(to_edge_list_text(path_graph(20000)))
+    assert main(["pvc", str(path), "-t", "5000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: tree DP needs 400,059,998 table cells, above the limit of 100,000,000\n")

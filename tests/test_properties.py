@@ -1,4 +1,4 @@
-"""Property tests over random small graphs, driven by hypothesis."""
+"""Property tests over random small graphs and min-plus operands, driven by hypothesis."""
 
 import math
 from fractions import Fraction
@@ -30,6 +30,7 @@ from pvcmon import (
     verify_lemma1,
     verify_lemma2,
 )
+from pvcmon import kernels
 from pvcmon.corpus import complete_bipartite
 from pvcmon.graph import Graph
 from pvcmon.oracles import cover_profile
@@ -309,3 +310,39 @@ def test_walk_agrees_with_networkx(g):
         assert w.roots == lowest
         assert all(list(kids) == sorted(kids) for kids in w.children)
         assert sorted((min(v, u), max(v, u)) for v, kids in enumerate(w.children) for u in kids) == list(g.edges)
+
+
+_CELLS = st.one_of(st.integers(0, 1000), st.just(kernels.INF))
+# short lengths give folds under kernels.LIST_CELLS sums a row, long ones over
+_LENGTHS = st.one_of(st.integers(1, 8), st.integers(1, 60))
+
+
+@st.composite
+def minplus_tables(draw, length):
+    """A (2, length) table as two row lists, INF cells and all-INF rows included."""
+    rows = [draw(st.lists(_CELLS, min_size=length, max_size=length)) for _ in range(2)]
+    unreachable = draw(st.sampled_from((None, 0, 1)))
+    if unreachable is not None:
+        rows[unreachable] = [kernels.INF] * length
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _LENGTHS, _LENGTHS, st.sampled_from(("lists", "arrays", "list-array", "array-list")))
+def test_minplus_forms_match_naive(data, la, lb, forms):
+    import numpy as np
+    from test_kernels import _naive_minplus
+
+    a_rows = data.draw(minplus_tables(la))
+    b_rows = data.draw(minplus_tables(lb))
+    a = tuple(map(list, a_rows)) if forms in ("lists", "list-array") else np.array(a_rows, dtype=np.int64)
+    b = tuple(map(list, b_rows)) if forms in ("lists", "array-list") else np.array(b_rows, dtype=np.int64)
+    out = kernels.minplus(a, b)
+    assert [list(map(int, row)) for row in out] == [_naive_minplus(ra, rb) for ra, rb in zip(a_rows, b_rows)]
+    # the plain-Python loop answers exactly the short folds of two list tables
+    if forms == "lists" and la * lb <= kernels.LIST_CELLS:
+        assert type(out) is tuple and all(type(row) is list for row in out)
+    else:
+        assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == (2, la + lb - 1)
+    # the inputs are left as they were
+    assert [list(map(int, row)) for row in a] == a_rows and [list(map(int, row)) for row in b] == b_rows

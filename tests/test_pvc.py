@@ -308,6 +308,87 @@ class TestTree:
         # 2,013,584 bytes before leaf runs and shared shapes (numpy 2.4)
         assert peak < 1.1 * 2_013_584
 
+    def test_deep_path_peak(self):
+        # list tables and per-shape links must not raise the peak of the
+        # deepest tree, whose tables nearly all are arrays
+        import gc
+        import tracemalloc
+
+        g = path_graph(4000)
+        pvc_tree(path_graph(3), 1)  # one-time allocations happen before the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pvc_tree(g, g.m // 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 129,744,620 bytes (123.7 MiB) when every table was an array (numpy 2.4)
+        assert peak <= 129_744_620
+
+    def test_cell_count_matches_the_tables_built(self, monkeypatch):
+        # _dp_cells counts, from the shapes alone, every table the DP then
+        # builds: the leaf's, each shape's base table and each fold's result
+        from pvcmon import kernels, pvc
+        from pvcmon.graph import walk
+
+        built = []
+        minplus = kernels.minplus
+
+        def counted(a, b):
+            out = minplus(a, b)
+            if type(out) is tuple or out.ndim == 2:  # not the component knapsack
+                built.append(2 * len(out[0]) + 2 * (a is pvc._BASE))
+            return out
+
+        monkeypatch.setattr(kernels, "minplus", counted)
+        rng = random.Random(79)
+        graphs = [g for g in _shape_forests() if g.m]
+        graphs += [path_graph(60), random_recursive_tree(600, rng), random_tree(300, rng)]
+        for g in graphs:
+            built.clear()
+            pvc_tree(g, 1)
+            w = walk(g)
+            assert pvc._dp_cells(pvc._shape_keys(w.children, w.order, [0] * g.n)) == 2 + sum(built)
+
+    def test_cell_limit(self):
+        # a path of n vertices needs (n - 1)(n + 4) + 2 cells: 8,000 stay
+        # within the limit, 20,000 do not
+        from pvcmon import pvc
+        from pvcmon.graph import walk
+
+        for n in (60, 8000, 20000):
+            w = walk(path_graph(n))
+            assert pvc._dp_cells(pvc._shape_keys(w.children, w.order, [0] * n)) == (n - 1) * (n + 4) + 2
+        assert (8000 - 1) * (8000 + 4) + 2 <= pvc.TREE_DP_MAX_CELLS < (20000 - 1) * (20000 + 4) + 2
+
+    def test_cell_limit_refuses_before_building(self):
+        # ~3.2 GB of int64 tables, refused before the first is built
+        import tracemalloc
+
+        g = path_graph(20000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^tree DP needs 400,059,998 table cells, "
+                                                 r"above the limit of 100,000,000$"):
+                pvc_tree(g, g.m // 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    def test_small_forests_skip_the_count(self, monkeypatch):
+        # below the bound 2n(n + 1) <= TREE_DP_MAX_CELLS nothing is counted
+        from pvcmon import pvc
+
+        def unreachable(keys):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(pvc, "_dp_cells", unreachable)
+        g = random_recursive_tree(2000, random.Random(12))
+        assert pvc_tree(g, g.m // 3).method == "tree_dp"
+
 
 def _ordered_tree(shape) -> Graph:
     """The rooted tree ``shape`` (a tuple of its children's shapes), its ids

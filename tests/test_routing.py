@@ -128,3 +128,25 @@ def test_regular_bipartite_graph_with_an_isolated_vertex_keeps_its_witness():
     g = Graph.from_edges(37, cycle_graph(36).edges)
     res = solve_pvc(g, 4)
     assert res.method == "degree_greedy" and sorted(res.witness) == [1, 3]
+
+
+def test_components_orient_apart(capsys, tmp_path):
+    # two K_{2,40}, X = {0, 1} and X = {82, 83}: the walk colours each from
+    # its lowest id, so the two X sides get opposite colours and no side of
+    # the whole colouring dominates; each component oriented on its own does
+    first = [(x, 2 + y) for x in range(2) for y in range(40)]
+    second = [(42 + y, 82 + x) for x in range(2) for y in range(40)]
+    for edges in (first, [(u - 42, v - 42) for u, v in second]):
+        assert pick_solver(Graph.from_edges(42, edges)) == "degree_greedy"
+    g = Graph.from_edges(84, first + second)
+    assert pick_solver(g) == "degree_greedy"
+    for t in sorted({*_targets(g), 41, 81, 121}):
+        res = solve_pvc(g, t)
+        assert res.method == "degree_greedy"
+        assert res.size == pvc_exact(g, t).size
+        assert res.witness <= {0, 1, 82, 83}
+    path = tmp_path / "two_k2_40.txt"
+    path.write_text(to_edge_list_text(g))
+    assert main(["pvc", str(path), "-t", "121"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["method"], result["size"], result["witness"]) == ("degree_greedy", 4, [0, 1, 82, 83])
