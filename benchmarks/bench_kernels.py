@@ -9,7 +9,8 @@ Python and numpy versions and the CPU count, to PATH. The tree solver's
 rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
 its path and recursive rows give the call's tracemalloc peak
 (``peak_bytes``); the dispatch rows count the graph walks each query makes
-(``walks``), and the edgeless graph-build row the bytes per vertex its
+(``walks``), the monopoly decide row the ``solve_pvc`` calls of one run
+(``solves``), and the edgeless graph-build row the bytes per vertex its
 graph keeps (``bytes_per_vertex``, by tracemalloc). None of these counts
 depends on the machine.
 """
@@ -39,10 +40,12 @@ from pvcmon.corpus import (
     random_tree,
 )
 from pvcmon.graph import Graph, parse_graph, to_edge_list_text, walk
+from pvcmon.monopoly import sdyn_decide, smon_decide
 from pvcmon.pvc import (
     PvcbInstance,
     _csr_arrays,
     pvc_decide,
+    pvc_degree_greedy,
     pvc_greedy_upper,
     pvc_rho_decide,
     pvc_tree,
@@ -153,6 +156,28 @@ def bench_lemma1_decides():
 
     secs, _ = _time(run)
     _row(f"pvc_decide lemma1-shaped ({len(augmented)} graphs)", secs, calls)
+
+
+def bench_monopoly_decides():
+    # smon_decide and sdyn_decide at every bound d and three factors k on
+    # fresh graph objects of a seeded corpus; the greedy and the degree-sum
+    # bound settle most of them, and solves counts the rest
+    rng = random.Random(19)
+    graphs = [random_graph(rng.randint(4, 12), rng.choice((0.2, 0.4, 0.6)), rng) for _ in range(60)]
+    jobs = [(smon_decide, Fraction(1, 2)), (smon_decide, Fraction(1)), (smon_decide, Fraction(3, 2)),
+            (sdyn_decide, Fraction(3, 2))]
+    calls = sum(len(jobs) * (g.n + 1) for g in graphs)
+
+    def run():
+        yes = 0
+        for g in graphs:
+            g = _fresh(g)
+            yes += sum(decide(g, d, k) for decide, k in jobs for d in range(g.n + 1))
+        return yes
+
+    secs, _ = _time(run)
+    solves = _calls(pvc, "solve_pvc", run)
+    _row(f"smon/sdyn_decide ({len(graphs)} graphs)", secs, calls, solves=solves)
 
 
 def _fresh(g):
@@ -288,6 +313,14 @@ def bench_dispatch():
         secs, _ = _time(lambda: [solve_pvc(_fresh(g), target) for _ in range(calls)])
         walks = _calls(pvc, "walk", lambda: solve_pvc(_fresh(g), target))
         _row(f"solve_pvc {label}", secs, calls, walks=walks)
+    # the degree greedy asked for by name, on two K_{2,40} whose X sides the
+    # walk colours apart (n = 84): it orients each component as the router does
+    first = [(x, 2 + y) for x in range(2) for y in range(40)]
+    second = [(42 + y, 82 + x) for x in range(2) for y in range(40)]
+    g = Graph.from_edges(84, first + second)
+    secs, _ = _time(lambda: [pvc_degree_greedy(_fresh(g), g.m) for _ in range(40)])
+    walks = _calls(pvc, "walk", lambda: pvc_degree_greedy(_fresh(g), g.m))
+    _row("pvc_degree_greedy direct two K2,40 t=m", secs, 40, walks=walks)
 
 
 def bench_gadgets():
@@ -327,6 +360,7 @@ def main():
     bench_cover_profile()
     bench_bb_search()
     bench_lemma1_decides()
+    bench_monopoly_decides()
     bench_minplus()
     bench_tree_solver()
     bench_graph_build()

@@ -7,8 +7,8 @@ closure activates the whole graph. ``smon`` and ``sdyn`` minimize the seed
 size over all assignments with a prescribed average, by reduction to
 partial vertex cover, solved by ``pvc.solve_pvc`` (so forests and
 degree-dominant bipartite graphs get the polynomial solvers); the
-``*_decide`` forms ask ``smon``/``sdyn`` at the average their total fixes
-and compare the size with the bound. ``sdyn_via_subgraph``
+``*_decide`` forms ask ``pvc._decide``, as ``pvc_decide`` does, at the
+target (``_static_target``, ``_dynamic_target``) their total fixes. ``sdyn_via_subgraph``
 is the independent sparse-induced-subgraph route used to cross-check
 ``sdyn``; ``sparse_profile`` is its enumeration, kept for callers that ask
 about several averages of one graph.
@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import InfeasibleTargetError
 from .graph import Graph, Rational, _coerce_rational, edge_density, vertex_subset
-from .pvc import solve_pvc
+from .pvc import _decide, solve_pvc
 
 # Largest graph sdyn_via_subgraph enumerates unless told otherwise (2^14 subsets).
 ORACLE_GUARD_DEFAULT = 14
@@ -116,6 +116,16 @@ def _required_total(graph: Graph, t: Rational) -> Fraction:
     return nt
 
 
+def _static_target(nt: Rational) -> int:
+    # Smon_t = P_{ceil(nt/2)}: the edges a smallest static monopoly at total nt covers
+    return math.ceil(Fraction(nt, 2))
+
+
+def _dynamic_target(graph: Graph, nt: Rational) -> int:
+    # Sdyn_t = P_{ceil(nt) - m}, no edge at all whenever ceil(nt) <= m
+    return max(0, math.ceil(nt) - graph.m)
+
+
 def simulate_spread(graph: Graph, tau, seed: Iterable[int]) -> SpreadTrace:
     """Run the deterministic threshold process from a seed set.
 
@@ -199,9 +209,7 @@ def smon(graph: Graph, t: Rational) -> SmonResult:
     Equals the minimum partial cover of ceil(n*t/2) edges; the returned
     monopoly carries its canonical witness assignment.
     """
-    nt = _required_total(graph, t)
-    target = max(0, math.ceil(nt / 2))
-    res = solve_pvc(graph, target)
+    res = solve_pvc(graph, _static_target(_required_total(graph, t)))
     tau = monopoly_witness_tau(graph, res.witness)
     return SmonResult(res.size, res.witness, tau)
 
@@ -213,9 +221,7 @@ def sdyn(graph: Graph, t: Rational) -> SdynResult:
     ceil(n*t) <= m); the returned seed carries its canonical witness
     assignment.
     """
-    nt = _required_total(graph, t)
-    target = max(0, math.ceil(nt) - graph.m)
-    res = solve_pvc(graph, target)
+    res = solve_pvc(graph, _dynamic_target(graph, _required_total(graph, t)))
     tau = dynamo_witness_tau(graph, res.witness)
     return SdynResult(res.size, res.witness, tau)
 
@@ -262,26 +268,23 @@ def sdyn_via_subgraph(
     return graph.n - best_size, witness
 
 
-def _decide_average(graph: Graph, d: int, k_factor: Fraction) -> Fraction:
-    # the average threshold whose total is ceil(n*k*density)
+def _decide_total(graph: Graph, d: int, k_factor: Rational, low: int) -> int:
+    # ceil(n*k*density), for k strictly between low and 2
+    k_factor = _coerce_rational(k_factor)
+    if not (low < k_factor < 2):
+        raise ValueError(f"k factor must lie strictly between {low} and 2, got {k_factor}")
     if d < 0:
         raise ValueError(f"size bound must be nonnegative, got {d}")
-    return Fraction(math.ceil(graph.n * k_factor * edge_density(graph)), graph.n)
+    return math.ceil(graph.n * k_factor * edge_density(graph))
 
 
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
     static monopoly of size at most d? Valid for 0 < k < 2."""
-    k_factor = _coerce_rational(k_factor)
-    if not (0 < k_factor < 2):
-        raise ValueError(f"k factor must lie strictly between 0 and 2, got {k_factor}")
-    return smon(graph, _decide_average(graph, d, k_factor)).size <= d
+    return _decide(graph, _static_target(_decide_total(graph, d, k_factor, 0)), d)
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
     dynamic monopoly of size at most d? Valid for 1 < k < 2."""
-    k_factor = _coerce_rational(k_factor)
-    if not (1 < k_factor < 2):
-        raise ValueError(f"k factor must lie strictly between 1 and 2, got {k_factor}")
-    return sdyn(graph, _decide_average(graph, d, k_factor)).size <= d
+    return _decide(graph, _dynamic_target(graph, _decide_total(graph, d, k_factor, 1)), d)

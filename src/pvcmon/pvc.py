@@ -14,9 +14,9 @@ tables would exceed ``TREE_DP_MAX_CELLS`` cells is refused before any is
 built. The traceback reads the folds and the children's tables back, and
 takes the first leaves of a run in closed form;
 ``pvc_degree_greedy`` solves bipartite graphs with a side X that
-degree-dominates the other side Y, taking both sides from the 2-colouring
-of the graph's walk; ``pvc_greedy_upper`` is the scalable heuristic upper
-bound.
+degree-dominates the other side Y, oriented by the router's rule whether
+the router or a caller asks; ``pvc_greedy_upper`` is the scalable
+heuristic upper bound.
 
 ``_route`` is the one place that chooses among the exact solvers:
 branch-and-bound up to ``EXACT_MAX_N`` vertices (faster than the tree DP's
@@ -30,11 +30,11 @@ What does not depend on the target is computed once per graph object and
 kept on it (``_solver_state``): the greedy's pick order with the coverage
 after each pick, grown only as far as the largest target asked so far, and
 the prefix sums of the degrees in decreasing order. A greedy answer is then
-a binary search. A decision query is "yes" when the greedy needs at most k
-picks, "no" when the k largest degrees sum below t (the degree-sum bound
-that branch-and-bound applies at its root), and otherwise compares k with
-the size from ``solve_pvc``, so forests above ``EXACT_MAX_N`` get the tree DP
-for decisions too.
+a binary search. Every decision form, the monopoly ones too, ends in
+``_decide``: "yes" when the greedy needs at most k picks, "no" when the k
+largest degrees sum below t (the degree-sum bound that branch-and-bound
+applies at its root), and otherwise k compared with the size from
+``solve_pvc``, so forests above ``EXACT_MAX_N`` get the tree DP for them too.
 """
 
 from __future__ import annotations
@@ -269,33 +269,29 @@ def pvc_degree_greedy(graph: Graph, t: int, *, _sides: Optional[tuple[list[int],
     """Prefix of X in nonincreasing degree order (ties: lowest id); optimal
     when X degree-dominates Y (min deg X >= max deg Y).
 
-    X and Y come from the 2-colouring of the graph's ``walk``, oriented as a
-    whole by ``_orient``; a graph that is not bipartite, or has no
-    dominating side, raises ValueError. The router passes the colouring and
-    X side it found by ``_oriented`` (``_sides``), which orients each
-    component on its own where the whole colouring has no dominating side.
+    X and Y come from the 2-colouring of the graph's ``walk``, oriented by
+    the router's rule ``_oriented`` (``_sides`` when the router passes what
+    it found). A graph that is not bipartite, or has no dominating side
+    there, raises ValueError, worded from the whole colouring's ``_orient``.
     """
-    side = walk(graph).side if _sides is None else _sides[0]
-    if side is None:
-        raise ValueError("degreeGreedy requires a bipartite graph")
-    _check_target(graph, t)
     deg = graph.degrees
     if _sides is None:
-        x_side, low, high = _orient(deg, side)
-        if low < high:
+        w = walk(graph)
+        if w.side is None:
+            raise ValueError("degreeGreedy requires a bipartite graph")
+        _check_target(graph, t)
+        _sides = _oriented(deg, w)
+        if _sides is None:
+            _, low, high = _orient(deg, w.side)
             raise ValueError(f"degree hypothesis violated: min degree on X is {low} < max degree on Y {high}")
     else:
-        x_side = _sides[1]
+        _check_target(graph, t)
+    side, x_side = _sides
     order = sorted((v for v, s in enumerate(side) if s == x_side and deg[v]), key=lambda v: (-deg[v], v))
-    chosen: list[int] = []
-    achieved = 0
-    for v in order:
-        if achieved >= t:
-            break
-        chosen.append(v)
-        achieved += deg[v]
     # X touches every edge, so the prefix sums reach m >= t
-    return PvcResult(len(chosen), frozenset(chosen), achieved, METHOD_DEGREE_GREEDY)
+    covered = list(accumulate((deg[v] for v in order), initial=0))
+    size = bisect_left(covered, t)
+    return PvcResult(size, frozenset(order[:size]), covered[size], METHOD_DEGREE_GREEDY)
 
 
 def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[[int], PvcResult]]:

@@ -1,11 +1,18 @@
-"""Every name a pvcmon module imports is used in that module."""
+"""Every name a pvcmon module imports is used in that module, and every
+private helper it defines is used somewhere."""
 
 import ast
+import io
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pvcmon").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pvcmon").glob("*.py"))
+# where a private helper may be read: the package, its tests and benchmarks
+READERS = sorted(p for d in ("src", "tests", "benchmarks", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +44,48 @@ def test_no_unused_imports(path):
 def test_an_import_named_only_in_a_docstring_is_unused():
     source = 'from math import ceil, floor\n\n\ndef f(x):\n    """Like ceil."""\n    return floor(x)\n'
     assert unused_imports(source) == ["line 1: ceil"]
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level private functions, classes and constants of ``source``:
+    names bound by def, class or assignment that start with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def name_tokens(sources) -> Counter:
+    """How often each name occurs as code in ``sources``; a mention in a
+    string, docstring or comment is not counted."""
+    counts = Counter()
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                counts[tok.string] += 1
+    return counts
+
+
+def orphans(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """Private module-level names of the ``defining`` sources (by module
+    name) that occur nowhere in ``readers`` but where they are defined."""
+    defined = {module: private_definitions(source) for module, source in defining.items()}
+    definitions = Counter(name for names in defined.values() for name in names)
+    counts = name_tokens(readers)
+    return [f"{module}.{name}" for module, names in defined.items()
+            for name in names if counts[name] <= definitions[name]]
+
+
+def test_no_orphaned_private_helpers():
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert orphans(defining, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def test_a_helper_named_only_in_its_definition_is_orphaned():
+    source = ('_LIMIT = 3\n\n\ndef _used():\n    return _LIMIT\n\n\n'
+              'def _orphan(x):\n    """Not _used."""\n    return x  # _used\n\n\ndef run():\n    return _used()\n')
+    assert orphans({"mod": source}, [source]) == ["mod._orphan"]

@@ -22,7 +22,7 @@ from pvcmon import (
     smon_decide,
 )
 from pvcmon.corpus import complete_graph, cycle_graph, path_graph, random_graph, random_tree, star_graph
-from pvcmon.pvc import pvc_tree
+from pvcmon.pvc import PvcbInstance, pvc_decide, pvc_greedy_upper, pvc_tree
 
 
 class TestThresholds:
@@ -284,3 +284,41 @@ def test_large_tree_decide_forms_use_the_tree_solver():
     assert sdyn_decide(g, d, k) is True
     assert sdyn_decide(g, d - 1, k) is False
     assert time.perf_counter() - started < 2.0
+
+
+def test_settled_decides_make_no_solve(monkeypatch):
+    # a decide the greedy (at most d picks) or the degree-sum bound (the d
+    # largest degrees cover fewer than the target) settles never solves;
+    # every other one solves once
+    import pvcmon.monopoly
+    import pvcmon.pvc
+
+    calls = []
+    solve = pvcmon.pvc.solve_pvc
+
+    def counted(graph, t):
+        calls.append(t)
+        return solve(graph, t)
+
+    monkeypatch.setattr(pvcmon.pvc, "solve_pvc", counted)
+    monkeypatch.setattr(pvcmon.monopoly, "solve_pvc", counted)
+    rng = random.Random(18)
+    solved = 0
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 9), rng.choice((0.3, 0.5, 0.8)), rng)
+        degrees = sorted(g.degrees, reverse=True)
+        jobs = [(lambda d, t=t: pvc_decide(PvcbInstance(g, d, t)), t) for t in range(g.m + 1)]
+        for k in (Fraction(1, 3), Fraction(1, 1), Fraction(5, 3)):
+            total = math.ceil(k * g.m)
+            jobs.append((lambda d, k=k: smon_decide(g, d, k), math.ceil(Fraction(total, 2))))
+            if k > 1:
+                jobs.append((lambda d, k=k: sdyn_decide(g, d, k), total - g.m))
+        for decide, target in jobs:
+            greedy = pvc_greedy_upper(g, target).size
+            for d in range(g.n + 1):
+                calls.clear()
+                decide(d)
+                settled = greedy <= d or sum(degrees[:d]) < target
+                assert calls == ([] if settled else [target])
+                solved += not settled
+    assert solved  # the corpus also holds decides that only a solve settles

@@ -173,6 +173,19 @@ def test_monopoly_decide_forms_agree_with_sizes(g):
                 assert sdyn_decide(g, d, k) == (sizes[max(0, total - g.m)] <= d)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1, max_n=12), st.integers(2, 10**9), st.booleans())
+def test_monopoly_decide_forms_answer_as_the_solves(g, q, upper):
+    # each decide equals its solve at the average ceil(k*m)/n, for k within
+    # 1/q of the low or the high end of its range, on graph objects that
+    # share no solver state
+    for decide, solve, low in ((smon_decide, smon, 0), (sdyn_decide, sdyn, 1)):
+        k = 2 - Fraction(1, q) if upper else low + Fraction(1, q)
+        size = solve(fresh_copy(g), Fraction(math.ceil(k * g.m), g.n)).size
+        for d in range(g.n + 2):
+            assert decide(fresh_copy(g), d, k) == (size <= d)
+
+
 @settings(max_examples=30, deadline=None)
 @given(forests())
 def test_solver_dispatch_exact_on_forests_above_crossover(g):

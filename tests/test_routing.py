@@ -45,9 +45,11 @@ def _targets(g):
     return sorted({0, 1, g.m // 3, g.m // 2, g.m})
 
 
-# sha256 of every route and answer below, recorded before the three graph
-# traversals became one walk; the walk must route and answer as they did
-ROUTING_DIGEST = "ef4985116d7cbca5ef56fbf76ac2bcbb54e4d4b0dd32dd836b1d44d2621cbc68"
+# sha256 of every route and answer below. Recorded before the three graph
+# traversals became one walk, and again when a direct degree greedy took the
+# router's orientation: that changed only the nine degreeGreedy lines of the
+# forest of seven 3-vertex paths, from exit 2 to a degree_greedy answer
+ROUTING_DIGEST = "c1560f0977f28d368e316bb4495952caa00f879d4ea74a286894feb037d03415"
 
 
 def test_routing_golden_digest(capsys, tmp_path):
@@ -130,12 +132,17 @@ def test_regular_bipartite_graph_with_an_isolated_vertex_keeps_its_witness():
     assert res.method == "degree_greedy" and sorted(res.witness) == [1, 3]
 
 
-def test_components_orient_apart(capsys, tmp_path):
+def _two_k2_40():
     # two K_{2,40}, X = {0, 1} and X = {82, 83}: the walk colours each from
     # its lowest id, so the two X sides get opposite colours and no side of
     # the whole colouring dominates; each component oriented on its own does
     first = [(x, 2 + y) for x in range(2) for y in range(40)]
     second = [(42 + y, 82 + x) for x in range(2) for y in range(40)]
+    return first, second
+
+
+def test_components_orient_apart(capsys, tmp_path):
+    first, second = _two_k2_40()
     for edges in (first, [(u - 42, v - 42) for u, v in second]):
         assert pick_solver(Graph.from_edges(42, edges)) == "degree_greedy"
     g = Graph.from_edges(84, first + second)
@@ -150,3 +157,23 @@ def test_components_orient_apart(capsys, tmp_path):
     assert main(["pvc", str(path), "-t", "121"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert (result["method"], result["size"], result["witness"]) == ("degree_greedy", 4, [0, 1, 82, 83])
+
+
+def test_direct_degree_greedy_answers_as_the_router(capsys, tmp_path):
+    # wherever auto routes to the degree greedy, asking for it by name gives
+    # the same answer: one orientation rule serves both
+    graphs = [g for g in _routing_corpus() if pick_solver(g) == "degree_greedy"]
+    graphs.append(Graph.from_edges(84, [e for part in _two_k2_40() for e in part]))
+    assert [g.n for g in graphs] == [80, 43, 42, 36, 84]
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(to_edge_list_text(g))
+        for t in _targets(g):
+            payloads = []
+            for solver in ("auto", "degreeGreedy"):
+                assert main(["pvc", str(path), "-t", str(t), "--solver", solver]) == 0
+                report = json.loads(capsys.readouterr().out)
+                del report["elapsed_seconds"]
+                payloads.append(report)
+            assert payloads[0] == payloads[1]
+            assert payloads[0]["result"]["method"] == "degree_greedy"
