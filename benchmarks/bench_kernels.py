@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels (best of a few runs, numpy backend), then one run of
-each verification battery at its default bounds.
+"""Time the hot kernels (best of a few runs, numpy backend), then each
+verification battery at its default bounds (best of three runs).
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--json BENCH_kernels.json]
 
@@ -12,7 +12,8 @@ its path and recursive rows give the call's tracemalloc peak
 (``walks``), the monopoly decide row the ``solve_pvc`` calls of one run
 (``solves``), and the edgeless graph-build row the bytes per vertex its
 graph keeps (``bytes_per_vertex``, by tracemalloc). None of these counts
-depends on the machine.
+depends on the machine. Each battery row gives the instances it checks
+(``calls``) and their rate (``instances_per_second``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,13 @@ from pvcmon.reductions import (
     load_gadget,
     pendant_triple_augment,
 )
-from pvcmon.verify import DEFAULT_RHOS, run_suite
+from pvcmon.verify import (
+    DEFAULT_RHOS,
+    lemma1_battery,
+    lemma2_battery,
+    theorem_battery,
+    witness_identity_battery,
+)
 
 
 def _time(fn, *args, repeat=3):
@@ -343,12 +350,15 @@ def bench_gadgets():
 
 
 def bench_batteries():
+    # each battery at its default bounds, as `pvcmon verify all` runs it,
+    # best of three runs, with the instances it checks a second
     print(f"\n{'battery':<44} {'time':>12} {'instances/s':>12}")
-    for report in run_suite("all"):
-        rate = report.instances / report.elapsed_seconds
-        ROWS.append({"name": f"battery {report.suite}", "seconds": round(report.elapsed_seconds, 6),
-                     "calls": report.instances})
-        print(f"{report.suite:<44} {report.elapsed_seconds:>11.2f}s {rate:>12.0f}")
+    for battery in (lemma1_battery, lemma2_battery, theorem_battery, witness_identity_battery):
+        secs, report = _time(battery)
+        rate = round(report.instances / secs)
+        ROWS.append({"name": f"battery {report.suite}", "seconds": round(secs, 6),
+                     "calls": report.instances, "instances_per_second": rate})
+        print(f"{report.suite:<44} {secs * 1e3:>10.2f}ms {rate:>12}")
 
 
 def main():

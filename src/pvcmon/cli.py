@@ -46,10 +46,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _parse_rational(text: str) -> Fraction:
+    # a part longer than the interpreter's int-parsing limit is refused here,
+    # so the error names the input, not the interpreter setting
     if not _RATIONAL_RE.match(text.strip()):
         raise ValueError(
             f"expected an integer or 'p/q' rational (decimals are rejected), got {text!r}"
         )
+    limit = sys.get_int_max_str_digits()
+    digits = max(len(part.strip().lstrip("+-")) for part in text.split("/"))
+    if limit and digits > limit:
+        raise ValueError(f"rational has a part of {digits} digits, above the limit of {limit} digits")
     return _coerce_rational(text.strip())
 
 

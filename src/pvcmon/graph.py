@@ -9,11 +9,16 @@ read them in that order and never sort them again.
 read; it is returned, never kept on the graph.
 
 A graph's vertices and edges never change after construction, and every
-function here is pure. A ``Graph`` also carries one private slot that
-``pvc.py`` fills with solver state derived from it (see
-``pvc._solver_state``); each state put there is immutable, and growing it
-builds a new state and swaps it in with one attribute store. So shared
-instances are safe to use from any number of threads.
+function here is pure. A ``Graph`` also carries two private slots that
+``pvc.py`` fills with what it derives from it. ``_pvc_state`` holds the
+solver state (see ``pvc._solver_state``); each state put there is
+immutable, and growing it builds a new state and swaps it in with one
+attribute store. ``_pvc_answers`` maps each target ``pvc.solve_pvc`` has
+answered by branch-and-bound to its result (see ``pvc.solve_pvc``); an
+answer is only ever inserted, one dict store at a time, and the same
+target always gets an equal answer, so two threads that miss at once only
+solve it twice. So shared instances are safe to use from any number of
+threads.
 """
 
 from __future__ import annotations
@@ -49,11 +54,12 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    # pvc.py's solver state for this object, stored on the instance on first
-    # use. A plain class attribute, not a field: it takes no part in
-    # construction, eq, hash or repr, so equal graphs stay equal and no two
-    # graph objects share a state.
+    # pvc.py's solver state and exact answers for this object, each stored on
+    # the instance on first use. Plain class attributes, not fields: they
+    # take no part in construction, eq, hash or repr, so equal graphs stay
+    # equal and no two graph objects share a state or an answer.
     _pvc_state = None
+    _pvc_answers = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -68,10 +74,19 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             normalized.append((u, v) if u < v else (v, u))
+        return Graph._assemble(n, normalized, check_duplicates=True)
+
+    @staticmethod
+    def _assemble(n: int, normalized: list[tuple[int, int]], check_duplicates: bool = False) -> "Graph":
+        """The graph on n vertices with these in-range, normalized (u < v)
+        edges, sorted in place, then laid down as adjacency. With
+        ``check_duplicates`` a repeated edge raises ValueError naming the
+        smallest; without it the caller guarantees the edges are unique, as
+        a gadget's generated edges are."""
         normalized.sort()
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
-            if adj[u] and adj[u][-1] == v:
+            if check_duplicates and adj[u] and adj[u][-1] == v:
                 raise ValueError(f"duplicate edge {(u, v)}")
             adj[u].append(v)
             adj[v].append(u)

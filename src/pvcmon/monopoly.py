@@ -173,15 +173,13 @@ def monopoly_witness_tau(graph: Graph, monopoly_set: Iterable[int]) -> Threshold
 
     Outside vertices get exactly their neighbor count into M, members get
     their full degree. The total always equals twice the coverage of M.
+    Each value lies in [0, deg] by construction, so it is not checked again.
     """
     inside = vertex_subset(graph, monopoly_set)
-    values = []
-    for v in range(graph.n):
-        if v in inside:
-            values.append(graph.degree(v))
-        else:
-            values.append(sum(1 for u in graph.adjacency[v] if u in inside))
-    return ThresholdAssignment.for_graph(graph, values)
+    return ThresholdAssignment(tuple(
+        len(nbrs) if v in inside else sum(1 for u in nbrs if u in inside)
+        for v, nbrs in enumerate(graph.adjacency)
+    ))
 
 
 def dynamo_witness_tau(graph: Graph, seed: Iterable[int]) -> ThresholdAssignment:
@@ -190,7 +188,8 @@ def dynamo_witness_tau(graph: Graph, seed: Iterable[int]) -> ThresholdAssignment
     Vertices outside D are ordered by ascending id; each one's threshold is
     its neighbor count into D plus the earlier outside vertices, so the
     closure activates them in that order. Members get their full degree.
-    The total always equals m plus the coverage of D.
+    The total always equals m plus the coverage of D. Each value lies in
+    [0, deg] by construction, so it is not checked again.
     """
     seed_set = vertex_subset(graph, seed)
     values = [0] * graph.n
@@ -200,7 +199,7 @@ def dynamo_witness_tau(graph: Graph, seed: Iterable[int]) -> ThresholdAssignment
     for v in sorted(set(range(graph.n)) - seed_set):
         values[v] = sum(1 for u in graph.adjacency[v] if u in processed)
         processed.add(v)
-    return ThresholdAssignment.for_graph(graph, values)
+    return ThresholdAssignment(tuple(values))
 
 
 def smon(graph: Graph, t: Rational) -> SmonResult:

@@ -30,7 +30,10 @@ What does not depend on the target is computed once per graph object and
 kept on it (``_solver_state``): the greedy's pick order with the coverage
 after each pick, grown only as far as the largest target asked so far, and
 the prefix sums of the degrees in decreasing order. A greedy answer is then
-a binary search. Every decision form, the monopoly ones too, ends in
+a binary search. ``solve_pvc`` also keeps, on the graph object, each answer
+it gets from branch-and-bound, so a target asked again (by ``smon`` and
+``sdyn`` at averages with one target, or by decides with several caps) is
+solved once. Every decision form, the monopoly ones too, ends in
 ``_decide``: "yes" when the greedy needs at most k picks, "no" when the k
 largest degrees sum below t (the degree-sum bound that branch-and-bound
 applies at its root), and otherwise k compared with the size from
@@ -321,8 +324,29 @@ def pick_solver(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> str:
 
 def solve_pvc(graph: Graph, t: int) -> PvcResult:
     """Minimum-cardinality vertex set covering at least t edges, found by
-    the solver ``pick_solver`` chooses."""
-    return _route(graph)[1](t)
+    the solver ``pick_solver`` chooses.
+
+    The answers of the branch-and-bound route, the costly ones, are kept on
+    the graph object by target (``Graph._pvc_answers``) and returned again
+    without routing. Tree DP and degree-greedy answers are not kept: they
+    are polynomial, and keeping every target of a 2,000-vertex forest would
+    hold a witness per target, tens of MB. ``pvc_exact`` called directly
+    keeps nothing. Each store is one dict insert of the answer the target
+    always gets, so threads that miss at once only solve it twice.
+    """
+    answers = graph._pvc_answers
+    if answers is not None:
+        result = answers.get(t)
+        if result is not None:
+            return result
+    method, solve = _route(graph)
+    result = solve(t)
+    if method == METHOD_EXACT:
+        if answers is None:
+            answers = {}
+            object.__setattr__(graph, "_pvc_answers", answers)
+        answers[t] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def pendant_triple_augment(graph: Graph) -> tuple[Graph, dict[int, str]]:
     """
     n = graph.n
     roles = {v: ROLE_ORIGINAL if v < n else ROLE_PENDANT for v in range(4 * n)}
-    return Graph.from_edges(4 * n, [*graph.edges, *_pendant_edges(n)]), roles
+    # the graph's edges and the pendant edges are normalized and disjoint
+    return Graph._assemble(4 * n, [*graph.edges, *_pendant_edges(n)]), roles
 
 
 def _star_size(n: int, rho: Fraction) -> int:
@@ -136,7 +137,8 @@ def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
             f"path length s={s} < 1 for n={n}, m={m}, k={k}, t={t}, rho={rho}, r={r}"
         )
     roles, star_center, path_end, pendant_anchor, edges = _layout(n, r, s)
-    gadget = Graph.from_edges(len(roles), [*graph.edges, *edges])
+    # the layout's edges are normalized, distinct, and each has an end >= n
+    gadget = Graph._assemble(len(roles), [*graph.edges, *edges])
     return GadgetInstance(gadget, rho, r, s, star_center, path_end, pendant_anchor, roles)
 
 

@@ -101,6 +101,9 @@ def test_c5_gadget_battery_exhaustive():
     report = lemma2_battery(max_n=4, rhos=(Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
     assert report.instances == 4113
     assert report.passed, report.failures[:3]
+    # each flag is the record of one instance with k = n
+    assert len(report.flagged) == 840
+    assert all(list(rec) == ["n", "edges", "k", "t", "rho"] and rec["k"] == rec["n"] for rec in report.flagged)
 
 
 def test_c6_degree_greedy_matches_exact():

@@ -215,6 +215,19 @@ def test_zero_denominator_exits_2(capsys, c4_file, command, options):
     assert capsys.readouterr() == ("", f"error: zero denominator in {'3/0' if command == 'sdyn' else '1/0'!r}\n")
 
 
+@pytest.mark.parametrize("command, options", [
+    ("smon", ("-t", "9" * 5000)),
+    ("sdyn", ("-t", f"1/{'3' * 5000}")),
+    ("reduce", ("-k", "1", "-t", "2", "--rho", f"1/{'2' * 5000}")),
+])
+def test_rational_above_the_digit_limit_exits_2(capsys, c4_file, command, options):
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    assert main([command, c4_file, *options]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: rational has a part of 5000 digits, above the limit of {limit} digits\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 0\n")
@@ -342,8 +355,7 @@ def test_verify_small_battery(capsys):
         (("theorems", "--count", "-3"), "graph count must be at least 1, got -3"),
         (("lemma1", "--size-bound", "0"), "size bound must be at least 1, got 0"),
         (("all", "--size-bound", "-2"), "size bound must be at least 1, got -2"),
-        (("theorems", "--count", "100001"),
-         "the theorems suite holds every graph in memory; graph count must be <= 100000"),
+        (("theorems", "--count", "100001"), "graph count must be at most 100000"),
     ],
 )
 def test_verify_rejects_nonpositive_bounds(capsys, argv, message):

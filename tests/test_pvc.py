@@ -705,3 +705,43 @@ class TestSolverState:
                             refused += 1
                             assert not searches
         assert refused > 1000
+
+
+class TestAnswerCache:
+    # solve_pvc keeps its branch-and-bound answers on the graph object
+    def test_repeat_call_returns_the_kept_answer(self):
+        g = random_graph(10, 0.5, random.Random(8))
+        first = solve_pvc(g, g.m // 2)
+        assert solve_pvc(g, g.m // 2) is first
+        assert first == pvc_exact(fresh_copy(g), g.m // 2)
+        assert g._pvc_answers == {g.m // 2: first}
+
+    def test_equal_graphs_share_no_answers(self):
+        g = random_graph(9, 0.5, random.Random(3))
+        twin = fresh_copy(g)
+        before = (hash(g), repr(g))
+        solve_pvc(g, g.m)
+        assert g == twin and hash(g) == hash(twin)
+        assert (hash(g), repr(g)) == before
+        assert set(g._pvc_answers) == {g.m} and twin._pvc_answers is None
+        solve_pvc(twin, 1)
+        assert set(g._pvc_answers) == {g.m} and set(twin._pvc_answers) == {1}
+
+    def test_kept_answers_equal_exact_at_every_target(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6)), rng)
+            targets = rng.sample(range(g.m + 1), g.m + 1)
+            # the second round reads every answer back
+            for t in targets + targets:
+                assert solve_pvc(g, t) == pvc_exact(fresh_copy(g), t)
+            assert set(g._pvc_answers) == set(range(g.m + 1))
+
+    def test_polynomial_routes_keep_no_answers(self):
+        tree = random_recursive_tree(300, random.Random(3))
+        bip = complete_bipartite(6, 40)
+        for g, method in ((tree, "tree_dp"), (bip, "degree_greedy")):
+            assert g.n > 30 and pick_solver(g) == method
+            for t in (1, g.m // 2, g.m):
+                assert solve_pvc(g, t).method == method
+            assert g._pvc_answers is None

@@ -154,8 +154,11 @@ class TestSerialization:
         assert again == inst
 
     def test_every_battery_gadget_loads(self):
-        # every gadget lemma2_battery(max_n=3) builds matches its own layout
+        # every gadget lemma2_battery(max_n=3) checks matches its own layout,
+        # and is the one gadget of its (graph, rho, s), which the battery
+        # builds once and shares
         loaded = 0
+        by_length = {}
         for n in range(1, 4):
             for g in all_labeled_graphs(n):
                 for k in range(n + 1):
@@ -163,8 +166,10 @@ class TestSerialization:
                         for rho in DEFAULT_RHOS:
                             inst = build_gadget(g, k, t, rho)
                             assert load_gadget(gadget_edge_list(inst), gadget_sidecar_json(inst)) == inst
+                            assert by_length.setdefault((g, rho, inst.s), inst) == inst
                             loaded += 1
         assert loaded == lemma2_battery(max_n=3).instances
+        assert len(by_length) < loaded
 
     def test_sidecar_is_byte_stable(self):
         inst = build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
