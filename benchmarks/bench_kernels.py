@@ -53,8 +53,10 @@ from pvcmon.pvc import (
     solve_pvc,
 )
 from pvcmon.reductions import (
+    _GadgetFamily,
     build_gadget,
     gadget_edge_list,
+    gadget_parameters,
     gadget_sidecar_json,
     load_gadget,
     pendant_triple_augment,
@@ -343,6 +345,22 @@ def bench_gadgets():
     ]
     secs, _ = _time(lambda: [build_gadget(*job) for job in jobs])
     _row(f"build_gadget lemma2 battery n<=4 ({len(jobs)} builds)", secs, len(jobs))
+    # the gadgets the battery itself builds: one family per (graph, rho),
+    # called once per distinct path length
+    families = {}
+    for g, k, t, rho in jobs:
+        first = families.setdefault((g, rho), {})
+        first.setdefault(gadget_parameters(g, k, t, rho)[1], (k, t))
+    calls = sum(map(len, families.values()))
+
+    def build_families():
+        for (g, rho), first in families.items():
+            family = _GadgetFamily(g, rho)
+            for k, t in first.values():
+                family(k, t)
+
+    secs, _ = _time(build_families)
+    _row(f"gadget families lemma2 ({calls} in {len(families)})", secs, calls)
     inst = build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
     texts = (gadget_edge_list(inst), gadget_sidecar_json(inst))
     secs, _ = _time(lambda: [load_gadget(*texts) for _ in range(100)])

@@ -102,28 +102,28 @@ def _coerce_tau(graph: Graph, tau) -> ThresholdAssignment:
     return ThresholdAssignment.for_graph(graph, tau)
 
 
-def _required_total(graph: Graph, t: Rational) -> Fraction:
-    # n*t, the least total of an assignment with average >= t; no assignment
-    # exceeds the degree sum 2m
+def _required_total(graph: Graph, t: Rational) -> int:
+    # ceil(n*t), the least total of an assignment with average >= t = a/b,
+    # in integers; no assignment exceeds the degree sum 2m
     t = _coerce_rational(t)
-    if t < 0:
+    a, b = t.numerator, t.denominator
+    if a < 0:
         raise ValueError(f"average threshold must be nonnegative, got {t}")
-    nt = graph.n * t
-    if nt > 2 * graph.m:
+    if graph.n * a > 2 * graph.m * b:
         raise InfeasibleTargetError(
-            f"no valid assignment: required total {nt} exceeds degree sum {2 * graph.m}"
+            f"no valid assignment: required total {graph.n * t} exceeds degree sum {2 * graph.m}"
         )
-    return nt
+    return -(-graph.n * a // b)
 
 
-def _static_target(nt: Rational) -> int:
-    # Smon_t = P_{ceil(nt/2)}: the edges a smallest static monopoly at total nt covers
-    return math.ceil(Fraction(nt, 2))
+def _static_target(total: int) -> int:
+    # Smon_t = P_{ceil(total/2)}: the edges a smallest static monopoly at this total covers
+    return (total + 1) // 2
 
 
-def _dynamic_target(graph: Graph, nt: Rational) -> int:
-    # Sdyn_t = P_{ceil(nt) - m}, no edge at all whenever ceil(nt) <= m
-    return max(0, math.ceil(nt) - graph.m)
+def _dynamic_target(graph: Graph, total: int) -> int:
+    # Sdyn_t = P_{total - m}, no edge at all whenever total <= m
+    return max(0, total - graph.m)
 
 
 def simulate_spread(graph: Graph, tau, seed: Iterable[int]) -> SpreadTrace:
@@ -255,12 +255,12 @@ def sdyn_via_subgraph(
     a caller that already holds ``sparse_profile(graph)`` passes it as
     ``profile`` and skips the enumeration.
     """
-    nt = _required_total(graph, t)
+    total = _required_total(graph, t)
     if profile is None:
         if graph.n > max_n:
             raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
         profile = sparse_profile(graph)
-    budget = 2 * graph.m - math.ceil(nt)
+    budget = 2 * graph.m - total
     best_size = max(s for s, row in enumerate(profile) if min(row) <= budget)
     best_mask = min(mask for inside, mask in profile[best_size].items() if inside <= budget)
     witness = frozenset(v for v in range(graph.n) if (best_mask >> v) & 1)

@@ -42,7 +42,6 @@ applies at its root), and otherwise k compared with the size from
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
@@ -86,10 +85,14 @@ class PvcbInstance:
     t: int
 
     def __post_init__(self):
-        if not (0 <= self.k <= self.graph.n):
-            raise ValueError(f"budget k={self.k} outside [0, {self.graph.n}]")
-        if not (0 <= self.t <= self.graph.m):
-            raise ValueError(f"target t={self.t} outside [0, {self.graph.m}]")
+        _check_instance(self.graph, self.k, self.t)
+
+
+def _check_instance(graph: Graph, k: int, t: int) -> None:
+    if not (0 <= k <= graph.n):
+        raise ValueError(f"budget k={k} outside [0, {graph.n}]")
+    if not (0 <= t <= graph.m):
+        raise ValueError(f"target t={t} outside [0, {graph.m}]")
 
 
 def _check_target(graph: Graph, t: int) -> None:
@@ -175,7 +178,10 @@ def _decide(graph: Graph, t: int, cap: int) -> bool:
 
     The greedy answers yes when it needs at most cap picks; the degree-sum
     bound answers no when the cap largest degrees sum below t. The instances
-    between the two go to the solver ``solve_pvc`` picks.
+    between the two go to the solver ``solve_pvc`` picks. Nothing here is
+    checked: the caller keeps 0 <= t <= m, since the greedy never reaches a
+    larger target, and cap >= 0, since a negative cap indexes ``dprefix``
+    from its end.
     """
     state = _solver_state(graph, t)
     if bisect_left(state.covered, t) <= cap:
@@ -209,15 +215,16 @@ def pvc_decide(instance: PvcbInstance) -> bool:
 def pvc_rho_decide(graph: Graph, l: int, rho: Rational) -> bool:
     """True iff some set of at most l vertices covers at least rho * m edges.
 
-    The target ceil(rho * m) is computed in exact rational arithmetic; a
-    float rho raises TypeError.
+    The target ceil(rho * m) is computed in integers from rho = a/b in
+    lowest terms; a float rho raises TypeError.
     """
     rho = _coerce_rational(rho)
-    if not (0 < rho < 1):
+    a, b = rho.numerator, rho.denominator
+    if not (0 < a < b):
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     if l < 0:
         raise ValueError(f"budget must be nonnegative, got {l}")
-    return _decide(graph, math.ceil(rho * graph.m), l)
+    return _decide(graph, -(-a * graph.m // b), l)
 
 
 def _orient(deg: tuple[int, ...], side: list[int]) -> tuple[int, int, int]:

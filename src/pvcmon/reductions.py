@@ -6,8 +6,16 @@ Two constructions are provided, with exhaustive desk-scale verifiers:
   original vertex, shifting any coverage target by exactly 3k.
 * ``build_gadget`` glues a large star and a calibrated path onto the
   augmented graph, turning a budgeted instance into a fixed-fraction one.
+  It is the one builder of gadget graphs: a ``_GadgetFamily`` of one
+  (graph, rho) called once; a caller that builds many gadgets of one
+  (graph, rho) keeps the family, which lays down their common part once.
   ``load_gadget`` accepts its serialized form only if it matches exactly
   the layout (``_layout``) that the sidecar's own parameters give.
+
+The public verifiers check their instances, then decide through
+``pvc_decide`` and ``pvc_rho_decide``; the batteries, whose loops keep
+every instance valid, call ``_lemma1_holds`` and ``pvc._decide`` without
+building instance objects.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from fractions import Fraction
 
 from .errors import GadgetConstructionError
 from .graph import MAX_VERTICES, Graph, Rational, _coerce_rational, parse_graph, to_edge_list_text
-from .pvc import PvcbInstance, _check_target, pvc_decide, pvc_rho_decide
+from .pvc import PvcbInstance, _check_instance, _check_target, _decide, pvc_decide, pvc_rho_decide
 
 ROLE_ORIGINAL = "original"
 ROLE_PENDANT = "pendant"
@@ -51,16 +59,22 @@ def _pendant_edges(n: int) -> list[tuple[int, int]]:
     return [(v, n + 3 * v + j) for v in range(n) for j in range(3)]
 
 
-def _layout(n: int, r: int, s: int):
-    """(roles, star_center, path_end, pendant_anchor, edges) of the gadget with
-    n original vertices, r star leaves and s path vertices; ``edges`` are all
-    but the original-original ones, normalized (u < v). Refuses an order above
-    ``MAX_VERTICES`` before building anything."""
+def _check_order(n: int, r: int, s: int) -> int:
+    """The gadget's order 4n + r + 1 + s; above ``MAX_VERTICES`` it raises."""
     order = 4 * n + r + 1 + s
     if order > MAX_VERTICES:
         raise GadgetConstructionError(
             f"gadget order {order} (r={r}, s={s}) exceeds the limit of {MAX_VERTICES} vertices"
         )
+    return order
+
+
+def _layout(n: int, r: int, s: int):
+    """(roles, star_center, path_end, pendant_anchor, edges) of the gadget with
+    n original vertices, r star leaves and s path vertices; ``edges`` are all
+    but the original-original ones, normalized (u < v). Refuses an order above
+    ``MAX_VERTICES`` before building anything."""
+    order = _check_order(n, r, s)
     star_center = 4 * n
     path_end = star_center + 1 + r
     pendant_anchor = n  # lowest-id pendant (belongs to original vertex 0)
@@ -102,11 +116,67 @@ def gadget_parameters(graph: Graph, k: int, t: int, rho: Rational) -> tuple[int,
     integers from rho = a/b in lowest terms.
     """
     rho = _coerce_rational(rho)
+    r = _star_size(graph.n, rho)
+    return r, _path_length(graph, rho, r, k, t)
+
+
+def _path_length(graph: Graph, rho: Fraction, r: int, k: int, t: int) -> int:
     a, b = rho.numerator, rho.denominator
-    n, m = graph.n, graph.m
-    r = _star_size(n, rho)
-    s = (b * (t + 3 * k + r + 1) - a * (r + m + 3 * n)) // a
-    return r, s
+    return (b * (t + 3 * k + r + 1) - a * (r + graph.m + 3 * graph.n)) // a
+
+
+class _GadgetFamily:
+    """``build_gadget(graph, k, t, rho)`` for every (k, t) of one (graph, rho).
+
+    Those gadgets differ only in their path, whose vertices hold the highest
+    ids. So the s = 1 gadget is laid down once, on the first build, and each
+    gadget is it with the rest of the path appended: its sorted edges are
+    the fixed ones followed by the path's, and every vertex before the path
+    end keeps its neighbour tuple. Each build makes a new graph object, so
+    no two gadgets share solver state.
+    """
+
+    def __init__(self, graph: Graph, rho: Rational):
+        rho = _coerce_rational(rho)
+        if not (0 < rho < 1):
+            raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+        if graph.n < 1:
+            raise ValueError("gadget needs at least one original vertex")
+        self.graph, self.rho, self.r = graph, rho, _star_size(graph.n, rho)
+        self._fixed = None  # the s = 1 gadget, laid down on the first build
+
+    def path_length(self, k: int, t: int) -> int:
+        return _path_length(self.graph, self.rho, self.r, k, t)
+
+    def __call__(self, k: int, t: int) -> GadgetInstance:
+        graph, rho, r = self.graph, self.rho, self.r
+        n, m = graph.n, graph.m
+        if k < 0 or t < 0:
+            raise ValueError("k and t must be nonnegative")
+        if k > n:
+            raise ValueError(f"budget k={k} exceeds vertex count {n}")
+        _check_target(graph, t)
+        s = self.path_length(k, t)
+        if s < 1:
+            raise GadgetConstructionError(
+                f"path length s={s} < 1 for n={n}, m={m}, k={k}, t={t}, rho={rho}, r={r}"
+            )
+        order = _check_order(n, r, s)
+        if self._fixed is None:
+            roles, star_center, path_end, pendant_anchor, edges = _layout(n, r, 1)
+            # the layout's edges are normalized, distinct, and each has an end >= n
+            fixed = Graph._assemble(len(roles), [*graph.edges, *edges])
+            self._fixed = fixed, roles, star_center, path_end, pendant_anchor
+        fixed, roles, star_center, path_end, pendant_anchor = self._fixed
+        # the i-th path vertex's neighbours: lower[i], then upper[i] unless it is last
+        lower, upper = (star_center, *range(path_end, order - 1)), range(path_end + 1, order)
+        gadget = Graph(
+            order,
+            fixed.edges + tuple(zip(lower[1:], upper)),
+            fixed.adjacency[:path_end] + (*zip(lower, upper), lower[-1:]),
+        )
+        roles += (ROLE_PATH,) * (s - 1)
+        return GadgetInstance(gadget, rho, r, s, star_center, path_end, pendant_anchor, roles)
 
 
 def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
@@ -118,28 +188,11 @@ def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
     InfeasibleTargetError, as ``pvc`` does. A computed path length below 1,
     or an order 4n + r + 1 + s above ``graph.MAX_VERTICES``, is a
     construction failure and raises, reporting the parameters, before
-    anything is built. A float rho raises TypeError.
+    anything is built. A float rho raises TypeError. This is one
+    ``_GadgetFamily`` called once; a caller building many gadgets of one
+    (graph, rho) keeps the family and calls it for each.
     """
-    rho = _coerce_rational(rho)
-    if not (0 < rho < 1):
-        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    if graph.n < 1:
-        raise ValueError("gadget needs at least one original vertex")
-    if k < 0 or t < 0:
-        raise ValueError("k and t must be nonnegative")
-    if k > graph.n:
-        raise ValueError(f"budget k={k} exceeds vertex count {graph.n}")
-    _check_target(graph, t)
-    n, m = graph.n, graph.m
-    r, s = gadget_parameters(graph, k, t, rho)
-    if s < 1:
-        raise GadgetConstructionError(
-            f"path length s={s} < 1 for n={n}, m={m}, k={k}, t={t}, rho={rho}, r={r}"
-        )
-    roles, star_center, path_end, pendant_anchor, edges = _layout(n, r, s)
-    # the layout's edges are normalized, distinct, and each has an end >= n
-    gadget = Graph._assemble(len(roles), [*graph.edges, *edges])
-    return GadgetInstance(gadget, rho, r, s, star_center, path_end, pendant_anchor, roles)
+    return _GadgetFamily(graph, rho)(k, t)
 
 
 def _sidecar_fields(inst: GadgetInstance) -> dict:
@@ -222,7 +275,9 @@ def load_gadget(edge_list_text: str, sidecar_text: str) -> GadgetInstance:
 
 
 def _lemma1_holds(graph: Graph, augmented: Graph, k: int, t: int) -> bool:
-    return pvc_decide(PvcbInstance(graph, k, t)) == pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
+    # both sides are valid instances once 0 <= k <= n and 0 <= t <= m, which
+    # the caller checks: k <= 4n and t + 3k <= m + 3n
+    return _decide(graph, t, k) == _decide(augmented, t + 3 * k, k)
 
 
 def verify_lemma1(graph: Graph, k: int, t: int, max_n: int = 8) -> bool:
@@ -233,6 +288,7 @@ def verify_lemma1(graph: Graph, k: int, t: int, max_n: int = 8) -> bool:
     """
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
+    _check_instance(graph, k, t)
     augmented, _ = pendant_triple_augment(graph)
     return _lemma1_holds(graph, augmented, k, t)
 

@@ -3,11 +3,17 @@
 Each battery sweeps a corpus of small instances and records every
 counterexample; an empty failure list is the pass condition. The same
 functions back the CLI ``verify`` subcommand and the acceptance tests.
+
+A battery pays for its decisions and little else. Its loops bound every
+budget and target, so the lemma batteries decide through ``pvc._decide``
+without building or range-checking instance objects; targets come from
+averages in integer arithmetic; ``lemma2`` builds each (graph, rho)'s
+gadgets from one ``reductions._GadgetFamily``; and a record is built only
+for an instance that fails or is flagged.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,7 +22,7 @@ from typing import Iterator
 
 from . import oracles
 from .corpus import all_labeled_graphs, random_graph
-from .graph import Graph, _coerce_rational, coverage
+from .graph import Graph, coverage
 from .monopoly import (
     dynamo_witness_tau,
     is_dynamic_monopoly,
@@ -27,8 +33,8 @@ from .monopoly import (
     smon,
     sparse_profile,
 )
-from .pvc import PvcbInstance, pvc_decide, pvc_rho_decide
-from .reductions import _lemma1_holds, build_gadget, gadget_parameters, pendant_triple_augment
+from .pvc import _decide, pvc_rho_decide
+from .reductions import _GadgetFamily, _lemma1_holds, pendant_triple_augment
 
 DEFAULT_RHOS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 DENOMINATORS = (1, 2, 3)  # of the averages p/q the theorems battery checks
@@ -86,41 +92,47 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
     Instances with k = n are checked like the rest but also listed under
     ``flagged`` for separate inspection. The gadget depends on (k, t) only
     through its path length s, so instances with one s share one gadget
-    object, and with it the solver state and answers kept on its graph.
+    object, and with it the solver state and answers kept on its graph; the
+    gadgets of one (graph, rho) come from one ``_GadgetFamily``, which lays
+    down their common part once. A record is built only for an instance
+    that fails or is flagged.
     """
     report = BatteryReport("lemma2")
     for n in range(1, max_n + 1):
         for graph in all_labeled_graphs(n):
             augmented, _ = pendant_triple_augment(graph)
-            # the left side <G', k, t + 3k> does not depend on rho
+            # the left side <G', k, t + 3k> does not depend on rho; k <= n and
+            # t + 3k <= m + 3n make it a valid instance without checks
             left = {
-                (k, t): pvc_decide(PvcbInstance(augmented, k, t + 3 * k))
+                (k, t): _decide(augmented, t + 3 * k, k)
                 for k in range(n + 1)
                 for t in range(graph.m + 1)
             }
             for rho in rhos:
-                rho = _coerce_rational(rho)
+                family = _GadgetFamily(graph, rho)
                 gadgets = {}  # path length s -> the gadget
                 for k in range(n + 1):
                     for t in range(graph.m + 1):
                         report.instances += 1
-                        record = {**_graph_key(graph), "k": k, "t": t, "rho": str(rho)}
-                        inst = gadgets.get(gadget_parameters(graph, k, t, rho)[1])
+                        s = family.path_length(k, t)
+                        inst = gadgets.get(s)
                         if inst is None:
-                            inst = build_gadget(graph, k, t, rho)
-                            gadgets[inst.s] = inst
+                            inst = gadgets[s] = family(k, t)
                         structural_ok = (
                             inst.s >= 1
                             and inst.graph.n == 4 * n + inst.r + 1 + inst.s
                             and inst.graph.m == graph.m + 3 * n + inst.r + inst.s + 1
                         )
                         equivalent = left[k, t] == pvc_rho_decide(inst.graph, k + 1, inst.rho)
-                        if not (structural_ok and equivalent):
-                            report.failures.append(
-                                {**record, "structural_ok": structural_ok, "equivalent": equivalent}
-                            )
-                        if k == n:
-                            report.flagged.append(record)
+                        ok = structural_ok and equivalent
+                        if not ok or k == n:
+                            record = {**_graph_key(graph), "k": k, "t": t, "rho": str(family.rho)}
+                            if not ok:
+                                report.failures.append(
+                                    {**record, "structural_ok": structural_ok, "equivalent": equivalent}
+                                )
+                            if k == n:
+                                report.flagged.append(record)
     return report
 
 
@@ -168,6 +180,14 @@ def _phi_total_profile(graph: Graph) -> list[int]:
     return best
 
 
+def _required_totals(n: int, t: Fraction) -> tuple[int, int]:
+    """ceil(n t), the least total of an assignment with average t, and
+    ceil(ceil(n t) / 2), the edges a static monopoly at that total covers,
+    in integers from t = a/b."""
+    nt_ceil = -(-n * t.numerator // t.denominator)
+    return nt_ceil, (nt_ceil + 1) // 2
+
+
 def theorem_corpus(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) -> Iterator[Graph]:
     """The theorems battery's seeded G(n, p) graphs, drawn one at a time."""
     rng = random.Random(seed)
@@ -193,14 +213,12 @@ def theorem_battery(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) -
         sparse_prof = sparse_profile(graph)
         for t in _feasible_averages(graph):
             report.instances += 1
-            nt_ceil = math.ceil(graph.n * t)
+            nt_ceil, cover_target = _required_totals(graph.n, t)
             problems = []
 
             mon = smon(graph, t)
             expect_phi = next(k for k, tot in enumerate(phi_prof) if tot >= nt_ceil)
-            expect_cov = next(
-                k for k, cov in enumerate(cover_prof) if cov >= math.ceil(Fraction(nt_ceil, 2))
-            )
+            expect_cov = next(k for k, cov in enumerate(cover_prof) if cov >= cover_target)
             if mon.size != expect_phi:
                 problems.append(f"static size {mon.size} != witness-total optimum {expect_phi}")
             if mon.size != expect_cov:

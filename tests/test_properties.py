@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pvcmon import (
     GraphFormatError,
+    InfeasibleTargetError,
     PvcbInstance,
     coverage,
     dynamo_witness_tau,
@@ -20,6 +22,7 @@ from pvcmon import (
     pvc_decide,
     pvc_exact,
     pvc_greedy_upper,
+    pvc_rho_decide,
     sdyn,
     sdyn_decide,
     sdyn_via_subgraph,
@@ -30,13 +33,13 @@ from pvcmon import (
     verify_lemma1,
     verify_lemma2,
 )
-from pvcmon import kernels
+from pvcmon import kernels, pvc
 from pvcmon.corpus import complete_bipartite
 from pvcmon.graph import Graph
 from pvcmon.oracles import cover_profile
 from pvcmon.pvc import EXACT_MAX_N, METHOD_DEGREE_GREEDY, METHOD_TREE
-from pvcmon.monopoly import sparse_profile
-from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, theorem_corpus
+from pvcmon.monopoly import _dynamic_target, _required_total, _static_target, sparse_profile
+from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, _required_totals, theorem_corpus
 from util import fresh_copy, solver_answers
 
 
@@ -359,3 +362,48 @@ def test_minplus_forms_match_naive(data, la, lb, forms):
         assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == (2, la + lb - 1)
     # the inputs are left as they were
     assert [list(map(int, row)) for row in a] == a_rows and [list(map(int, row)) for row in b] == b_rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, InfeasibleTargetError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_total(graph, t):
+    # the Fraction formula the integer forms replace
+    if t < 0:
+        raise ValueError(f"average threshold must be nonnegative, got {t}")
+    nt = graph.n * t
+    if nt > 2 * graph.m:
+        raise InfeasibleTargetError(f"no valid assignment: required total {nt} exceeds degree sum {2 * graph.m}")
+    return nt
+
+
+def _fraction_rho_target(graph, rho):
+    if not (0 < rho < 1):
+        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+    return math.ceil(rho * graph.m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 12), st.data(), st.integers(-60, 60), st.integers(1, 25))
+def test_integer_targets_match_fraction_formulas(n, data, p, q):
+    pairs = list(combinations(range(n), 2))
+    graph = Graph.from_edges(n, pairs[:data.draw(st.integers(0, len(pairs)))])
+    t = Fraction(p, q)
+    expect = _outcome(_fraction_total, graph, t)
+    total = _outcome(_required_total, graph, t)
+    if isinstance(expect, Fraction):
+        assert total == math.ceil(expect)
+        assert _static_target(total) == math.ceil(Fraction(expect, 2))
+        assert _dynamic_target(graph, total) == max(0, math.ceil(expect) - graph.m)
+    else:
+        assert total == expect  # the same error, word for word
+    # the theorems battery's totals, at any average
+    nt_ceil = math.ceil(n * t)
+    assert _required_totals(n, t) == (nt_ceil, math.ceil(Fraction(nt_ceil, 2)))
+    # pvc_rho_decide asks _decide for ceil(rho m) edges, or refuses rho
+    with mock.patch.object(pvc, "_decide", lambda graph, target, cap: target):
+        assert _outcome(pvc_rho_decide, graph, 1, t) == _outcome(_fraction_rho_target, graph, t)

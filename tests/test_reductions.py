@@ -1,25 +1,32 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pvcmon
 from pvcmon import (
     GadgetConstructionError,
     Graph,
+    InfeasibleTargetError,
     build_gadget,
     gadget_edge_list,
     gadget_sidecar_json,
     load_gadget,
     pendant_triple_augment,
+    pvc_rho_decide,
     reduction_chain,
     verify_lemma1,
     verify_lemma2,
 )
 from pvcmon.corpus import all_labeled_graphs, cycle_graph, path_graph, random_graph
 from pvcmon.graph import to_edge_list_text, walk
-from pvcmon.reductions import ROLE_ORIGINAL, ROLE_PENDANT, gadget_parameters
+from pvcmon.reductions import ROLE_ORIGINAL, ROLE_PENDANT, _GadgetFamily, _layout, gadget_parameters
 from pvcmon.verify import DEFAULT_RHOS, lemma2_battery
 
 from util import is_chordal
@@ -147,6 +154,55 @@ class TestBuildGadget:
         assert build_gadget(g, 1, 2, "1/2") == build_gadget(g, 1, 2, Fraction(1, 2))
 
 
+class TestGadgetFamily:
+    def test_family_matches_an_independent_assembly(self):
+        # every gadget of the default lemma2 battery, each (graph, rho) from
+        # one family, equals the checked build of the graph's edges plus the
+        # layout's for the same s
+        built = 0
+        for n in range(1, 5):
+            for g in all_labeled_graphs(n):
+                for rho in DEFAULT_RHOS:
+                    family = _GadgetFamily(g, rho)
+                    for k in range(n + 1):
+                        for t in range(g.m + 1):
+                            inst = family(k, t)
+                            r, s = gadget_parameters(g, k, t, rho)
+                            roles, star_center, path_end, anchor, edges = _layout(n, r, s)
+                            assert inst.graph == Graph.from_edges(len(roles), [*g.edges, *edges])
+                            assert (inst.rho, inst.r, inst.s, inst.roles) == (rho, r, s, roles)
+                            assert (inst.star_center, inst.path_end, inst.pendant_anchor) == (
+                                star_center, path_end, anchor)
+                            built += 1
+        assert built == 4113
+
+    def test_family_builds_share_no_solver_state(self):
+        g, rho = cycle_graph(4), Fraction(1, 2)
+        family = _GadgetFamily(g, rho)
+        first, other, again = family(1, 2), family(2, 4), family(1, 2)
+        assert first.s != other.s
+        assert first == again and first.graph is not again.graph
+        assert other == build_gadget(g, 2, 4, rho)
+        # deciding on two of them leaves the third, and the next build, fresh
+        pvc_rho_decide(first.graph, 2, rho)
+        pvc_rho_decide(other.graph, 3, rho)
+        assert first.graph._pvc_state is not None and other.graph._pvc_state is not None
+        assert first.graph._pvc_state is not other.graph._pvc_state
+        assert again.graph._pvc_state is None and again.graph._pvc_answers is None
+        assert family(1, 2).graph._pvc_state is None
+
+    def test_family_checks_each_instance(self):
+        family = _GadgetFamily(cycle_graph(4), Fraction(1, 2))
+        for k, t, error, message in (
+            (-1, 2, ValueError, "k and t must be nonnegative"),
+            (5, 2, ValueError, "budget k=5 exceeds vertex count 4"),
+            (1, 5, InfeasibleTargetError, "target 5 exceeds edge count 4"),
+        ):
+            with pytest.raises(error, match=message):
+                family(k, t)
+        assert family(1, 2) == build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
+
+
 class TestSerialization:
     def test_round_trip(self):
         inst = build_gadget(path_graph(3), 1, 1, Fraction(1, 3))
@@ -264,6 +320,30 @@ class TestEquivalences:
                 for k in range(g.n + 1):
                     for t in range(g.m + 1):
                         assert verify_lemma2(g, k, t, rho)
+
+    def test_lemma1_checks_its_instance(self):
+        # the decides under verify_lemma1 take k and t unchecked, and the
+        # greedy never stops on a target above the edge count, so the calls
+        # run in a child process that a regression cannot hang
+        child = (
+            "from pvcmon import verify_lemma1\n"
+            "from pvcmon.corpus import path_graph\n"
+            "for k, t in ((-1, 1), (4, 1), (1, -1), (1, 3)):\n"
+            "    try:\n"
+            "        verify_lemma1(path_graph(3), k, t)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(pvcmon.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "budget k=-1 outside [0, 3]",
+            "budget k=4 outside [0, 3]",
+            "target t=-1 outside [0, 2]",
+            "target t=3 outside [0, 2]",
+        ]
 
     def test_guards(self):
         big = random_graph(9, 0.3, random.Random(0))

@@ -1,12 +1,32 @@
 """The verification batteries: what a failure carries, and what the theorems battery holds."""
 
+import hashlib
+import json
 import weakref
 from fractions import Fraction
 
 import pvcmon.verify as verify
 from pvcmon.corpus import random_graph
 from pvcmon.monopoly import SmonResult
-from pvcmon.verify import _feasible_averages, lemma2_battery, theorem_battery, theorem_corpus
+from pvcmon.verify import _feasible_averages, lemma2_battery, run_suite, theorem_battery, theorem_corpus
+
+# sha256 of the `verify all` payloads without their timing fields, recorded
+# before the batteries decided without instance objects and grew each gadget
+# from one fixed part per (graph, rho)
+VERIFY_DIGEST = "e730ae071afe189ccfee05abdfcf5637f2396e7868e452a580be74e9deac5973"
+
+
+def test_verify_all_payloads_are_pinned():
+    payloads = []
+    for report in run_suite("all"):
+        payload = report.to_payload()
+        del payload["elapsed_seconds"], payload["instances_per_second"]
+        payloads.append(payload)
+    counts = [(p["suite"], p["instances"], len(p["flagged"])) for p in payloads]
+    assert counts == [("lemma1", 38235, 0), ("lemma2", 4113, 840), ("theorems", 3204, 0),
+                      ("witness-identities", 3742, 0)]
+    digest = hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_DIGEST
 
 
 def test_a_wrong_static_size_is_one_theorem_failure(monkeypatch):
