@@ -169,30 +169,36 @@ _BLOCK_CELLS = 1 << 14
 LIST_CELLS = 48
 
 
-def minplus(a, b):
+def minplus(a, b, size=None):
     """Min-plus convolution along the last axis; INF marks unreachable entries.
 
     ``a`` and ``b`` have the same leading shape (the tree DP stacks a
     vertex's two state tables as one (2, L) operand), and each row of the
     result convolves the matching rows. An operand is an int64 array or,
     for short tables, a sequence of rows that are Python lists of ints
-    (the tree DP's pair of lists). When both are lists and the fold has at
-    most ``LIST_CELLS`` sums a row, a plain-Python loop answers with a tuple
-    of row lists; otherwise the numpy path answers with a new array,
-    converting any list operand. There a one-cell operand, the tree DP's
-    every first fold into a base table, takes one add and a clamp; longer
-    ones go by blocks of ``_BLOCK_CELLS // len(b)`` cells of the shorter
-    operand (``_skew_min``), and a block that holds them all is the result.
-    Inputs are never written.
+    (the tree DP's pair of lists). With ``size`` the result is cut to its
+    first ``size`` cells, which read only the operands' first ``size``
+    cells; without it, it is the whole convolution. When both are lists
+    and the fold has at most ``LIST_CELLS`` sums a row, a plain-Python loop
+    answers with a tuple of row lists; otherwise the numpy path answers
+    with a new array, converting any list operand. There a one-cell
+    operand, the tree DP's every first fold into a base table, takes one
+    add and a clamp; longer ones go by blocks of ``_BLOCK_CELLS // len(b)``
+    cells of the shorter operand (``_skew_min``), and a block that holds
+    them all is the result. Inputs are never written.
     """
     if type(a) is not np.ndarray:
         if type(b) is not np.ndarray and len(a[0]) * len(b[0]) <= LIST_CELLS:
-            return _minplus_lists(a, b)
+            return _minplus_lists(a, b, size)
         a = np.array(a, dtype=np.int64)
     if type(b) is not np.ndarray:
         b = np.array(b, dtype=np.int64)
     if a.shape[-1] > b.shape[-1]:
         a, b = b, a
+    width = a.shape[-1] + b.shape[-1] - 1
+    if size is not None and size < width:
+        width = size
+        a, b = a[..., :size], b[..., :size]
     la, lb = a.shape[-1], b.shape[-1]
     if la == 1:
         out = a + b  # an INF a[..., 0] clamps its whole row to INF
@@ -200,19 +206,20 @@ def minplus(a, b):
         return out
     rows = max(1, _BLOCK_CELLS // lb)
     if la <= rows:
-        out = _skew_min(a, b)
+        out = _skew_min(a, b, width)
     else:
-        out = np.full((*a.shape[:-1], la + lb - 1), INF, dtype=np.int64)
+        out = np.full((*a.shape[:-1], width), INF, dtype=np.int64)
         for i in range(0, la, rows):
-            part = _skew_min(a[..., i:i + rows], b)
+            part = _skew_min(a[..., i:i + rows], b, width - i)
             seg = out[..., i:i + part.shape[-1]]
             np.minimum(seg, part, out=seg)
     np.minimum(out, INF, out=out)
     return out
 
 
-def _minplus_lists(a, b) -> tuple:
-    """Min-plus of two sequences of list rows, row by row, in plain Python.
+def _minplus_lists(a, b, size) -> tuple:
+    """Min-plus of two sequences of list rows, row by row, in plain Python,
+    each row cut to its first ``size`` cells unless ``size`` is None.
 
     A one-cell row x shifts the other row by x (INF past INF - x). Longer
     rows start all INF, and each finite cell x of the shorter row lowers the
@@ -226,28 +233,30 @@ def _minplus_lists(a, b) -> tuple:
         if len(ra) == 1:
             x = ra[0]
             lim = INF - x
-            out.append([x + y if y < lim else INF for y in rb])
+            out.append([x + y if y < lim else INF for y in rb[:size]])
             continue
         lb = len(rb)
-        row = [INF] * (len(ra) + lb - 1)
-        for i, x in enumerate(ra):
+        width = len(ra) + lb - 1
+        row = [INF] * (width if size is None else min(width, size))
+        for i, x in enumerate(ra[:size]):
             if x < INF:
                 row[i:i + lb] = [p if p < (s := x + y) else s for p, y in zip(row[i:i + lb], rb)]
         out.append(row)
     return tuple(out)
 
 
-def _skew_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One block of min-plus: the unclamped convolution of a block of cells
-    ``a`` with all of ``b``.
+def _skew_min(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """One block of min-plus: the first ``width`` cells of the unclamped
+    convolution of a block of cells ``a`` with all of ``b``.
 
     Row i of the sums ``a[i] + b`` goes into a buffer padded on the right
     with INF; re-read with rows one cell shorter, row i starts i cells
     further right, so one min down the rows is the block's result.
     """
     lead, r, lb = a.shape[:-1], a.shape[-1], b.shape[-1]
-    width = lb + r - 1
+    full = lb + r - 1
     buf = np.empty((*lead, r, lb + r), dtype=np.int64)
     buf[..., lb:] = INF
     np.add(a[..., None], b[..., None, :], out=buf[..., :lb])
-    return buf.reshape(*lead, r * (lb + r))[..., :r * width].reshape(*lead, r, width).min(axis=-2)
+    rows = buf.reshape(*lead, r * (lb + r))[..., :r * full].reshape(*lead, r, full)
+    return rows[..., :width].min(axis=-2)

@@ -16,13 +16,12 @@ about several averages of one graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InfeasibleTargetError
-from .graph import Graph, Rational, _coerce_rational, edge_density, vertex_subset
+from .graph import Graph, Rational, _coerce_rational, vertex_subset
 from .pvc import _decide, solve_pvc
 
 # Largest graph sdyn_via_subgraph enumerates unless told otherwise (2^14 subsets).
@@ -133,22 +132,22 @@ def simulate_spread(graph: Graph, tau, seed: Iterable[int]) -> SpreadTrace:
     many active neighbors; the process stops when a round adds nothing.
     """
     tau = _coerce_tau(graph, tau)
-    seed_set = vertex_subset(graph, seed)
-    active = set(seed_set)
-    layers = [frozenset(seed_set)]
-    remaining = set(range(graph.n)) - active
+    layer = vertex_subset(graph, seed)
+    # lack[v]: the active neighbours v still lacks; a decrement to 0 puts v in
+    # the next layer, so the seed starts at -1 and round 1 adds those of threshold 0
+    lack = [-1 if v in layer else need for v, need in enumerate(tau.values)]
+    layers, nxt = [layer], [v for v, need in enumerate(lack) if need == 0]
     while True:
-        nxt = {
-            v
-            for v in remaining
-            if sum(1 for u in graph.adjacency[v] if u in active) >= tau.values[v]
-        }
+        for v in layer:
+            for u in graph.adjacency[v]:
+                lack[u] -= 1
+                if not lack[u]:
+                    nxt.append(u)
         if not nxt:
             break
-        layers.append(frozenset(nxt))
-        active |= nxt
-        remaining -= nxt
-    return SpreadTrace(tuple(layers), len(active) == graph.n)
+        layer, nxt = frozenset(nxt), []
+        layers.append(layer)
+    return SpreadTrace(tuple(layers), sum(map(len, layers)) == graph.n)
 
 
 def is_dynamic_monopoly(graph: Graph, tau, seed: Iterable[int]) -> bool:
@@ -268,13 +267,15 @@ def sdyn_via_subgraph(
 
 
 def _decide_total(graph: Graph, d: int, k_factor: Rational, low: int) -> int:
-    # ceil(n*k*density), for k strictly between low and 2
+    # ceil(n*k*density) = ceil(k*m) in integers, for k = a/b strictly between low and 2
     k_factor = _coerce_rational(k_factor)
     if not (low < k_factor < 2):
         raise ValueError(f"k factor must lie strictly between {low} and 2, got {k_factor}")
     if d < 0:
         raise ValueError(f"size bound must be nonnegative, got {d}")
-    return math.ceil(graph.n * k_factor * edge_density(graph))
+    if graph.n == 0:
+        raise ValueError("edge density undefined for the empty graph")
+    return -(-k_factor.numerator * graph.m // k_factor.denominator)
 
 
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:

@@ -9,10 +9,12 @@ lists while min-plus folds it by its plain-Python loop (``LIST_CELLS``)
 and a (2, L) int64 array after, so the many short folds of a shallow tree
 pay no numpy call overhead. Vertices whose children have the same
 sequence of shapes share one list of folds, built once per call, and a
-list-sized child link is built once per call and shape. A forest whose
-tables would exceed ``TREE_DP_MAX_CELLS`` cells is refused before any is
-built. The traceback reads the folds and the children's tables back, and
-takes the first leaves of a run in closed form;
+list-sized child link is built once per call and shape. Every table
+keeps only its first t + Δ cells, Δ the maximum degree, which hold all
+the traceback reads. A forest whose cut tables would exceed
+``TREE_DP_MAX_CELLS`` cells is refused before any is built. The
+traceback reads the folds and the children's tables back, and takes the
+first leaves of a run in closed form;
 ``pvc_degree_greedy`` solves bipartite graphs with a side X that
 degree-dominates the other side Y, oriented by the router's rule whether
 the router or a caller asks; ``pvc_greedy_upper`` is the scalable
@@ -398,8 +400,8 @@ def _run_link(r: int):
     return link if r < kernels.LIST_CELLS else np.array(link, dtype=np.int64)
 
 
-# Most table cells one ``pvc_tree`` call may build (~0.8 GB as int64): a
-# path of 8,000 vertices needs ~64 million, one of 20,000 ~400 million.
+# Most table cells one ``pvc_tree`` call may build (~0.8 GB as int64): at
+# t = m a path of 8,000 vertices needs ~64 million, one of 20,000 ~400 million.
 TREE_DP_MAX_CELLS = 100_000_000
 
 
@@ -424,11 +426,11 @@ def _shape_keys(children, order, shape: list[int]):
         shape[v] = k
 
 
-def _dp_cells(keys) -> int:
+def _dp_cells(keys, size: int) -> int:
     """Table cells the tree DP builds for a leaf and the shapes ``keys``:
     two rows per table, one table before any child and one after each
     step, a run of leaf children being one step, each table one cell
-    longer than the edges it covers.
+    longer than the edges it covers, or ``size`` cells where it is cut.
 
     On an n-vertex forest this is at most 2n(n + 1). A table's length is
     the number of vertices in its vertex and the children folded so far.
@@ -444,10 +446,10 @@ def _dp_cells(keys) -> int:
             if inner:
                 for u_shape in steps:
                     length += edges[u_shape] + 1
-                    total += length
+                    total += min(length, size)
             else:
                 length += sum(1 for _ in steps)
-                total += length
+                total += min(length, size)
         edges.append(length - 1)
         cells += 2 * total
     return cells
@@ -476,11 +478,13 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     its plain-Python loop, and a (2, L) int64 array once a fold is too long
     for that; a child shape's link is built once per call while it is a
     pair of lists, and per fold once it is an array, so that no long link
-    is kept. Components combine through one more knapsack. Each component
-    is rooted at its lowest id and each vertex's children are in increasing
-    id order, as the graph's ``walk`` (``_walk`` when the router passes it)
-    gives them. A forest whose tables would hold more than
-    ``TREE_DP_MAX_CELLS`` cells raises ValueError before any is built.
+    is kept. Components combine through one more knapsack. Every fold and
+    the knapsack keep only their first t + Δ cells, Δ the maximum degree
+    (see the comment at ``cut``). Each component is rooted at its
+    lowest id and each vertex's children are in increasing id order, as
+    the graph's ``walk`` (``_walk`` when the router passes it) gives them.
+    A forest whose cut tables would hold more than ``TREE_DP_MAX_CELLS``
+    cells raises ValueError before any is built.
     """
     _check_target(graph, t)
     roots, children, order, forest, _ = walk(graph) if _walk is None else _walk
@@ -488,12 +492,20 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
         raise ValueError("graph contains a cycle; the tree solver needs a forest")
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_TREE)
+    # Every fold and the component knapsack keep only their first
+    # t + max degree cells. An optimal set that covers the fewest edges of
+    # all optimal sets covers fewer than t + max degree (drop any one of its
+    # vertices and at least t edges stay covered), so the traceback reads no
+    # cell beyond; and a min-plus cell reads only operand cells at or below
+    # its index. Links need no cut: min-plus reads none of their cells past
+    # it either, such as a cut table's link's last cell, which lacks c0's.
+    cut = t + max(graph.degrees)
 
     # the DP builds at most 2n(n + 1) cells (``_dp_cells``), so only larger
     # forests are counted
     shape = [0] * graph.n
     if 2 * graph.n * (graph.n + 1) > TREE_DP_MAX_CELLS:
-        cells = _dp_cells(_shape_keys(children, order, shape))
+        cells = _dp_cells(_shape_keys(children, order, shape), cut)
         if cells > TREE_DP_MAX_CELLS:
             raise ValueError(f"tree DP needs {cells:,} table cells, above the limit of {TREE_DP_MAX_CELLS:,}")
 
@@ -521,20 +533,20 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
         for inner, steps in groupby(key, bool):
             if inner:
                 for u_shape in steps:
-                    seq.append(kernels.minplus(seq[-1], child_link(u_shape)))
+                    seq.append(kernels.minplus(seq[-1], child_link(u_shape), cut))
             else:
                 r = sum(1 for _ in steps)
                 link = run_links.get(r)
                 if link is None:
                     link = run_links[r] = _run_link(r)
-                seq.append(kernels.minplus(seq[-1], link))
+                seq.append(kernels.minplus(seq[-1], link, cut))
         folds.append(tuple(seq))
 
     exacts = [np.asarray(folds[shape[r]][-1]).min(axis=0) for r in roots]
     comp_tables = [np.minimum.accumulate(exact[::-1])[::-1] for exact in exacts]
     prefixes: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     for tab in comp_tables:
-        prefixes.append(kernels.minplus(prefixes[-1], tab))
+        prefixes.append(kernels.minplus(prefixes[-1], tab, cut))
     size = int(prefixes[-1][t])
     assert size < kernels.INF
 

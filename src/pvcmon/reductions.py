@@ -12,10 +12,11 @@ Two constructions are provided, with exhaustive desk-scale verifiers:
   ``load_gadget`` accepts its serialized form only if it matches exactly
   the layout (``_layout``) that the sidecar's own parameters give.
 
-The public verifiers check their instances, then decide through
-``pvc_decide`` and ``pvc_rho_decide``; the batteries, whose loops keep
-every instance valid, call ``_lemma1_holds`` and ``pvc._decide`` without
-building instance objects.
+Every budgeted side is decided by ``pvc._decide``, and every fractional
+side by ``pvc_rho_decide``. The public verifiers check their instances
+first: ``verify_lemma1`` through ``pvc._check_instance``, the others
+through ``build_gadget``'s own checks; the batteries' loops keep every
+instance valid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .errors import GadgetConstructionError
 from .graph import MAX_VERTICES, Graph, Rational, _coerce_rational, parse_graph, to_edge_list_text
-from .pvc import PvcbInstance, _check_instance, _check_target, _decide, pvc_decide, pvc_rho_decide
+from .pvc import _check_instance, _check_target, _decide, pvc_rho_decide
 
 ROLE_ORIGINAL = "original"
 ROLE_PENDANT = "pendant"
@@ -150,17 +151,15 @@ class _GadgetFamily:
 
     def __call__(self, k: int, t: int) -> GadgetInstance:
         graph, rho, r = self.graph, self.rho, self.r
-        n, m = graph.n, graph.m
+        n = graph.n
         if k < 0 or t < 0:
             raise ValueError("k and t must be nonnegative")
         if k > n:
             raise ValueError(f"budget k={k} exceeds vertex count {n}")
         _check_target(graph, t)
+        # s >= 1: r makes (1 - rho) r >= rho (m + 3n), so the numerator of s
+        # (``gadget_parameters``) is at least t + 3k + 1 >= 1 > rho
         s = self.path_length(k, t)
-        if s < 1:
-            raise GadgetConstructionError(
-                f"path length s={s} < 1 for n={n}, m={m}, k={k}, t={t}, rho={rho}, r={r}"
-            )
         order = _check_order(n, r, s)
         if self._fixed is None:
             roles, star_center, path_end, pendant_anchor, edges = _layout(n, r, 1)
@@ -185,10 +184,10 @@ def build_gadget(graph: Graph, k: int, t: int, rho: Rational) -> GadgetInstance:
     H is the pendant-augmented graph plus a star on r leaves and a path on
     s vertices, joined by two edges: star center to path end, and star
     center to the lowest-id pendant. A target above m raises
-    InfeasibleTargetError, as ``pvc`` does. A computed path length below 1,
-    or an order 4n + r + 1 + s above ``graph.MAX_VERTICES``, is a
-    construction failure and raises, reporting the parameters, before
-    anything is built. A float rho raises TypeError. This is one
+    InfeasibleTargetError, as ``pvc`` does. An order 4n + r + 1 + s above
+    ``graph.MAX_VERTICES`` is a construction failure and raises, reporting
+    the parameters, before anything is built; the path length s is at least
+    1 for every valid instance. A float rho raises TypeError. This is one
     ``_GadgetFamily`` called once; a caller building many gadgets of one
     (graph, rho) keeps the family and calls it for each.
     """
@@ -302,9 +301,9 @@ def verify_lemma2(graph: Graph, k: int, t: int, rho: Rational, max_n: int = 6) -
     rho = _coerce_rational(rho)
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
+    inst = build_gadget(graph, k, t, rho)  # checks 0 <= k <= n and 0 <= t <= m
     augmented, _ = pendant_triple_augment(graph)
-    inst = build_gadget(graph, k, t, rho)
-    return pvc_decide(PvcbInstance(augmented, k, t + 3 * k)) == pvc_rho_decide(inst.graph, k + 1, inst.rho)
+    return _decide(augmented, t + 3 * k, k) == pvc_rho_decide(inst.graph, k + 1, rho)
 
 
 def reduction_chain(
@@ -314,7 +313,5 @@ def reduction_chain(
     rho = _coerce_rational(rho)
     if graph.n > max_n:
         raise ValueError(f"exact-solving guard: n={graph.n} > {max_n}")
-    inst = build_gadget(graph, k, t, rho)
-    left = pvc_decide(PvcbInstance(graph, k, t))
-    right = pvc_rho_decide(inst.graph, k + 1, rho)
-    return inst, left == right
+    inst = build_gadget(graph, k, t, rho)  # checks 0 <= k <= n and 0 <= t <= m
+    return inst, _decide(graph, t, k) == pvc_rho_decide(inst.graph, k + 1, rho)

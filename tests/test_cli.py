@@ -70,6 +70,11 @@ def test_pvc_low_guard_keeps_forests_exact(capsys, p5_file):
     assert report["result"]["size"] == 2
 
 
+def test_exact_solver_above_the_guard_exits_2(capsys, p5_file):
+    assert main(["--guard", "4", "pvc", p5_file, "-t", "4", "--solver", "exact"]) == 2
+    assert capsys.readouterr() == ("", "error: exact solver guard: n=5 > 4; raise it with --guard\n")
+
+
 def test_negative_guard_rejected(capsys, p5_file):
     for command in (("pvc", p5_file, "-t", "4"), ("sdyn", p5_file, "-t", "1", "--oracle")):
         code = main(["--guard", "-3", *command])
@@ -482,9 +487,9 @@ def test_header_above_the_vertex_limit_exits_2(capsys, tmp_path, monkeypatch, co
 
 
 def test_tree_dp_above_the_cell_limit_exits_2(capsys, tmp_path):
-    # a 20,000-vertex path needs ~400 million table cells (~3.2 GB)
+    # a 20,000-vertex path at t = 5,000 needs ~175 million table cells (~1.4 GB)
     path = tmp_path / "path.txt"
     path.write_text(to_edge_list_text(path_graph(20000)))
     assert main(["pvc", str(path), "-t", "5000"]) == 2
     assert capsys.readouterr() == (
-        "", "error: tree DP needs 400,059,998 table cells, above the limit of 100,000,000\n")
+        "", "error: tree DP needs 175,104,996 table cells, above the limit of 100,000,000\n")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from pvcmon import is_forest
 from pvcmon.corpus import (
     all_free_trees,
@@ -53,6 +55,8 @@ def test_degree_dominant_generator_meets_hypothesis():
 
 def test_named_constructions():
     assert cycle_graph(5).m == 5
+    with pytest.raises(ValueError, match="^cycles need at least 3 vertices$"):
+        cycle_graph(2)
     assert complete_bipartite(2, 3).m == 6
     sp = spider_graph(3, 2)
     assert sp.n == 7 and sp.m == 6 and sp.degree(0) == 3

@@ -66,6 +66,8 @@ def test_parse_errors(text):
 @pytest.mark.parametrize(
     "text, message",
     [
+        # the header comes first: a non-integer count is named before an edge fault
+        ("2 x\n0 0", "line 1: header must contain two integers"),
         # range and self-loop faults come before a duplicate, even an earlier one
         ("3 3\n0 1\n1 0\n0 3", "edge (0, 3) out of range for n=3"),
         ("3 3\n0 1\n0 1\n2 2", "self-loop at vertex 2"),
@@ -80,6 +82,12 @@ def test_parse_names_the_first_fault_in_check_order(text, message):
     with pytest.raises(GraphFormatError) as caught:
         parse_graph(text)
     assert str(caught.value) == message
+
+
+def test_from_edges_refuses_a_negative_vertex_count():
+    with pytest.raises(ValueError) as caught:
+        Graph.from_edges(-1, [])
+    assert str(caught.value) == "vertex count must be nonnegative"
 
 
 def test_serialization_round_trip():

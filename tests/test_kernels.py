@@ -103,11 +103,15 @@ def _stacked(rng, length):
 
 
 def _check_stacked(a, b):
-    out = kernels.minplus(a, b)
-    assert out.dtype == np.int64
-    assert out.shape == (2, a.shape[1] + b.shape[1] - 1)
-    for row in range(2):
-        assert list(out[row]) == _naive_minplus(list(a[row]), list(b[row]))
+    # the whole convolution, and its first cells alone when cut
+    full = a.shape[1] + b.shape[1] - 1
+    for size in (None, 1, (full + 1) // 2, full, full + 1):
+        out = kernels.minplus(a, b, size)
+        width = full if size is None else min(full, size)
+        assert out.dtype == np.int64
+        assert out.shape == (2, width)
+        for row in range(2):
+            assert list(out[row]) == _naive_minplus(list(a[row]), list(b[row]))[:width]
 
 
 def test_minplus_stacked_rows_match_naive():
@@ -142,10 +146,11 @@ def test_minplus_stacked_leaves_read_only_inputs():
         a_before, b_before = a.copy(), b.copy()
         a.setflags(write=False)
         b.setflags(write=False)
-        out = kernels.minplus(a, b)
-        assert (a == a_before).all() and (b == b_before).all()
-        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
-        assert out.flags.writeable
+        for size in (None, 2):
+            out = kernels.minplus(a, b, size)
+            assert (a == a_before).all() and (b == b_before).all()
+            assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+            assert out.flags.writeable
 
 
 def test_bb_matches_enumeration_minimum():

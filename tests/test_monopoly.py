@@ -36,6 +36,8 @@ class TestThresholds:
             ThresholdAssignment.for_graph(c4, [-1, 0, 0, 0])
         with pytest.raises(ValueError):
             ThresholdAssignment.for_graph(c4, [0, 0, 0])  # wrong length
+        with pytest.raises(ValueError, match="^empty assignment has no average$"):
+            ThresholdAssignment(()).average
 
 
 class TestSpread:
@@ -82,6 +84,18 @@ class TestSpread:
                 if v not in active
                 and sum(1 for u in g.adjacency[v] if u in active) >= tau[v]
             }
+
+    def test_long_chain_in_linear_time(self):
+        # one vertex a round for 19,999 rounds: ``reference_spread``, which
+        # rescans every inactive vertex each round, takes 29 s on a 2-vCPU
+        # AMD EPYC
+        g = path_graph(20000)
+        started = time.perf_counter()
+        trace = simulate_spread(g, [1] * g.n, [0])
+        elapsed = time.perf_counter() - started
+        assert trace.activated_all and trace.rounds == g.n - 1
+        assert all(layer == {v} for v, layer in enumerate(trace.layers))
+        assert elapsed < 1.0, f"spread took {elapsed:.2f}s"
 
     def test_seed_monotonicity(self):
         rng = random.Random(15)

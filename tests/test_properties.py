@@ -26,6 +26,7 @@ from pvcmon import (
     sdyn,
     sdyn_decide,
     sdyn_via_subgraph,
+    simulate_spread,
     smon,
     smon_decide,
     solve_pvc,
@@ -40,7 +41,7 @@ from pvcmon.oracles import cover_profile
 from pvcmon.pvc import EXACT_MAX_N, METHOD_DEGREE_GREEDY, METHOD_TREE
 from pvcmon.monopoly import _dynamic_target, _required_total, _static_target, sparse_profile
 from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, _required_totals, theorem_corpus
-from util import fresh_copy, solver_answers
+from util import fresh_copy, reference_spread, solver_answers
 
 
 @st.composite
@@ -130,6 +131,14 @@ def test_witness_totals(data):
     cov = coverage(g, subset)
     assert monopoly_witness_tau(g, subset).total == 2 * cov
     assert dynamo_witness_tau(g, subset).total == g.m + cov
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_spread_matches_the_round_by_round_reference(g, data):
+    tau = [data.draw(st.integers(0, d)) for d in g.degrees]
+    seed = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    assert simulate_spread(g, tau, seed) == reference_spread(g, tau, seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -351,15 +360,18 @@ def test_minplus_forms_match_naive(data, la, lb, forms):
 
     a_rows = data.draw(minplus_tables(la))
     b_rows = data.draw(minplus_tables(lb))
+    # no cut, or a cut anywhere from one cell to past the whole convolution
+    size = data.draw(st.one_of(st.none(), st.integers(1, la + lb)))
+    width = la + lb - 1 if size is None else min(la + lb - 1, size)
     a = tuple(map(list, a_rows)) if forms in ("lists", "list-array") else np.array(a_rows, dtype=np.int64)
     b = tuple(map(list, b_rows)) if forms in ("lists", "array-list") else np.array(b_rows, dtype=np.int64)
-    out = kernels.minplus(a, b)
-    assert [list(map(int, row)) for row in out] == [_naive_minplus(ra, rb) for ra, rb in zip(a_rows, b_rows)]
+    out = kernels.minplus(a, b, size)
+    assert [list(map(int, row)) for row in out] == [_naive_minplus(ra, rb)[:width] for ra, rb in zip(a_rows, b_rows)]
     # the plain-Python loop answers exactly the short folds of two list tables
     if forms == "lists" and la * lb <= kernels.LIST_CELLS:
         assert type(out) is tuple and all(type(row) is list for row in out)
     else:
-        assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == (2, la + lb - 1)
+        assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == (2, width)
     # the inputs are left as they were
     assert [list(map(int, row)) for row in a] == a_rows and [list(map(int, row)) for row in b] == b_rows
 

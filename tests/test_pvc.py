@@ -122,6 +122,11 @@ class TestRhoDecide:
             with pytest.raises(ValueError):
                 pvc_rho_decide(c4, 1, rho)
 
+    def test_negative_budget(self):
+        with pytest.raises(ValueError) as caught:
+            pvc_rho_decide(cycle_graph(4), -1, Fraction(1, 2))
+        assert str(caught.value) == "budget must be nonnegative, got -1"
+
     def test_rational_ceiling(self):
         # 7 edges, rho=1/3 -> target 3; the star center covers them all
         g = star_graph(7)
@@ -269,7 +274,7 @@ class TestTree:
 
         calls = []
         minplus = kernels.minplus
-        monkeypatch.setattr(kernels, "minplus", lambda a, b: calls.append(1) or minplus(a, b))
+        monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append(1) or minplus(a, b, size))
         for g, t, expected in (
             (star_graph(9), 4, 2),  # nine leaves fold in as one run
             (spider_graph(3, 2), 4, 5),  # one leg shape, then the centre's three legs
@@ -310,7 +315,8 @@ class TestTree:
 
     def test_deep_path_peak(self):
         # list tables and per-shape links must not raise the peak of the
-        # deepest tree, whose tables nearly all are arrays
+        # deepest tree, whose tables nearly all are arrays, and tables cut
+        # at t + max degree cells lower it
         import gc
         import tracemalloc
 
@@ -324,20 +330,22 @@ class TestTree:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # 129,744,620 bytes (123.7 MiB) when every table was an array (numpy 2.4)
-        assert peak <= 129_744_620
+        # 129,744,620 bytes (123.7 MiB) when every table was an array and
+        # uncut, 72,787,276 bytes (69.4 MiB) with every table cut (numpy 2.4)
+        assert peak <= 73_000_000
 
     def test_cell_count_matches_the_tables_built(self, monkeypatch):
         # _dp_cells counts, from the shapes alone, every table the DP then
-        # builds: the leaf's, each shape's base table and each fold's result
+        # builds: the leaf's, each shape's base table and each fold's result,
+        # cut at t + max degree cells
         from pvcmon import kernels, pvc
         from pvcmon.graph import walk
 
         built = []
         minplus = kernels.minplus
 
-        def counted(a, b):
-            out = minplus(a, b)
+        def counted(a, b, size=None):
+            out = minplus(a, b, size)
             if type(out) is tuple or out.ndim == 2:  # not the component knapsack
                 built.append(2 * len(out[0]) + 2 * (a is pvc._BASE))
             return out
@@ -350,27 +358,30 @@ class TestTree:
             built.clear()
             pvc_tree(g, 1)
             w = walk(g)
-            assert pvc._dp_cells(pvc._shape_keys(w.children, w.order, [0] * g.n)) == 2 + sum(built)
+            cut = 1 + max(g.degrees)
+            assert pvc._dp_cells(pvc._shape_keys(w.children, w.order, [0] * g.n), cut) == 2 + sum(built)
 
     def test_cell_limit(self):
-        # a path of n vertices needs (n - 1)(n + 4) + 2 cells: 8,000 stay
-        # within the limit, 20,000 do not
+        # at t = m (tables cut at m + 2 = n + 1 cells, so none is cut) a path
+        # of n vertices needs (n - 1)(n + 4) + 2 cells: 8,000 stay within
+        # the limit, 20,000 do not
         from pvcmon import pvc
         from pvcmon.graph import walk
 
         for n in (60, 8000, 20000):
             w = walk(path_graph(n))
-            assert pvc._dp_cells(pvc._shape_keys(w.children, w.order, [0] * n)) == (n - 1) * (n + 4) + 2
+            assert pvc._dp_cells(pvc._shape_keys(w.children, w.order, [0] * n), n + 1) == (n - 1) * (n + 4) + 2
         assert (8000 - 1) * (8000 + 4) + 2 <= pvc.TREE_DP_MAX_CELLS < (20000 - 1) * (20000 + 4) + 2
 
     def test_cell_limit_refuses_before_building(self):
-        # ~3.2 GB of int64 tables, refused before the first is built
+        # ~1.8 GB of int64 tables, cut at t + 2 = 6,668 cells (3.2 GB uncut),
+        # refused before the first is built
         import tracemalloc
 
         g = path_graph(20000)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^tree DP needs 400,059,998 table cells, "
+            with pytest.raises(ValueError, match=r"^tree DP needs 222,304,442 table cells, "
                                                  r"above the limit of 100,000,000$"):
                 pvc_tree(g, g.m // 3)
             peak = tracemalloc.get_traced_memory()[1]
@@ -523,6 +534,23 @@ def test_enumeration_oracle_guard():
     big = random_graph(22, 0.2, random.Random(0))
     with pytest.raises(ValueError):
         min_cover_size(big, 1)
+
+
+def test_oracles_refuse_what_they_cannot_answer():
+    # the checks come before any enumeration or scipy import, and the ILP
+    # answers t = 0 without a solve
+    from pvcmon.oracles import max_independent_set_size, min_cover_size_ilp
+
+    c4 = cycle_graph(4)
+    for oracle in (min_cover_size, min_cover_size_ilp):
+        for t in (-1, 5):
+            with pytest.raises(InfeasibleTargetError) as caught:
+                oracle(c4, t)
+            assert str(caught.value) == f"target {t} outside [0, 4]"
+    assert min_cover_size_ilp(c4, 0) == 0
+    with pytest.raises(ValueError) as caught:
+        max_independent_set_size(Graph.from_edges(21, []))
+    assert str(caught.value) == "enumeration guard: n=21 > 20"
 
 
 def test_exact_matches_ilp_oracle_beyond_enumeration():

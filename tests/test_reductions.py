@@ -21,6 +21,8 @@ from pvcmon import (
     pendant_triple_augment,
     pvc_rho_decide,
     reduction_chain,
+    sdyn_decide,
+    smon_decide,
     verify_lemma1,
     verify_lemma2,
 )
@@ -278,11 +280,17 @@ class TestSerialization:
             kept = [e for e in inst.graph.edges if e != drop] + [add]
             return to_edge_list_text(Graph.from_edges(inst.graph.n, kept))
 
+        # a pendant and the star center trade roles; n stays 4
+        swapped = list(inst.roles)
+        swapped[4], swapped[inst.star_center] = swapped[inst.star_center], swapped[4]
         for text, fields, message in (
             (edges, {"rho": "3/2"}, "rho must lie strictly between 0 and 1, got 3/2"),
             (edges, {"rho": "-1"}, "rho must lie strictly between 0 and 1, got -1"),
             (edges, {"rho": "1/3"}, r"star size r=25 does not match r=16 for rho=1/3, n=4"),
             (edges, {"s": 10**12}, r"gadget order 1000000000042 \(r=25, s=1000000000000\) exceeds"),
+            (to_edge_list_text(Graph.from_edges(inst.graph.n + 1, inst.graph.edges)), {},
+             r"^gadget order 64 does not match 4n \+ r \+ 1 \+ s = 63$"),
+            (edges, {"roles": swapped}, r"^roles do not match the layout for n=4, r=25, s=21$"),
             (rewired((p + 3, p + 4), (p + 2, p + 4)), {}, rf"unexpected edge \({p + 2}, {p + 4}\)"),
             (rewired((0, 5), (5, inst.star_center + 1)), {}, r"missing edge \(0, 5\)"),
         ):
@@ -344,6 +352,48 @@ class TestEquivalences:
             "target t=-1 outside [0, 2]",
             "target t=3 outside [0, 2]",
         ]
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: verify_lemma1(path_graph(9), 1, 1), ValueError, "exact-solving guard: n=9 > 8"),
+        (lambda: verify_lemma2(path_graph(7), 1, 1, "1/2"), ValueError, "exact-solving guard: n=7 > 6"),
+        (lambda: verify_lemma2(cycle_graph(4), 1, 2, "3/2"), ValueError,
+         "rho must lie strictly between 0 and 1, got 3/2"),
+        (lambda: verify_lemma2(cycle_graph(4), -1, 2, "1/2"), ValueError, "k and t must be nonnegative"),
+        (lambda: verify_lemma2(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 exceeds vertex count 4"),
+        (lambda: verify_lemma2(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
+         "target 5 exceeds edge count 4"),
+        (lambda: verify_lemma2(cycle_graph(4), 1, 2, 0.5), TypeError,
+         "pass an exact rational (int, 'p/q' string, or Fraction), not a float"),
+        (lambda: reduction_chain(path_graph(7), 1, 1, "1/2"), ValueError, "exact-solving guard: n=7 > 6"),
+        (lambda: reduction_chain(cycle_graph(4), 1, 2, 0), ValueError,
+         "rho must lie strictly between 0 and 1, got 0"),
+        (lambda: reduction_chain(cycle_graph(4), 1, -1, "1/2"), ValueError, "k and t must be nonnegative"),
+        (lambda: reduction_chain(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 exceeds vertex count 4"),
+        (lambda: reduction_chain(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
+         "target 5 exceeds edge count 4"),
+        (lambda: build_gadget(Graph.from_edges(0, []), 0, 0, "1/2"), ValueError,
+         "gadget needs at least one original vertex"),
+        (lambda: build_gadget(cycle_graph(4), 0, -1, "1/2"), ValueError, "k and t must be nonnegative"),
+        (lambda: smon_decide(cycle_graph(4), 1, 2), ValueError, "k factor must lie strictly between 0 and 2, got 2"),
+        (lambda: smon_decide(cycle_graph(4), -1, 1), ValueError, "size bound must be nonnegative, got -1"),
+        (lambda: smon_decide(cycle_graph(4), 1, 0.5), TypeError,
+         "pass an exact rational (int, 'p/q' string, or Fraction), not a float"),
+        (lambda: sdyn_decide(cycle_graph(4), 1, 1), ValueError, "k factor must lie strictly between 1 and 2, got 1"),
+        (lambda: sdyn_decide(cycle_graph(4), -1, "3/2"), ValueError, "size bound must be nonnegative, got -1"),
+        # the factor, then the bound, then the empty graph's density
+        (lambda: smon_decide(Graph.from_edges(0, []), -1, 2), ValueError,
+         "k factor must lie strictly between 0 and 2, got 2"),
+        (lambda: sdyn_decide(Graph.from_edges(0, []), -1, "3/2"), ValueError, "size bound must be nonnegative, got -1"),
+        (lambda: smon_decide(Graph.from_edges(0, []), 1, 1), ValueError, "edge density undefined for the empty graph"),
+        (lambda: sdyn_decide(Graph.from_edges(0, []), 1, "3/2"), ValueError,
+         "edge density undefined for the empty graph"),
+    ])
+    def test_decision_errors(self, call, error, message):
+        # the verifiers and decide forms name each fault with its own type
+        # and message, before anything is decided
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error and str(caught.value) == message
 
     def test_guards(self):
         big = random_graph(9, 0.3, random.Random(0))

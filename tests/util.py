@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from pvcmon import PvcbInstance, pvc_decide, pvc_exact, pvc_greedy_upper, pvc_rho_decide
 from pvcmon.graph import Graph
+from pvcmon.monopoly import SpreadTrace
 
 
 def relabelled_union(parts, rng) -> Graph:
@@ -42,6 +43,27 @@ def solver_answers(queries, graph_for) -> list:
                 pvc_rho_decide(graph_for(g), k, Fraction(max(t, 1), g.m + 2)),
             ))
     return out
+
+
+def reference_spread(graph: Graph, tau, seed) -> SpreadTrace:
+    """The threshold process straight from its definition: each round scans
+    every inactive vertex's neighbours (quadratic on a chain), kept as the
+    reference ``simulate_spread`` is checked against."""
+    active = set(seed)
+    layers = [frozenset(active)]
+    remaining = set(range(graph.n)) - active
+    while True:
+        nxt = {
+            v
+            for v in remaining
+            if sum(1 for u in graph.adjacency[v] if u in active) >= tau[v]
+        }
+        if not nxt:
+            break
+        layers.append(frozenset(nxt))
+        active |= nxt
+        remaining -= nxt
+    return SpreadTrace(tuple(layers), len(active) == graph.n)
 
 
 def is_chordal(graph: Graph) -> bool:
