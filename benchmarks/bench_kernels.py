@@ -10,9 +10,10 @@ rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
 its path and recursive rows give the call's tracemalloc peak
 (``peak_bytes``); the dispatch rows count the graph walks each query makes
 (``walks``), the monopoly decide row the ``solve_pvc`` calls of one run
-(``solves``), and the edgeless graph-build row the bytes per vertex its
-graph keeps (``bytes_per_vertex``, by tracemalloc). None of these counts
-depends on the machine. Each battery row gives the instances it checks
+(``solves``), the branch-and-bound rows the search states
+``kernels.bb_min_cover`` tested (``nodes``), and the edgeless graph-build
+row the bytes per vertex its graph keeps (``bytes_per_vertex``, by
+tracemalloc). None of these counts depends on the machine. Each battery row gives the instances it checks
 (``calls``) and their rate (``instances_per_second``).
 """
 
@@ -119,6 +120,24 @@ def _cli_queries():
     return [(g, rng.randint(1, g.m)) for g in (random_recursive_tree(n, rng) for n in mix)]
 
 
+def _search_args(g, t):
+    # the search pvc_exact runs: CSR arrays and the greedy's cover as incumbent
+    indptr, nbrs = _csr_arrays(g)
+    return g.n, indptr, nbrs, t, sorted(pvc_greedy_upper(g, t).witness)
+
+
+def search_corpus():
+    """bb_min_cover arguments for 64 seeded G(n, p), n = 15..22, at targets
+    ceil(0.7m), ceil(0.8m), ceil(0.9m) and m (the golden node-count corpus)."""
+    rng = random.Random(53)
+    searches = []
+    for _ in range(64):
+        g = random_graph(rng.randint(15, 22), rng.choice((0.2, 0.3, 0.4, 0.5)), rng)
+        for t in (math.ceil(0.7 * g.m), math.ceil(0.8 * g.m), math.ceil(0.9 * g.m), g.m):
+            searches.append(_search_args(g, t))
+    return searches
+
+
 def bench_bb_search():
     # the lemma2 battery's right side: rho-decides on gadget graphs; each
     # timed run starts from fresh graph objects, so the per-graph solver
@@ -132,10 +151,17 @@ def bench_bb_search():
     # the vertex-cover end (t = m), searched to optimality below the greedy
     # incumbent as pvc_exact does
     g = random_graph(50, 0.15, random.Random(1))
-    indptr, nbrs = _csr_arrays(g)
-    incumbent = list(pvc_greedy_upper(g, g.m).witness)
-    secs, _ = _time(kernels.bb_min_cover, g.n, indptr, nbrs, g.m, incumbent)
-    _row(f"bb_min_cover n={g.n} m={g.m} t=m", secs)
+    secs, (_, nodes) = _time(kernels.bb_min_cover, *_search_args(g, g.m))
+    _row(f"bb_min_cover n={g.n} m={g.m} t=m", secs, nodes=nodes)
+    # the golden node-count corpus as one batch, then a vertex-cover end
+    # that only the forced-neighbour bound keeps short
+    searches = search_corpus()
+    secs, results = _time(lambda: [kernels.bb_min_cover(*args) for args in searches])
+    _row(f"bb_min_cover corpus ({len(searches)} searches)", secs, len(searches),
+         nodes=sum(nodes for _, nodes in results))
+    g = random_graph(80, 0.08, random.Random(1))
+    secs, (_, nodes) = _time(kernels.bb_min_cover, *_search_args(g, g.m))
+    _row(f"bb_min_cover n={g.n} m={g.m} t=m", secs, nodes=nodes)
     # a fresh graph object for each call builds the graph's solver state (the
     # greedy from scratch and the degree prefix); the warm row reads it back
     secs, _ = _time(lambda: [pvc_greedy_upper(_fresh(g), target) for g, target in greedy_jobs])
@@ -186,7 +212,7 @@ def bench_monopoly_decides():
 
     secs, _ = _time(run)
     solves = _calls(pvc, "solve_pvc", run)
-    _row(f"smon/sdyn_decide ({len(graphs)} graphs)", secs, calls, solves=solves)
+    _row(f"smon/sdyn_decide ({len(graphs)} graphs)", secs, calls, solves=solves, nodes=_nodes(run))
 
 
 def _fresh(g):
@@ -216,6 +242,25 @@ def bench_minplus():
     batch = [pairs[i % 16] for i in range(10000)]
     secs, _ = _time(lambda: [kernels.minplus(a, b) for a, b in batch])
     _row("minplus 2x3x16 lists", secs, len(batch))
+
+
+def _nodes(fn):
+    # search states bb_min_cover tested in one run of fn
+    nodes = 0
+    search = kernels.bb_min_cover
+
+    def counted(*args):
+        nonlocal nodes
+        witness, tested = search(*args)
+        nodes += tested
+        return witness, tested
+
+    kernels.bb_min_cover = counted
+    try:
+        fn()
+    finally:
+        kernels.bb_min_cover = search
+    return nodes
 
 
 def _calls(module, name, fn):

@@ -7,9 +7,11 @@ call: short list tables in a plain-Python loop, arrays by blocks of rows,
 each block one skewed buffer and one min, instead of one numpy step per
 row. The branch-and-bound search is plain Python over lists, has one mode
 (the smallest cover below a given incumbent; decisions ask
-``pvc.solve_pvc`` and compare its size) and prunes with two bounds: the
-uncoverable-edge count (edges whose endpoints are both skipped) and the
-degree-sum bound. ``benchmarks/bench_kernels.py`` times the kernels.
+``pvc.solve_pvc`` and compare its size) and prunes with three bounds: the
+uncoverable-edge count (edges whose endpoints are both skipped), the
+degree-sum bound and, once no more edges may stay uncovered, the
+forced-neighbour bound. It tests each child before building it and counts
+the states it tests. ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
@@ -75,84 +77,179 @@ def bb_min_cover(n, indptr, nbrs, target, incumbent):
     """Smallest vertex set covering >= target edges, searched below an incumbent.
 
     The simple graph comes as CSR arrays (``indptr``, ``nbrs``). ``incumbent``
-    is a vertex list covering >= target edges. Returns the smallest set found
-    as a vertex list, or the incumbent when nothing smaller exists.
+    is a vertex list covering >= target edges. Returns ``(witness, nodes)``:
+    the smallest set found as a vertex list, or the incumbent when nothing
+    smaller exists, and the number of search states tested against the
+    bounds (the root, every choose child and every skip child, those
+    rejected before they are built included).
 
     Depth-first: branch on the free vertex of maximum residual degree (lowest
     id on ties), first choosing it, then skipping it for the whole subtree;
-    every strictly smaller cover found replaces the incumbent. A node is
-    pruned when more than m - target edges have both endpoints skipped: no
-    completion covers those, so none reaches the target (the uncoverable-edge
-    bound, O(1); it decides the vertex-cover end t ~ m, where the next bound
-    is weak). It is also pruned when the ``avail`` largest residual degrees
-    of the free vertices, ``avail`` being how many more vertices could still
-    beat the incumbent, sum to less than the edges left to cover (the
-    degree-sum bound of Kneis, Mölle, Richter and Rossmanith, ISAAC 2006).
-    Neither cuts a subtree holding a cover that beats the incumbent, so the
-    incumbents, and the witness returned, are those of the unpruned search.
+    every strictly smaller cover found replaces the incumbent. A state is
+    cut on three bounds:
+
+    * uncoverable edges: more than m - target edges have both endpoints
+      skipped, so no completion reaches the target (O(1));
+    * degree sum: the ``avail`` largest residual degrees of the free
+      vertices, ``avail`` being how many more vertices could still beat the
+      incumbent, sum to less than the edges left to cover (Kneis, Mölle,
+      Richter and Rossmanith, ISAAC 2006);
+    * forced neighbours, when exactly m - target edges are uncoverable: then
+      every free vertex with a skipped neighbour is in every completion, and
+      the bound chooses them virtually (``_forced_cut``).
+
+    A built node sorts its residual degrees once. Skipping a pivot changes
+    no other residual degree, so the node's skip children, one per pivot in
+    that sorted order, are tested from the node's own sort before anything
+    is written, and a choose child that reaches the target is recorded
+    without touching a degree. Each child has its own degree list, so
+    leaving it undoes nothing. No bound cuts a subtree holding a cover that
+    beats the incumbent, so the incumbents, and the witness returned, are
+    those of the unpruned search in the same order.
     """
     indptr = indptr.tolist()
     nbrs = nbrs.tolist()
     adj = [nbrs[indptr[v]:indptr[v + 1]] for v in range(n)]
     best_size, best = len(incumbent), incumbent
-    deg = [len(a) for a in adj]  # residual degree of each free vertex, 0 otherwise
-    skipped_deg = [0] * n        # residual degree a skipped vertex gets back
-    skipped_dead = [0] * n       # edges to skipped vertices a skip made uncoverable
-    status = [0] * n             # 0 free, 1 chosen, 2 skipped
-    chosen = []
-    covered = 0
-    dead = 0                     # edges with both endpoints skipped
     slack = len(nbrs) // 2 - target  # how many edges may stay uncovered
-    stack = []                   # 2v: leave v's choose branch; 2v + 1: its skip branch
-    explore = True
+    deg = [len(a) for a in adj]      # residual degree of each free vertex, 0 otherwise
+    ranked = sorted(deg, reverse=True)
+    if target <= 0:
+        return [], 1
+    if best_size <= 1 or slack < 0 or sum(ranked[:best_size - 1]) < target:
+        return best, 1
+    nodes = 1
+    masks = touch = None  # neighbour bitmasks, built at the first forced-neighbour test
+    chosen = []
+    stack = []
+    # The state of the node on top: its degrees and their sort; ranked[:i]
+    # are its pivots skipped so far; dead edges have both endpoints skipped;
+    # gone marks chosen and skipped vertices; touch the neighbours of skipped
+    # ones (None until a forced-neighbour test needs it); free counts the
+    # pivot's free neighbours (-1 until counted).
+    need, i, dead, gone = target, 0, 0, 0
     while True:
-        if explore:
-            need = target - covered
-            avail = best_size - 1 - len(chosen)
-            if need <= 0:
-                if len(chosen) < best_size:
-                    best_size, best = len(chosen), chosen[:]
-            elif avail > 0 and dead <= slack:
-                ranked = sorted(deg, reverse=True)
-                if sum(ranked[:avail]) >= need:
-                    top = ranked[0]
-                    v = deg.index(top)
-                    status[v] = 1
+        d = ranked[i]
+        v = deg.index(d)
+        nodes += 1  # the choose child of pivot v
+        avail = best_size - 1 - len(chosen)
+        free = -1
+        if d >= need:
+            best_size, best = len(chosen) + 1, chosen + [v]
+        elif avail > 1:
+            child = deg[:]
+            child[v] = 0
+            free = 0
+            for w in adj[v]:
+                if child[w]:
+                    child[w] -= 1
+                    free += 1
+            order = sorted(child, reverse=True)
+            if sum(order[:avail - 1]) >= need - d:
+                cut = False
+                if dead == slack and gone:
+                    if touch is None:
+                        masks, touch = _touched(adj, masks, gone, chosen)
+                    # with v among the forced, the test is the one this
+                    # state passed on entry
+                    if touch and not touch >> v & 1:
+                        forced = touch & ~(gone | 1 << v)
+                        if forced:
+                            cut = _forced_cut(child, order, adj, masks, forced, need - d, avail - 1)
+                if not cut:
+                    stack.append((deg, ranked, i, need, dead, gone, touch, free))
                     chosen.append(v)
-                    covered += top
-                    deg[v] = 0
-                    for w in adj[v]:
-                        if status[w] == 0:
-                            deg[w] -= 1
-                    stack.append(2 * v)
+                    deg, ranked, i, need, gone = child, order, 0, need - d, gone | 1 << v
                     continue
-        if not stack:
-            break
-        op = stack.pop()
-        v = op >> 1
-        if op & 1:
-            status[v] = 0
-            deg[v] = skipped_deg[v]
-            dead -= skipped_dead[v]
-            explore = False
-            continue
-        chosen.pop()
-        status[v] = 2
-        d = lost = 0
-        for w in adj[v]:
-            if status[w] != 1:
-                d += 1
-                if status[w] == 0:
-                    deg[w] += 1
-                else:
-                    lost += 1
-        covered -= d
-        dead += lost
-        skipped_deg[v] = d
-        skipped_dead[v] = lost
-        stack.append(op + 1)
-        explore = True
-    return best
+        while True:
+            nodes += 1  # the skip child of pivot v, tested before it is built
+            avail = best_size - 1 - len(chosen)
+            if avail > 0 and sum(ranked[i + 1:i + 1 + avail]) >= need:
+                if free < 0:
+                    free = 0
+                    for w in adj[v]:
+                        if deg[w]:
+                            free += 1
+                lost = d - free  # v's skipped neighbours
+                if dead + lost <= slack:
+                    deg[v] = 0
+                    gone |= 1 << v
+                    if touch is not None:
+                        touch |= masks[v]
+                    cut = False
+                    if dead + lost == slack:
+                        if touch is None:
+                            masks, touch = _touched(adj, masks, gone, chosen)
+                        forced = touch & ~gone
+                        if forced:
+                            cut = _forced_cut(deg, ranked[i + 1:], adj, masks, forced, need, avail)
+                    if not cut:
+                        dead += lost
+                        i += 1
+                        break
+            # the node is done: back to its parent's pivot
+            if not stack:
+                return best, nodes
+            chosen.pop()
+            deg, ranked, i, need, dead, gone, touch, free = stack.pop()
+            d = ranked[i]
+            v = deg.index(d)
+
+
+def _touched(adj, masks, gone, chosen) -> tuple:
+    """The neighbour bitmasks, built from ``adj`` when ``masks`` is None,
+    and the bitmask of the neighbours of the skipped vertices: those in
+    ``gone`` but not in ``chosen``."""
+    if masks is None:
+        masks = [sum(1 << w for w in a) for a in adj]
+    skipped = gone
+    for c in chosen:
+        skipped &= ~(1 << c)
+    touch = 0
+    while skipped:
+        low = skipped & -skipped
+        touch |= masks[low.bit_length() - 1]
+        skipped ^= low
+    return masks, touch
+
+
+def _forced_cut(deg, ranked, adj, masks, forced, need, avail) -> bool:
+    """The forced-neighbour bound: True when no ``avail`` more vertices
+    that include the ``forced`` ones cover ``need`` more edges.
+
+    ``deg`` holds the state's residual degrees and ``ranked`` them sorted
+    (descending; it may also list the forced vertices). The forced vertices
+    cover their residual edges, those between two of them once; every other
+    free vertex keeps its residual degree less its forced neighbours, and
+    the degree-sum bound is tested on those with what is left to cover.
+    """
+    k = forced.bit_count()
+    if k > avail:
+        return True
+    rest = deg[:]
+    cover = inner = 0
+    members = []
+    bits = forced
+    while bits:
+        low = bits & -bits
+        w = low.bit_length() - 1
+        members.append(w)
+        cover += rest[w]
+        rest[w] = 0
+        inner += (masks[w] & forced).bit_count()
+        bits ^= low
+    need -= cover - inner // 2
+    if need <= 0:
+        return False
+    avail -= k
+    if avail <= 0 or sum(ranked[:avail]) < need:
+        return True
+    for w in members:
+        for u in adj[w]:
+            if rest[u]:
+                rest[u] -= 1
+    rest.sort(reverse=True)
+    return sum(rest[:avail]) < need
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,8 @@ def pvc_exact(graph: Graph, t: int) -> PvcResult:
     state = _solver_state(graph, t)
     incumbent = list(state.picks[:bisect_left(state.covered, t)])
     indptr, nbrs = _csr_arrays(graph)
-    witness = frozenset(kernels.bb_min_cover(graph.n, indptr, nbrs, t, incumbent))
+    witness, _ = kernels.bb_min_cover(graph.n, indptr, nbrs, t, incumbent)
+    witness = frozenset(witness)
     return PvcResult(len(witness), witness, coverage(graph, witness), METHOD_EXACT)
 
 

@@ -1,11 +1,14 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from util import reference_bb_min_cover
 
 from pvcmon import kernels
 from pvcmon.corpus import random_graph
 from pvcmon.graph import Graph
+from pvcmon.pvc import _csr_arrays, pvc_exact, pvc_greedy_upper
 
 
 def _edge_arrays(g: Graph):
@@ -164,6 +167,66 @@ def test_bb_matches_enumeration_minimum():
             assert pvc_exact(g, t).size == min_cover_size(g, t)
 
 
+def _search_args(g, t, incumbent=None):
+    indptr, nbrs = _csr_arrays(g)
+    if incumbent is None:
+        incumbent = sorted(pvc_greedy_upper(g, t).witness)
+    return g.n, indptr, nbrs, t, incumbent
+
+
+def _frozen_reference_cases():
+    # seeded G(n, p), every target up to n = 14 and five near the
+    # vertex-cover end above it
+    rng = random.Random(71)
+    for _ in range(100):
+        g = random_graph(rng.randint(2, 30), rng.choice((0.1, 0.2, 0.3, 0.4, 0.5, 0.6)), rng)
+        if g.n <= 14:
+            targets = range(1, g.m + 1)
+        else:
+            targets = sorted({math.ceil(f * g.m) for f in (0.5, 0.8, 0.9, 0.97, 1)})
+        for t in targets:
+            yield _search_args(g, t)
+    # isolated vertices, a star, K_n
+    spread = Graph.from_edges(12, [(1, 4), (4, 7), (7, 10), (1, 10), (4, 10), (2, 9)])
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    clique = Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+    for g in (spread, star, clique):
+        for t in range(1, g.m + 1):
+            yield _search_args(g, t)
+    # an incumbent that is already optimal, and one of size 1
+    g = random_graph(16, 0.3, random.Random(5))
+    for t in (math.ceil(0.8 * g.m), g.m):
+        yield _search_args(g, t, sorted(pvc_exact(g, t).witness))
+    yield _search_args(star, star.m, [0])
+    yield _search_args(clique, 7, [3])
+
+
+def test_bb_matches_frozen_reference():
+    # the search may only cut subtrees without a better cover, so it returns
+    # the witness of the reference search, vertex for vertex
+    cases = 0
+    for args in _frozen_reference_cases():
+        witness, nodes = kernels.bb_min_cover(*args)
+        assert witness == reference_bb_min_cover(*args), args[3]
+        assert nodes >= 1
+        cases += 1
+    assert cases > 900
+
+
+# Search states tested over the bench script's golden corpus (64 G(n, p),
+# n = 15..22, four targets each): 27,184 in the reference search (every
+# state it explores), 18,500 since the forced-neighbour bound. The count
+# does not depend on the machine; a change of bounds or branching may lower
+# it, never raise it.
+GOLDEN_NODES = 18_500
+
+
+def test_bb_golden_node_count():
+    results = [kernels.bb_min_cover(*args) for args in _load_bench_script().search_corpus()]
+    assert len(results) == 256
+    assert sum(nodes for _, nodes in results) == GOLDEN_NODES
+
+
 def _load_bench_script():
     # loaded by path: benchmarks/ is not a package
     import importlib.util
@@ -182,7 +245,9 @@ def test_bench_script_runs_the_search_rows():
     bench = _load_bench_script()
     bench.bench_bb_search()
     names = [row["name"] for row in bench.ROWS]
-    assert names[:2] == ["pvc_rho_decide 40 gadgets", "bb_min_cover n=50 m=177 t=m"]
+    assert names[:4] == ["pvc_rho_decide 40 gadgets", "bb_min_cover n=50 m=177 t=m",
+                         "bb_min_cover corpus (256 searches)", "bb_min_cover n=80 m=269 t=m"]
+    assert all(row["nodes"] > 0 for row in bench.ROWS[1:4])
 
 
 def test_bench_script_runs_the_minplus_rows():

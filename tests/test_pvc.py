@@ -568,19 +568,22 @@ def test_exact_matches_ilp_oracle_beyond_enumeration():
 
 
 def test_exact_vertex_cover_end_matches_ilp():
-    # targets near m, where only the uncoverable-edge bound keeps the search short
+    # targets near m, where the uncoverable-edge bound and, at t = m, the
+    # forced-neighbour bound keep the search short
     pytest.importorskip("scipy")
     from pvcmon.oracles import min_cover_size_ilp
 
     searched = 0.0
-    for n, p in ((40, 0.2), (50, 0.15), (60, 0.1)):
+    cases = [(n, p, frac) for n, p in ((40, 0.2), (50, 0.15), (60, 0.1)) for frac in (0.9, 1)]
+    cases.append((80, 0.08, 1))  # size 50: 2.1M search states without the forced-neighbour bound
+    for n, p, frac in cases:
         g = random_graph(n, p, random.Random(1))
-        for t in (math.ceil(0.9 * g.m), g.m):
-            started = time.perf_counter()
-            res = pvc_exact(g, t)
-            searched += time.perf_counter() - started
-            assert res.size == min_cover_size_ilp(g, t)
-            assert coverage(g, res.witness) >= t
+        t = math.ceil(frac * g.m)
+        started = time.perf_counter()
+        res = pvc_exact(g, t)
+        searched += time.perf_counter() - started
+        assert res.size == min_cover_size_ilp(g, t)
+        assert coverage(g, res.witness) >= t
     assert searched < 10.0, f"exact searches took {searched:.2f}s"
 
 

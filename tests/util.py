@@ -66,6 +66,94 @@ def reference_spread(graph: Graph, tau, seed) -> SpreadTrace:
     return SpreadTrace(tuple(layers), len(active) == graph.n)
 
 
+def reference_bb_min_cover(n, indptr, nbrs, target, incumbent):
+    """Smallest vertex set covering >= target edges, searched below an incumbent.
+
+    The branch-and-bound search as it was before it tested children before
+    building them and before the forced-neighbour bound, kept as the
+    reference ``kernels.bb_min_cover``'s witnesses are checked against.
+
+    The simple graph comes as CSR arrays (``indptr``, ``nbrs``). ``incumbent``
+    is a vertex list covering >= target edges. Returns the smallest set found
+    as a vertex list, or the incumbent when nothing smaller exists.
+
+    Depth-first: branch on the free vertex of maximum residual degree (lowest
+    id on ties), first choosing it, then skipping it for the whole subtree;
+    every strictly smaller cover found replaces the incumbent. A node is
+    pruned when more than m - target edges have both endpoints skipped: no
+    completion covers those, so none reaches the target (the uncoverable-edge
+    bound, O(1); it decides the vertex-cover end t ~ m, where the next bound
+    is weak). It is also pruned when the ``avail`` largest residual degrees
+    of the free vertices, ``avail`` being how many more vertices could still
+    beat the incumbent, sum to less than the edges left to cover (the
+    degree-sum bound of Kneis, Mölle, Richter and Rossmanith, ISAAC 2006).
+    Neither cuts a subtree holding a cover that beats the incumbent, so the
+    incumbents, and the witness returned, are those of the unpruned search.
+    """
+    indptr = indptr.tolist()
+    nbrs = nbrs.tolist()
+    adj = [nbrs[indptr[v]:indptr[v + 1]] for v in range(n)]
+    best_size, best = len(incumbent), incumbent
+    deg = [len(a) for a in adj]  # residual degree of each free vertex, 0 otherwise
+    skipped_deg = [0] * n        # residual degree a skipped vertex gets back
+    skipped_dead = [0] * n       # edges to skipped vertices a skip made uncoverable
+    status = [0] * n             # 0 free, 1 chosen, 2 skipped
+    chosen = []
+    covered = 0
+    dead = 0                     # edges with both endpoints skipped
+    slack = len(nbrs) // 2 - target  # how many edges may stay uncovered
+    stack = []                   # 2v: leave v's choose branch; 2v + 1: its skip branch
+    explore = True
+    while True:
+        if explore:
+            need = target - covered
+            avail = best_size - 1 - len(chosen)
+            if need <= 0:
+                if len(chosen) < best_size:
+                    best_size, best = len(chosen), chosen[:]
+            elif avail > 0 and dead <= slack:
+                ranked = sorted(deg, reverse=True)
+                if sum(ranked[:avail]) >= need:
+                    top = ranked[0]
+                    v = deg.index(top)
+                    status[v] = 1
+                    chosen.append(v)
+                    covered += top
+                    deg[v] = 0
+                    for w in adj[v]:
+                        if status[w] == 0:
+                            deg[w] -= 1
+                    stack.append(2 * v)
+                    continue
+        if not stack:
+            break
+        op = stack.pop()
+        v = op >> 1
+        if op & 1:
+            status[v] = 0
+            deg[v] = skipped_deg[v]
+            dead -= skipped_dead[v]
+            explore = False
+            continue
+        chosen.pop()
+        status[v] = 2
+        d = lost = 0
+        for w in adj[v]:
+            if status[w] != 1:
+                d += 1
+                if status[w] == 0:
+                    deg[w] += 1
+                else:
+                    lost += 1
+        covered -= d
+        dead += lost
+        skipped_deg[v] = d
+        skipped_dead[v] = lost
+        stack.append(op + 1)
+        explore = True
+    return best
+
+
 def is_chordal(graph: Graph) -> bool:
     """Maximum cardinality search + perfect elimination ordering check."""
     n = graph.n
