@@ -9,12 +9,13 @@ Python and numpy versions and the CPU count, to PATH. The tree solver's
 rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
 its path and recursive rows give the call's tracemalloc peak
 (``peak_bytes``); the dispatch rows count the graph walks each query makes
-(``walks``), the monopoly decide row the ``solve_pvc`` calls of one run
-(``solves``), the branch-and-bound rows the search states
-``kernels.bb_min_cover`` tested (``nodes``), and the edgeless graph-build
-row the bytes per vertex its graph keeps (``bytes_per_vertex``, by
-tracemalloc). None of these counts depends on the machine. Each battery row gives the instances it checks
-(``calls``) and their rate (``instances_per_second``).
+(``walks``), the decide and reduction-chain rows the ``solve_pvc`` calls
+of one run (``solves``), the branch-and-bound rows and the rho-decide row
+the search states ``kernels.bb_min_cover`` tested (``nodes``), and the
+edgeless graph-build row the bytes per vertex its graph keeps
+(``bytes_per_vertex``, by tracemalloc). None of these counts depends on
+the machine. Each battery row gives the instances it checks (``calls``)
+and their rate (``instances_per_second``).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from pvcmon.reductions import (
     gadget_sidecar_json,
     load_gadget,
     pendant_triple_augment,
+    reduction_chain,
 )
 from pvcmon.verify import (
     DEFAULT_RHOS,
@@ -139,15 +141,20 @@ def search_corpus():
 
 
 def bench_bb_search():
-    # the lemma2 battery's right side: rho-decides on gadget graphs; each
-    # timed run starts from fresh graph objects, so the per-graph solver
-    # state is built inside the timing
+    # the lemma2 battery's right side: rho-decides on gadget graphs, which
+    # the greedy and degree-sum shortcuts settle all 40 of, so solves and
+    # nodes read 0; each timed run starts from fresh graph objects, so the
+    # per-graph solver state is built inside the timing
     gadgets = _lemma2_gadgets()
     jobs = [(inst.graph, k + 1, inst.rho) for inst, k in gadgets]
     greedy_jobs = [(inst.graph, math.ceil(inst.rho * inst.graph.m)) for inst, _ in gadgets]
 
-    secs, _ = _time(lambda: sum(pvc_rho_decide(_fresh(g), l, rho) for g, l, rho in jobs))
-    _row(f"pvc_rho_decide {len(jobs)} gadgets", secs, len(jobs))
+    def decide_all():
+        return sum(pvc_rho_decide(_fresh(g), l, rho) for g, l, rho in jobs)
+
+    secs, _ = _time(decide_all)
+    _row(f"pvc_rho_decide {len(jobs)} gadgets", secs, len(jobs),
+         solves=_calls(pvc, "solve_pvc", decide_all), nodes=_nodes(decide_all))
     # the vertex-cover end (t = m), searched to optimality below the greedy
     # incumbent as pvc_exact does
     g = random_graph(50, 0.15, random.Random(1))
@@ -213,6 +220,25 @@ def bench_monopoly_decides():
     secs, _ = _time(run)
     solves = _calls(pvc, "solve_pvc", run)
     _row(f"smon/sdyn_decide ({len(graphs)} graphs)", secs, calls, solves=solves, nodes=_nodes(run))
+
+
+def bench_reduction_chain():
+    # reduction_chain G -> G' -> H at rho = 1/2 over every (k, t) of a graph
+    # with cycles and of a tree, whose gadgets route to the tree DP; each
+    # run starts from a fresh G, and solves counts the decides the
+    # shortcuts leave to solve_pvc
+    rho = Fraction(1, 2)
+    for label, g in (("G(20,0.2)", random_graph(20, 0.2, random.Random(23))),
+                     ("tree n=30", random_tree(30, random.Random(23)))):
+        instances = [(k, t) for k in range(g.n + 1) for t in range(g.m + 1)]
+
+        def run():
+            fresh = _fresh(g)
+            return all(reduction_chain(fresh, k, t, rho)[1] for k, t in instances)
+
+        secs, _ = _time(run, repeat=2)
+        _row(f"reduction_chain {label} m={g.m} every (k,t)", secs, len(instances),
+             solves=_calls(pvc, "solve_pvc", run))
 
 
 def _fresh(g):
@@ -434,6 +460,7 @@ def main():
     bench_bb_search()
     bench_lemma1_decides()
     bench_monopoly_decides()
+    bench_reduction_chain()
     bench_minplus()
     bench_tree_solver()
     bench_graph_build()

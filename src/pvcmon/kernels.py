@@ -126,14 +126,16 @@ def bb_min_cover(n, indptr, nbrs, target, incumbent):
     # are its pivots skipped so far; dead edges have both endpoints skipped;
     # gone marks chosen and skipped vertices; touch the neighbours of skipped
     # ones (None until a forced-neighbour test needs it); free counts the
-    # pivot's free neighbours (-1 until counted).
+    # pivot's free neighbours. The skip test can pass only when free is
+    # counted: a choose child that reaches the target leaves avail at 0; an
+    # unbuilt one means avail <= 1 and ranked[i + 1] <= d < need; otherwise
+    # free was counted building the child, or restored from the stack.
     need, i, dead, gone = target, 0, 0, 0
     while True:
         d = ranked[i]
         v = deg.index(d)
         nodes += 1  # the choose child of pivot v
         avail = best_size - 1 - len(chosen)
-        free = -1
         if d >= need:
             best_size, best = len(chosen) + 1, chosen + [v]
         elif avail > 1:
@@ -165,11 +167,6 @@ def bb_min_cover(n, indptr, nbrs, target, incumbent):
             nodes += 1  # the skip child of pivot v, tested before it is built
             avail = best_size - 1 - len(chosen)
             if avail > 0 and sum(ranked[i + 1:i + 1 + avail]) >= need:
-                if free < 0:
-                    free = 0
-                    for w in adj[v]:
-                        if deg[w]:
-                            free += 1
                 lost = d - free  # v's skipped neighbours
                 if dead + lost <= slack:
                     deg[v] = 0

@@ -248,6 +248,8 @@ def test_bench_script_runs_the_search_rows():
     assert names[:4] == ["pvc_rho_decide 40 gadgets", "bb_min_cover n=50 m=177 t=m",
                          "bb_min_cover corpus (256 searches)", "bb_min_cover n=80 m=269 t=m"]
     assert all(row["nodes"] > 0 for row in bench.ROWS[1:4])
+    # the rho-decide row's shortcuts settle every decide before a search
+    assert bench.ROWS[0]["solves"] == bench.ROWS[0]["nodes"] == 0
 
 
 def test_bench_script_runs_the_minplus_rows():

@@ -26,7 +26,7 @@ from pvcmon import (
     verify_lemma1,
     verify_lemma2,
 )
-from pvcmon.corpus import all_labeled_graphs, cycle_graph, path_graph, random_graph
+from pvcmon.corpus import all_labeled_graphs, cycle_graph, path_graph, random_graph, random_tree
 from pvcmon.graph import to_edge_list_text, walk
 from pvcmon.reductions import ROLE_ORIGINAL, ROLE_PENDANT, _GadgetFamily, _layout, gadget_parameters
 from pvcmon.verify import DEFAULT_RHOS, lemma2_battery
@@ -354,8 +354,6 @@ class TestEquivalences:
         ]
 
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: verify_lemma1(path_graph(9), 1, 1), ValueError, "exact-solving guard: n=9 > 8"),
-        (lambda: verify_lemma2(path_graph(7), 1, 1, "1/2"), ValueError, "exact-solving guard: n=7 > 6"),
         (lambda: verify_lemma2(cycle_graph(4), 1, 2, "3/2"), ValueError,
          "rho must lie strictly between 0 and 1, got 3/2"),
         (lambda: verify_lemma2(cycle_graph(4), -1, 2, "1/2"), ValueError, "k and t must be nonnegative"),
@@ -364,7 +362,6 @@ class TestEquivalences:
          "target 5 exceeds edge count 4"),
         (lambda: verify_lemma2(cycle_graph(4), 1, 2, 0.5), TypeError,
          "pass an exact rational (int, 'p/q' string, or Fraction), not a float"),
-        (lambda: reduction_chain(path_graph(7), 1, 1, "1/2"), ValueError, "exact-solving guard: n=7 > 6"),
         (lambda: reduction_chain(cycle_graph(4), 1, 2, 0), ValueError,
          "rho must lie strictly between 0 and 1, got 0"),
         (lambda: reduction_chain(cycle_graph(4), 1, -1, "1/2"), ValueError, "k and t must be nonnegative"),
@@ -395,9 +392,53 @@ class TestEquivalences:
             call()
         assert type(caught.value) is error and str(caught.value) == message
 
-    def test_guards(self):
+    def test_no_size_guard(self):
+        # the verifiers decide like every decide form, whatever n is
         big = random_graph(9, 0.3, random.Random(0))
-        with pytest.raises(ValueError):
-            verify_lemma1(big, 1, 1)
-        with pytest.raises(ValueError):
-            verify_lemma2(big, 1, 1, Fraction(1, 2))
+        assert verify_lemma1(big, 1, 1)
+        assert verify_lemma2(big, 1, 1, Fraction(1, 2))
+        assert verify_lemma1(path_graph(9), 1, 1)
+        assert verify_lemma2(path_graph(7), 1, 1, "1/2")
+        assert reduction_chain(cycle_graph(7), 2, 5, "1/3")[1]
+
+
+# the hardness chain G -> G' -> H at rho = 1/2 on a graph with cycles and on
+# a tree; the tree's gadgets are trees of up to 944 vertices
+CHAIN_GRAPHS = (random_graph(16, 0.3, random.Random(1)), random_tree(24, random.Random(1)))
+
+
+class TestChainAtScale:
+    @pytest.mark.parametrize("g", CHAIN_GRAPHS, ids=("gnp16", "tree24"))
+    def test_chain_holds_at_every_instance(self, g):
+        # Smon at 2 rho and Sdyn at 1 + rho with k + 1 seeds ask H's question
+        # at ceil(rho m_H), the paper's Smon/Sdyn at k eps(G); a gadget of a
+        # bipartite graph is bipartite, the class the hardness is claimed for
+        rho = Fraction(1, 2)
+        bipartite = walk(g).side is not None
+        for k in range(g.n + 1):
+            for t in range(g.m + 1):
+                assert verify_lemma2(g, k, t, rho)
+                inst, ok = reduction_chain(g, k, t, rho)
+                assert ok
+                h = inst.graph
+                right = pvc_rho_decide(h, k + 1, rho)
+                assert smon_decide(h, k + 1, 2 * rho) == right == sdyn_decide(h, k + 1, 1 + rho)
+                if bipartite:
+                    assert walk(h).side is not None
+
+    def test_chain_sides_match_ilp(self):
+        # each side against an integer program at its own target:
+        # <G', k, t + 3k> and <H, k + 1, ceil(rho m_H)>
+        pytest.importorskip("scipy")
+        from pvcmon.oracles import min_cover_size_ilp
+        from pvcmon.pvc import _decide
+
+        rho, rng = Fraction(1, 2), random.Random(2)
+        for g in CHAIN_GRAPHS:
+            augmented, _ = pendant_triple_augment(g)
+            for _ in range(3):
+                k, t = rng.randint(0, g.n), rng.randint(0, g.m)
+                h = build_gadget(g, k, t, rho).graph
+                target = math.ceil(rho * h.m)
+                assert _decide(augmented, t + 3 * k, k) == (min_cover_size_ilp(augmented, t + 3 * k) <= k)
+                assert pvc_rho_decide(h, k + 1, rho) == (min_cover_size_ilp(h, target) <= k + 1)
