@@ -43,7 +43,8 @@ from pvcmon.corpus import (
     random_tree,
 )
 from pvcmon.graph import Graph, parse_graph, to_edge_list_text, walk
-from pvcmon.monopoly import sdyn_decide, smon_decide
+from pvcmon.monopoly import sdyn_decide, smon_decide, sparse_profile
+from pvcmon.oracles import cover_profile
 from pvcmon.pvc import (
     PvcbInstance,
     _csr_arrays,
@@ -66,9 +67,12 @@ from pvcmon.reductions import (
 )
 from pvcmon.verify import (
     DEFAULT_RHOS,
+    _phi_total_profile,
+    _theorem_profiles,
     lemma1_battery,
     lemma2_battery,
     theorem_battery,
+    theorem_corpus,
     witness_identity_battery,
 )
 
@@ -101,6 +105,19 @@ def bench_cover_profile():
     ev = np.array([v for _, v in g.edges], dtype=np.int64)
     secs, _ = _time(kernels.cover_profile, g.n, eu, ev)
     _row(f"cover_profile n={g.n} m={g.m}", secs)
+
+
+def bench_oracle_profiles():
+    # the theorems battery's independent routes, each on its own, then the
+    # battery's one enumeration per graph over its default corpus
+    for n in (12, 14):
+        g = random_graph(n, 0.5, random.Random(n))
+        for fn in (cover_profile, _phi_total_profile, sparse_profile):
+            secs, _ = _time(fn, g)
+            _row(f"{fn.__name__.lstrip('_')} n={n} m={g.m}", secs)
+    graphs = list(theorem_corpus())
+    secs, _ = _time(lambda: [_theorem_profiles(g) for g in graphs])
+    _row(f"theorem profiles default corpus ({len(graphs)} graphs)", secs, len(graphs))
 
 
 def _lemma2_gadgets():
@@ -457,6 +474,7 @@ def main():
     print(f"backend: {kernels.backend()}")
     print(f"{'kernel':<44} {'time':>12}")
     bench_cover_profile()
+    bench_oracle_profiles()
     bench_bb_search()
     bench_lemma1_decides()
     bench_monopoly_decides()

@@ -1,12 +1,13 @@
 """Hot search kernels, one source each.
 
-The subset-enumeration profile is vectorized numpy; ``_cover_profile_loop``
-is the plain-Python reference the tests check it against. The min-plus
-merge convolves stacked tables (the tree DP's two vertex states) in one
-call: short list tables in a plain-Python loop, arrays by blocks of rows,
-each block one skewed buffer and one min, instead of one numpy step per
-row. The branch-and-bound search is plain Python over lists, has one mode
-(the smallest cover below a given incumbent; decisions ask
+``enumerate_subsets`` feeds all 2^n vertex subsets, in numpy chunks, to
+the folds of every exhaustive oracle; ``_cover_profile_loop`` is the
+plain-Python reference the tests check ``cover_profile`` against. The
+min-plus merge convolves stacked tables (the tree DP's two vertex states)
+in one call: short list tables in a plain-Python loop, arrays by blocks of
+rows, each block one skewed buffer and one min, instead of one numpy step
+per row. The branch-and-bound search is plain Python over lists, has one
+mode (the smallest cover below a given incumbent; decisions ask
 ``pvc.solve_pvc`` and compare its size) and prunes with three bounds: the
 uncoverable-edge count (edges whose endpoints are both skipped), the
 degree-sum bound and, once no more edges may stay uncovered, the
@@ -27,7 +28,41 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# subset-enumeration coverage profile
+# subset enumeration and the coverage profile
+
+# Largest vertex count whose 2^n subsets ``enumerate_subsets`` walks.
+SUBSET_GUARD = 26
+
+# Subsets a chunk: with m <= C(26, 2) = 325, a fold's chunk-by-edge arrays
+# stay under 2^22 cells.
+_CHUNK = 1 << 13
+
+
+def enumerate_subsets(n: int, *folds) -> list:
+    """Run each fold, a (step, result) pair, over every subset of n
+    vertices; the list of the results' answers. Each step gets the subsets
+    as int64 bitmasks in increasing order, chunk by chunk with their sizes,
+    as ``step(masks, sizes)``, so the first subset it meets is the least.
+    Refuses n > SUBSET_GUARD with a ValueError before any subset is built."""
+    if n > SUBSET_GUARD:
+        raise ValueError(f"subset enumeration guard: n={n} > {SUBSET_GUARD}")
+    end = 1 << n
+    for start in range(0, end, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, end), dtype=np.int64)
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        for step, _ in folds:
+            step(masks, sizes)
+    return [result() for _, result in folds]
+
+
+def size_max(n: int, value) -> tuple:
+    """The fold of the largest ``value(masks)`` over the subsets of at most
+    k vertices, for each k (an int64 array)."""
+    best = np.zeros(n + 1, dtype=np.int64)
+
+    def step(masks, sizes):
+        np.maximum.at(best, sizes, value(masks))
+    return step, lambda: np.maximum.accumulate(best)
 
 
 def _cover_profile_loop(n, edge_u, edge_v):
@@ -52,21 +87,16 @@ def _cover_profile_loop(n, edge_u, edge_v):
     return best
 
 
+def cover_fold(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> tuple:
+    """The fold of ``cover_profile``: edge (u, v) is covered by a subset
+    that meets ``1 << u | 1 << v``."""
+    edges = (np.left_shift(1, edge_u) | np.left_shift(1, edge_v))[:, None]
+    return size_max(n, lambda masks: ((edges & masks) != 0).sum(axis=0))
+
+
 def cover_profile(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
     """Max coverage per subset size over all 2^n subsets (full enumeration)."""
-    if n > 26:
-        raise ValueError(f"subset enumeration guard: n={n} > 26")
-    best = np.zeros(n + 1, dtype=np.int64)
-    chunk = 1 << min(n, 20)  # bound peak memory on large enumerations
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, start + chunk, dtype=np.int64)
-        cov = np.zeros(masks.shape[0], dtype=np.int64)
-        for j in range(edge_u.shape[0]):
-            cov += ((masks >> int(edge_u[j])) | (masks >> int(edge_v[j]))) & 1
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        np.maximum.at(best, sizes, cov)
-    np.maximum.accumulate(best, out=best)
-    return best
+    return enumerate_subsets(n, cover_fold(n, edge_u, edge_v))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ degree-dominant bipartite graphs get the polynomial solvers); the
 ``*_decide`` forms ask ``pvc._decide``, as ``pvc_decide`` does, at the
 target (``_static_target``, ``_dynamic_target``) their total fixes. ``sdyn_via_subgraph``
 is the independent sparse-induced-subgraph route used to cross-check
-``sdyn``; ``sparse_profile`` is its enumeration, kept for callers that ask
-about several averages of one graph.
+``sdyn``; ``sparse_profile`` is its enumeration, a fold over
+``kernels.enumerate_subsets`` (the theorems battery runs it in its one
+enumeration a graph), kept for callers that ask about several averages of
+one graph.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
+import numpy as np
+
 from .errors import InfeasibleTargetError
 from .graph import Graph, Rational, _coerce_rational, vertex_subset
+from .kernels import enumerate_subsets
 from .pvc import _decide, solve_pvc
 
 # Largest graph sdyn_via_subgraph enumerates unless told otherwise (2^14 subsets).
@@ -228,15 +233,27 @@ def sparse_profile(graph: Graph) -> list[dict[int, int]]:
     """Every subset's induced edge count, by subset size.
 
     Entry s maps each number of edges that some s-subset induces to the
-    first such subset in increasing bitmask order. Enumerates all 2^n
-    subsets; independent of the cover solvers.
+    first such subset in increasing bitmask order, in the order those come.
+    Enumerates all 2^n subsets (``kernels.enumerate_subsets``, so n <=
+    ``kernels.SUBSET_GUARD``); independent of the cover solvers.
     """
-    edge_masks = [(1 << u) | (1 << v) for u, v in graph.edges]
+    return enumerate_subsets(graph.n, _sparse_fold(graph))[0]
+
+
+def _sparse_fold(graph: Graph) -> tuple:
+    """The enumeration fold of ``sparse_profile``: edge (u, v) is induced
+    by a subset that holds ``1 << u | 1 << v``."""
+    edges = np.array([(1 << u) | (1 << v) for u, v in graph.edges], dtype=np.int64)[:, None]
     profile: list[dict[int, int]] = [{} for _ in range(graph.n + 1)]
-    for mask in range(1 << graph.n):
-        inside = sum(1 for em in edge_masks if mask & em == em)
-        profile[mask.bit_count()].setdefault(inside, mask)
-    return profile
+
+    def step(masks, sizes):
+        inside = ((edges & masks) == edges).sum(axis=0)
+        # the first subset of each (size, inside) in the chunk, in mask order
+        _, at = np.unique(sizes * (graph.m + 1) + inside, return_index=True)
+        at.sort()
+        for s, k, mask in zip(sizes[at].tolist(), inside[at].tolist(), masks[at].tolist()):
+            profile[s].setdefault(k, mask)
+    return step, lambda: profile
 
 
 def sdyn_via_subgraph(

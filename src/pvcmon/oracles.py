@@ -1,9 +1,10 @@
 """Independent baselines used to cross-check the solvers.
 
 These deliberately share no search code with the branch-and-bound path in
-:mod:`pvcmon.pvc`: most enumerate every vertex subset, and
-:func:`min_cover_size_ilp` hands the problem to an integer-program solver
-(optional, needs scipy) to reach sizes enumeration cannot.
+:mod:`pvcmon.pvc`: most reduce ``kernels.enumerate_subsets`` over every
+vertex subset, each by its own formula, and :func:`min_cover_size_ilp`
+hands the problem to an integer-program solver (optional, needs scipy) to
+reach sizes enumeration cannot.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ def cover_profile(graph: Graph, max_n: int = 20) -> list[int]:
     """For each subset size k, the max number of edges coverable by k vertices."""
     if graph.n > max_n:
         raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
-    eu = np.array([u for u, _ in graph.edges], dtype=np.int64)
-    ev = np.array([v for _, v in graph.edges], dtype=np.int64)
-    return [int(x) for x in kernels.cover_profile(graph.n, eu, ev)]
+    return kernels.cover_profile(graph.n, *_edge_arrays(graph)).tolist()
+
+
+def _edge_arrays(graph: Graph) -> np.ndarray:
+    """The edges' endpoint columns u and v, as the coverage kernels take them."""
+    return np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
 
 
 def min_cover_size(graph: Graph, t: int, max_n: int = 20) -> int:
@@ -75,20 +79,8 @@ def max_independent_set_size(graph: Graph, max_n: int = 20) -> int:
     """Brute-force independence number (used to cross-check cover boundaries)."""
     if graph.n > max_n:
         raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
-    adj_masks = [0] * graph.n
-    for u, v in graph.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
-    best = 0
-    for mask in range(1 << graph.n):
-        ok = True
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if adj_masks[v] & mask:
-                ok = False
-                break
-        if ok:
-            best = max(best, mask.bit_count())
-    return best
+    edges = np.array([(1 << u) | (1 << v) for u, v in graph.edges], dtype=np.int64)[:, None]
+
+    def size_if_independent(masks):
+        return np.where(((edges & masks) == edges).any(axis=0), 0, np.bitwise_count(masks))
+    return int(kernels.enumerate_subsets(graph.n, kernels.size_max(graph.n, size_if_independent))[0][-1])

@@ -20,10 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from . import oracles
+import numpy as np
+
+from . import kernels, oracles
 from .corpus import all_labeled_graphs, random_graph
 from .graph import Graph, coverage
 from .monopoly import (
+    _sparse_fold,
     dynamo_witness_tau,
     is_dynamic_monopoly,
     is_monopoly,
@@ -31,13 +34,11 @@ from .monopoly import (
     sdyn,
     sdyn_via_subgraph,
     smon,
-    sparse_profile,
 )
 from .pvc import _decide, pvc_rho_decide
 from .reductions import _GadgetFamily, _lemma1_holds, pendant_triple_augment
 
 DEFAULT_RHOS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
-DENOMINATORS = (1, 2, 3)  # of the averages p/q the theorems battery checks
 MAX_GRAPHS = 100_000  # of the theorems battery; 100,000 take ~35 s on 2 vCPUs
 
 
@@ -137,19 +138,26 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
 
 
 def _feasible_averages(graph: Graph) -> list[Fraction]:
-    """Every average p/q (p <= 2m, q in DENOMINATORS) with (p/q) n <= 2m, sorted.
+    """Every average p/q (p <= 2m, q in 1, 2, 3) with (p/q) n <= 2m, sorted.
 
-    The test runs in integers, p n <= 2m q, so only the kept pairs become
-    Fractions.
+    These are exactly the a/6 with a >= 2 a multiple of 2 or 3 and
+    a n <= 12m (then p/q <= 2m/n keeps p <= 2m), so the list is built in
+    integers, already in order.
     """
-    degree_sum = 2 * graph.m
-    out = {
-        Fraction(p, q)
-        for q in DENOMINATORS
-        for p in range(1, degree_sum + 1)
-        if p * graph.n <= degree_sum * q
-    }
-    return sorted(out)
+    top = 12 * graph.m // max(graph.n, 1)
+    return [Fraction(a, 6) for a in range(2, top + 1) if a % 2 == 0 or a % 3 == 0]
+
+
+def _phi_total_fold(graph: Graph) -> tuple:
+    """The enumeration fold of ``_phi_total_profile``: a subset S's witness
+    total is deg v summed over v in S plus |N(v) & S| summed over v outside
+    S, from the degrees and the neighbour bitmasks."""
+    nbrs = np.array([sum(1 << w for w in a) for a in graph.adjacency], dtype=np.int64)[:, None]
+    deg = np.array(graph.degrees, dtype=np.int64)[:, None]
+    bit = np.left_shift(1, np.arange(graph.n, dtype=np.int64))[:, None]
+    return kernels.size_max(
+        graph.n, lambda masks: np.where(bit & masks, deg, np.bitwise_count(nbrs & masks)).sum(axis=0)
+    )
 
 
 def _phi_total_profile(graph: Graph) -> list[int]:
@@ -158,26 +166,18 @@ def _phi_total_profile(graph: Graph) -> list[int]:
     Computed directly from degrees over every subset; independent of the
     cover solvers.
     """
-    n = graph.n
-    deg = graph.degrees
-    adj_masks = [0] * n
-    for u, v in graph.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
-    best = [0] * (n + 1)
-    for mask in range(1 << n):
-        total = 0
-        for v in range(n):
-            if (mask >> v) & 1:
-                total += deg[v]
-            else:
-                total += (adj_masks[v] & mask).bit_count()
-        size = mask.bit_count()
-        if total > best[size]:
-            best[size] = total
-    for k in range(1, n + 1):
-        best[k] = max(best[k], best[k - 1])
-    return best
+    return kernels.enumerate_subsets(graph.n, _phi_total_fold(graph))[0].tolist()
+
+
+def _theorem_profiles(graph: Graph) -> tuple[list[int], list[int], list[dict[int, int]]]:
+    """A graph's cover, witness-total and sparse profiles from one enumeration."""
+    cover, phi, sparse = kernels.enumerate_subsets(
+        graph.n,
+        kernels.cover_fold(graph.n, *oracles._edge_arrays(graph)),
+        _phi_total_fold(graph),
+        _sparse_fold(graph),
+    )
+    return cover.tolist(), phi.tolist(), sparse
 
 
 def _required_totals(n: int, t: Fraction) -> tuple[int, int]:
@@ -208,9 +208,7 @@ def theorem_battery(n_graphs: int = 500, max_n: int = 8, seed: int = 20240817) -
     """
     report = BatteryReport("theorems")
     for graph in theorem_corpus(n_graphs, max_n, seed):
-        cover_prof = oracles.cover_profile(graph)
-        phi_prof = _phi_total_profile(graph)
-        sparse_prof = sparse_profile(graph)
+        cover_prof, phi_prof, sparse_prof = _theorem_profiles(graph)
         for t in _feasible_averages(graph):
             report.instances += 1
             nt_ceil, cover_target = _required_totals(graph.n, t)

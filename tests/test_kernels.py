@@ -3,12 +3,20 @@ import random
 
 import numpy as np
 import pytest
-from util import reference_bb_min_cover
+from util import (
+    reference_bb_min_cover,
+    reference_max_independent_set_size,
+    reference_phi_total_profile,
+    reference_sparse_profile,
+)
 
 from pvcmon import kernels
-from pvcmon.corpus import random_graph
+from pvcmon.corpus import all_labeled_graphs, random_graph
 from pvcmon.graph import Graph
+from pvcmon.monopoly import sparse_profile
+from pvcmon.oracles import cover_profile, max_independent_set_size
 from pvcmon.pvc import _csr_arrays, pvc_exact, pvc_greedy_upper
+from pvcmon.verify import _phi_total_profile, _theorem_profiles
 
 
 def _edge_arrays(g: Graph):
@@ -32,6 +40,35 @@ def test_cover_profile_guard():
     ev = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError):
         kernels.cover_profile(30, eu, ev)
+
+
+def _enumeration_graphs():
+    # every labelled graph with n <= 5, then seeded G(n, p) up to the
+    # theorems battery's cap; from n = 14 the enumeration takes two chunks
+    for n in range(6):
+        yield from all_labeled_graphs(n)
+    rng = random.Random(24)
+    for n in range(6, 15):
+        for p in (0.3, 0.7):
+            yield random_graph(n, p, rng)
+
+
+def test_enumeration_oracles_match_their_loops():
+    # key order included: sdyn_via_subgraph's witness is a first mask
+    def rows(profile):
+        return [list(row.items()) for row in profile]
+
+    for g in _enumeration_graphs():
+        phi = reference_phi_total_profile(g)
+        sparse = rows(reference_sparse_profile(g))
+        assert _phi_total_profile(g) == phi
+        assert rows(sparse_profile(g)) == sparse
+        assert max_independent_set_size(g) == reference_max_independent_set_size(g)
+        cover, battery_phi, battery_sparse = _theorem_profiles(g)
+        assert (cover, battery_phi, rows(battery_sparse)) == (cover_profile(g), phi, sparse)
+        # a subset's witness total is twice its coverage, so the loop's
+        # profile checks the coverage fold across chunks too
+        assert phi == [2 * c for c in cover]
 
 
 def _naive_minplus(a, b):
@@ -250,6 +287,16 @@ def test_bench_script_runs_the_search_rows():
     assert all(row["nodes"] > 0 for row in bench.ROWS[1:4])
     # the rho-decide row's shortcuts settle every decide before a search
     assert bench.ROWS[0]["solves"] == bench.ROWS[0]["nodes"] == 0
+
+
+def test_bench_script_runs_the_oracle_profile_rows():
+    # the kernel bench calls the enumeration oracles and the theorems
+    # battery's profiles directly, so it must keep up with their names
+    bench = _load_bench_script()
+    bench.bench_oracle_profiles()
+    names = [row["name"] for row in bench.ROWS]
+    assert [name.split(" n=")[0] for name in names[:6]] == ["cover_profile", "phi_total_profile", "sparse_profile"] * 2
+    assert names[6] == "theorem profiles default corpus (500 graphs)"
 
 
 def test_bench_script_runs_the_minplus_rows():

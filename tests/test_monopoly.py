@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from pvcmon import (
     smon_decide,
 )
 from pvcmon.corpus import complete_graph, cycle_graph, path_graph, random_graph, random_tree, star_graph
+from pvcmon.monopoly import sparse_profile
 from pvcmon.pvc import PvcbInstance, pvc_decide, pvc_greedy_upper, pvc_tree
 
 
@@ -229,6 +231,19 @@ class TestSdynViaSubgraph:
         big = random_graph(15, 0.2, random.Random(1))
         with pytest.raises(ValueError):
             sdyn_via_subgraph(big, 1)
+
+    def test_sparse_profile_refuses_what_it_cannot_enumerate(self):
+        # the enumeration kernel's refusal, before any of the 2^40 subsets
+        # is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as caught:
+                sparse_profile(Graph.from_edges(40, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "subset enumeration guard: n=40 > 26"
+        assert peak < 1 << 20
 
     def test_agreement_with_solver(self):
         rng = random.Random(44)

@@ -154,6 +154,78 @@ def reference_bb_min_cover(n, indptr, nbrs, target, incumbent):
     return best
 
 
+def reference_phi_total_profile(graph: Graph) -> list[int]:
+    """Per subset size, the max total of the canonical static-monopoly witness.
+
+    The plain-Python loop over every subset and vertex that
+    ``verify._phi_total_profile`` ran before it read the subset
+    enumeration kernel, kept as the reference it is checked against.
+    """
+    n = graph.n
+    deg = graph.degrees
+    adj_masks = [0] * n
+    for u, v in graph.edges:
+        adj_masks[u] |= 1 << v
+        adj_masks[v] |= 1 << u
+    best = [0] * (n + 1)
+    for mask in range(1 << n):
+        total = 0
+        for v in range(n):
+            if (mask >> v) & 1:
+                total += deg[v]
+            else:
+                total += (adj_masks[v] & mask).bit_count()
+        size = mask.bit_count()
+        if total > best[size]:
+            best[size] = total
+    for k in range(1, n + 1):
+        best[k] = max(best[k], best[k - 1])
+    return best
+
+
+def reference_sparse_profile(graph: Graph) -> list[dict[int, int]]:
+    """Every subset's induced edge count, by subset size, each count mapped
+    to its first subset in increasing bitmask order.
+
+    The plain-Python loop over every subset and edge that
+    ``monopoly.sparse_profile`` ran before it read the subset enumeration
+    kernel, kept as the reference it is checked against, key order
+    included.
+    """
+    edge_masks = [(1 << u) | (1 << v) for u, v in graph.edges]
+    profile: list[dict[int, int]] = [{} for _ in range(graph.n + 1)]
+    for mask in range(1 << graph.n):
+        inside = sum(1 for em in edge_masks if mask & em == em)
+        profile[mask.bit_count()].setdefault(inside, mask)
+    return profile
+
+
+def reference_max_independent_set_size(graph: Graph) -> int:
+    """Brute-force independence number.
+
+    The plain-Python loop over every subset that
+    ``oracles.max_independent_set_size`` ran before it read the subset
+    enumeration kernel, kept as the reference it is checked against.
+    """
+    adj_masks = [0] * graph.n
+    for u, v in graph.edges:
+        adj_masks[u] |= 1 << v
+        adj_masks[v] |= 1 << u
+    best = 0
+    for mask in range(1 << graph.n):
+        ok = True
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if adj_masks[v] & mask:
+                ok = False
+                break
+        if ok:
+            best = max(best, mask.bit_count())
+    return best
+
+
 def is_chordal(graph: Graph) -> bool:
     """Maximum cardinality search + perfect elimination ordering check."""
     n = graph.n
