@@ -6,8 +6,9 @@ verification battery at its default bounds (best of three runs).
 
 ``--json PATH`` also writes every row's wall time, with the backend, the
 Python and numpy versions and the CPU count, to PATH. The tree solver's
-rows also count their ``kernels.minplus`` calls (``minplus_calls``), and
-its path and recursive rows give the call's tracemalloc peak
+rows also count their ``kernels.minplus`` calls (``minplus_calls``) and
+the first steps built without one (``first_steps``), and its path and
+recursive rows give the call's tracemalloc peak
 (``peak_bytes``); the dispatch rows count the graph walks each query makes
 (``walks``), the decide and reduction-chain rows the ``solve_pvc`` calls
 of one run (``solves``), the branch-and-bound rows and the rho-decide row
@@ -342,15 +343,20 @@ def bench_tree_solver():
         ("path n=2000 t=m/3", path, path.m // 3, True),
     ):
         secs, res = _time(lambda: pvc_tree(g, target), repeat=2)
-        calls = _calls(kernels, "minplus", lambda: pvc_tree(g, target))
-        counts = {"minplus_calls": calls}
+        counts = _tree_counts(lambda: pvc_tree(g, target))
         if traced:
             counts["peak_bytes"] = _traced(pvc_tree, g, target)[2]
         _row(f"pvc_tree {label} (size {res.size})", secs, **counts)
     queries = _cli_queries()
     secs, _ = _time(lambda: [pvc_tree(g, t) for g, t in queries], repeat=2)
-    calls = _calls(kernels, "minplus", lambda: [pvc_tree(g, t) for g, t in queries])
-    _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries), minplus_calls=calls)
+    _row(f"pvc_tree cli mix ({len(queries)} trees)", secs, len(queries),
+         **_tree_counts(lambda: [pvc_tree(g, t) for g, t in queries]))
+
+
+def _tree_counts(fn):
+    # the kernels.minplus calls of one run of fn and the shapes' first
+    # steps, which the tree DP builds without one
+    return {"minplus_calls": _calls(kernels, "minplus", fn), "first_steps": _calls(pvc, "_first_step", fn)}
 
 
 def _traced(fn, *args):

@@ -4,14 +4,14 @@
 the folds of every exhaustive oracle; ``_cover_profile_loop`` is the
 plain-Python reference the tests check ``cover_profile`` against. The
 min-plus merge convolves stacked tables (the tree DP's two vertex states)
-in one call: short list tables in a plain-Python loop, arrays by blocks of
-rows, each block one skewed buffer and one min, instead of one numpy step
-per row. The branch-and-bound search is plain Python over lists, has one
-mode (the smallest cover below a given incumbent; decisions ask
-``pvc.solve_pvc`` and compare its size) and prunes with three bounds: the
-uncoverable-edge count (edges whose endpoints are both skipped), the
-degree-sum bound and, once no more edges may stay uncovered, the
-forced-neighbour bound. It tests each child before building it and counts
+in one call: short list tables in a plain-Python loop, one pass over the
+cells, arrays by blocks of rows, each block one skewed buffer and one min,
+instead of one numpy step per row. The branch-and-bound search is plain
+Python over lists, has one mode (the smallest cover below a given
+incumbent; decisions ask ``pvc.solve_pvc`` and compare its size) and
+prunes with three bounds: the uncoverable-edge count (edges whose
+endpoints are both skipped), the degree-sum bound and, once no more edges
+may stay uncovered, the forced-neighbour bound. It tests each child before building it and counts
 the states it tests. ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-INF = int(np.int64(1) << np.int64(40))
+INF = 1 << 40
 
 
 def backend() -> str:
@@ -289,8 +289,11 @@ _BLOCK_CELLS = 1 << 14
 
 # Largest fold, in sums a row (the two operands' lengths multiplied), that
 # min-plus on list operands runs as a plain-Python loop: below it numpy's
-# per-call overhead of a few microseconds outweighs the arithmetic.
-LIST_CELLS = 48
+# per-call overhead of a few microseconds outweighs the arithmetic. The
+# one-pass loop made 96 faster than 48 on random recursive trees. A rule
+# on (shorter - 1) x longer sums was no faster, and it would answer every
+# one-cell fold by the loop, keeping a deep path's tables as lists.
+LIST_CELLS = 96
 
 
 def minplus(a, b, size=None):
@@ -306,8 +309,8 @@ def minplus(a, b, size=None):
     and the fold has at most ``LIST_CELLS`` sums a row, a plain-Python loop
     answers with a tuple of row lists; otherwise the numpy path answers
     with a new array, converting any list operand. There a one-cell
-    operand, the tree DP's every first fold into a base table, takes one
-    add and a clamp; longer ones go by blocks of ``_BLOCK_CELLS // len(b)``
+    operand, such as the component knapsack's first table, takes one add
+    and a clamp; longer ones go by blocks of ``_BLOCK_CELLS // len(b)``
     cells of the shorter operand (``_skew_min``), and a block that holds
     them all is the result. Inputs are never written.
     """
@@ -345,27 +348,23 @@ def _minplus_lists(a, b, size) -> tuple:
     """Min-plus of two sequences of list rows, row by row, in plain Python,
     each row cut to its first ``size`` cells unless ``size`` is None.
 
-    A one-cell row x shifts the other row by x (INF past INF - x). Longer
-    rows start all INF, and each finite cell x of the shorter row lowers the
-    cells it reaches to x plus the longer row; the INF start clamps every
-    sum above INF.
+    Each result row starts all INF. For each finite cell x of the shorter
+    row, one pass over the longer row lowers each cell it reaches to x
+    plus the longer row's cell; the INF start clamps every sum above INF.
     """
     out = []
     for ra, rb in zip(a, b):
         if len(ra) > len(rb):
             ra, rb = rb, ra
-        if len(ra) == 1:
-            x = ra[0]
-            lim = INF - x
-            out.append([x + y if y < lim else INF for y in rb[:size]])
-            continue
-        lb = len(rb)
-        width = len(ra) + lb - 1
-        row = [INF] * (width if size is None else min(width, size))
-        for i, x in enumerate(ra[:size]):
+        row = [INF] * (len(ra) + len(rb) - 1)
+        for i, x in enumerate(ra):
             if x < INF:
-                row[i:i + lb] = [p if p < (s := x + y) else s for p, y in zip(row[i:i + lb], rb)]
-        out.append(row)
+                for y in rb:
+                    y += x
+                    if y < row[i]:
+                        row[i] = y
+                    i += 1
+        out.append(row[:size])
     return tuple(out)
 
 

@@ -3,8 +3,10 @@
 ``pvc_exact`` runs branch-and-bound and is exact for any graph it finishes
 on; ``pvc_tree`` is a polynomial-time subtree knapsack for forests, which
 keeps a vertex's two states (unchosen, chosen) as one table and folds its
-children in with one ``kernels.minplus`` call for both per step, a run of
-consecutive leaf children being one step. A table is a pair of Python
+children in one step at a time, a run of consecutive leaf children being
+one step. The first step folds into the base table, so it is built as its
+link shifted (``_first_step``), and each later one is one
+``kernels.minplus`` call for both states. A table is a pair of Python
 lists while min-plus folds it by its plain-Python loop (``LIST_CELLS``)
 and a (2, L) int64 array after, so the many short folds of a shallow tree
 pay no numpy call overhead. Vertices whose children have the same
@@ -389,6 +391,26 @@ def _child_tables(c):
 _BASE = ([0], [1])
 
 
+def _first_step(link, cut: int):
+    """The tables after a shape's first step, ``kernels.minplus(_BASE, link,
+    cut)`` without a fold: the link cut to ``cut`` cells with row 1 raised
+    by one (INF stays INF). A pair of lists exactly when min-plus would
+    give one (a list link of at most ``LIST_CELLS`` cells), a new int64
+    array otherwise; the link is never written."""
+    inf = kernels.INF
+    if type(link) is tuple:
+        c0, c1 = link
+        if len(c0) <= kernels.LIST_CELLS:
+            return c0[:cut], [y + 1 if y < inf else inf for y in c1[:cut]]
+        out = np.array((c0[:cut], c1[:cut]), dtype=np.int64)
+    else:
+        out = link[:, :cut].copy()
+    chosen = out[1]
+    chosen += 1
+    np.minimum(chosen, inf, out=chosen)
+    return out
+
+
 def _run_link(r: int):
     # The link of a run of r leaf children, folded in at once. With the
     # parent unchosen, x of their edges are covered by choosing x leaves
@@ -471,10 +493,14 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     Each vertex carries one (2, L) table: row 0 with the vertex unchosen,
     row 1 with it chosen, indexed by the exact number of covered edges
     inside its subtree. Children fold in by min-plus convolution in their
-    order, one call for both rows per step: a run of consecutive leaf
-    children is one step, through one ``_run_link``, and any other child is
-    one. Vertices whose children have the same sequence of shapes have the
-    same tables, so each such shape is folded once per call and shared.
+    order, one step at a time: a run of consecutive leaf children is one
+    step, through one ``_run_link``, and any other child is one. The first
+    step folds the link into the base table (``_BASE``: no edge covered, at
+    cost 0 unchosen and 1 chosen), which is the link with row 1 raised by
+    one, so ``_first_step`` builds it without a fold; each later step is
+    one ``kernels.minplus`` call for both rows. Vertices whose children
+    have the same sequence of shapes have the same tables, so each such
+    shape is folded once per call and shared.
     A table is a pair of Python lists while ``kernels.minplus`` folds it by
     its plain-Python loop, and a (2, L) int64 array once a fold is too long
     for that; a child shape's link is built once per call while it is a
@@ -513,7 +539,7 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     # folds[k]: the tables of shape k before any child and after each step,
     # the last covering the subtree. Leaf-run links, and child links while
     # they are pairs of lists, are kept for this call; an array child link
-    # is dropped as soon as it is folded in.
+    # is built for its one fold and not kept.
     links: dict[int, object] = {}
     run_links: dict[int, object] = {}
     folds = [(_BASE,)]
@@ -526,21 +552,27 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
                 links[u_shape] = link
         return link
 
-    # each shape is folded as soon as its key is found: finding every key
-    # first left the same tracemalloc peak but a heap with more freed holes,
-    # and raised the peak RSS on a 4,000-vertex path from 184 to 280 MB
-    for key in _shape_keys(children, order, shape):
-        seq = [_BASE]
+    def step_links(key):
+        # the link of each step of shape key, in order
         for inner, steps in groupby(key, bool):
             if inner:
                 for u_shape in steps:
-                    seq.append(kernels.minplus(seq[-1], child_link(u_shape), cut))
+                    yield child_link(u_shape)
             else:
                 r = sum(1 for _ in steps)
                 link = run_links.get(r)
                 if link is None:
                     link = run_links[r] = _run_link(r)
-                seq.append(kernels.minplus(seq[-1], link, cut))
+                yield link
+
+    # each shape is folded as soon as its key is found: finding every key
+    # first left the same tracemalloc peak but a heap with more freed holes,
+    # and raised the peak RSS on a 4,000-vertex path from 184 to 280 MB
+    for key in _shape_keys(children, order, shape):
+        links_in = step_links(key)
+        seq = [_BASE, _first_step(next(links_in), cut)]
+        for link in links_in:
+            seq.append(kernels.minplus(seq[-1], link, cut))
         folds.append(tuple(seq))
 
     exacts = [np.asarray(folds[shape[r]][-1]).min(axis=0) for r in roots]

@@ -306,3 +306,14 @@ def test_bench_script_runs_the_minplus_rows():
     bench.bench_minplus()
     names = [row["name"] for row in bench.ROWS]
     assert {"minplus 2x1x200", "minplus 2x2x200", "minplus 2x40x200"} <= set(names)
+
+
+def test_bench_script_runs_the_tree_rows():
+    # the kernel bench counts the tree DP's min-plus calls and first steps
+    # by wrapping them, so it must keep up with their names
+    bench = _load_bench_script()
+    bench.bench_tree_solver()
+    names = [row["name"].split(" (size")[0] for row in bench.ROWS]
+    assert names == ["pvc_tree n=2000 t=m", "pvc_tree n=2000 t=m/3", "pvc_tree recursive n=2000 t=m/3",
+                     "pvc_tree recursive n=600 t=m/3", "pvc_tree path n=2000 t=m/3", "pvc_tree cli mix (40 trees)"]
+    assert all(row["minplus_calls"] > 0 and row["first_steps"] > 0 for row in bench.ROWS)

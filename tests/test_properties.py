@@ -376,6 +376,21 @@ def test_minplus_forms_match_naive(data, la, lb, forms):
     assert [list(map(int, row)) for row in a] == a_rows and [list(map(int, row)) for row in b] == b_rows
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 12))
+def test_minplus_lists_match_frozen_reference(data, la, lb):
+    # the one-pass list loop against the loop it replaced, on rows of one
+    # cell and either operand longer, at no cut and at every cut
+    from util import reference_minplus_lists
+
+    a = tuple(data.draw(minplus_tables(la)))
+    b = tuple(data.draw(minplus_tables(lb)))
+    for size in (None, *range(1, la + lb + 1)):
+        out = kernels._minplus_lists(a, b, size)
+        assert type(out) is tuple and all(type(row) is list for row in out)
+        assert out == reference_minplus_lists(a, b, size)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pvcmon import (
@@ -269,21 +270,46 @@ class TestTree:
         assert h.hexdigest() == self.SHAPES_DIGEST
 
     def test_leaf_runs_and_shared_shapes_fold_once(self, monkeypatch):
-        # min-plus calls of one query, the last being the component knapsack
-        from pvcmon import kernels
+        # min-plus calls of one query, the last being the component knapsack,
+        # and the shapes' first steps, which are built without a fold
+        from pvcmon import kernels, pvc
 
         calls = []
-        minplus = kernels.minplus
-        monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append(1) or minplus(a, b, size))
-        for g, t, expected in (
-            (star_graph(9), 4, 2),  # nine leaves fold in as one run
-            (spider_graph(3, 2), 4, 5),  # one leg shape, then the centre's three legs
+        minplus, first_step = kernels.minplus, pvc._first_step
+        monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append("fold") or minplus(a, b, size))
+        monkeypatch.setattr(pvc, "_first_step", lambda link, cut: calls.append("first") or first_step(link, cut))
+        for g, t, folds, firsts in (
+            (star_graph(9), 4, 1, 1),  # nine leaves fold in as one run: one first step
+            (spider_graph(3, 2), 4, 3, 2),  # one leg shape, then the centre's three legs
             # one leg shape; then runs of 1, 2 and 1 leaves between the two legs
-            (_ordered_tree(((), ((),), (), (), ((),), ())), 5, 7),
+            (_ordered_tree(((), ((),), (), (), ((),), ())), 5, 5, 2),
         ):
             calls.clear()
             assert pvc_tree(g, t).size == pvc_exact(g, t).size
-            assert len(calls) == expected
+            assert (calls.count("fold"), calls.count("first")) == (folds, firsts)
+
+    def test_first_step_is_the_base_fold(self):
+        # a shape's first table, built without a fold, is the fold of its
+        # link into the base table: the same cells, and lists exactly when
+        # min-plus gives lists, on either side of LIST_CELLS
+        from pvcmon import kernels, pvc
+
+        inf = kernels.INF
+        rng = random.Random(83)
+        for length in (1, 2, 3, 17, kernels.LIST_CELLS - 1, kernels.LIST_CELLS, kernels.LIST_CELLS + 1, 200):
+            rows = [[rng.choice((rng.randint(0, 60), inf, inf - 1)) for _ in range(length)] for _ in range(2)]
+            for link in (tuple(map(list, rows)), np.array(rows, dtype=np.int64)):
+                for cut in (1, 2, length // 2 + 1, length, length + 5):
+                    got, want = pvc._first_step(link, cut), kernels.minplus(pvc._BASE, link, cut)
+                    assert type(got) is type(want)
+                    if type(want) is tuple:
+                        assert all(type(row) is list for row in got) and got == want
+                    else:
+                        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+                    # the link is left as it was
+                    assert [list(map(int, row)) for row in link] == rows
+        assert type(pvc._first_step(([0] * kernels.LIST_CELLS, [inf] * kernels.LIST_CELLS), 99)) is tuple
+        assert type(pvc._first_step(([0] * (kernels.LIST_CELLS + 1), [inf] * (kernels.LIST_CELLS + 1)), 99)) is np.ndarray
 
     def test_shared_shapes_live_one_call(self):
         # the shape table and the run links belong to one call: nothing of
@@ -336,21 +362,27 @@ class TestTree:
 
     def test_cell_count_matches_the_tables_built(self, monkeypatch):
         # _dp_cells counts, from the shapes alone, every table the DP then
-        # builds: the leaf's, each shape's base table and each fold's result,
-        # cut at t + max degree cells
+        # builds: the leaf's, each shape's base table and first step, and
+        # each later fold's result, cut at t + max degree cells
         from pvcmon import kernels, pvc
         from pvcmon.graph import walk
 
         built = []
-        minplus = kernels.minplus
+        minplus, first_step = kernels.minplus, pvc._first_step
 
         def counted(a, b, size=None):
             out = minplus(a, b, size)
             if type(out) is tuple or out.ndim == 2:  # not the component knapsack
-                built.append(2 * len(out[0]) + 2 * (a is pvc._BASE))
+                built.append(2 * len(out[0]))
+            return out
+
+        def counted_first(link, cut):
+            out = first_step(link, cut)
+            built.append(2 * len(out[0]) + 2)  # with the shape's base table
             return out
 
         monkeypatch.setattr(kernels, "minplus", counted)
+        monkeypatch.setattr(pvc, "_first_step", counted_first)
         rng = random.Random(79)
         graphs = [g for g in _shape_forests() if g.m]
         graphs += [path_graph(60), random_recursive_tree(600, rng), random_tree(300, rng)]

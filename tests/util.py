@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from pvcmon import PvcbInstance, pvc_decide, pvc_exact, pvc_greedy_upper, pvc_rho_decide
 from pvcmon.graph import Graph
+from pvcmon.kernels import INF
 from pvcmon.monopoly import SpreadTrace
 
 
@@ -152,6 +153,38 @@ def reference_bb_min_cover(n, indptr, nbrs, target, incumbent):
         stack.append(op + 1)
         explore = True
     return best
+
+
+def reference_minplus_lists(a, b, size) -> tuple:
+    """Min-plus of two sequences of list rows, row by row, in plain Python,
+    each row cut to its first ``size`` cells unless ``size`` is None.
+
+    The list loop of ``kernels.minplus`` as it was before it became one
+    pass over the cells, kept as the reference ``kernels._minplus_lists``
+    is checked against.
+
+    A one-cell row x shifts the other row by x (INF past INF - x). Longer
+    rows start all INF, and each finite cell x of the shorter row lowers the
+    cells it reaches to x plus the longer row; the INF start clamps every
+    sum above INF.
+    """
+    out = []
+    for ra, rb in zip(a, b):
+        if len(ra) > len(rb):
+            ra, rb = rb, ra
+        if len(ra) == 1:
+            x = ra[0]
+            lim = INF - x
+            out.append([x + y if y < lim else INF for y in rb[:size]])
+            continue
+        lb = len(rb)
+        width = len(ra) + lb - 1
+        row = [INF] * (width if size is None else min(width, size))
+        for i, x in enumerate(ra[:size]):
+            if x < INF:
+                row[i:i + lb] = [p if p < (s := x + y) else s for p, y in zip(row[i:i + lb], rb)]
+        out.append(row)
+    return tuple(out)
 
 
 def reference_phi_total_profile(graph: Graph) -> list[int]:
