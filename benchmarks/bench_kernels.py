@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the hot kernels (best of a few runs, numpy backend), then each
-verification battery at its default bounds (best of three runs).
+verification battery at its default bounds (best of three runs). Each row
+starts after a full cyclic garbage collection.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--json BENCH_kernels.json]
 
@@ -22,6 +23,7 @@ and their rate (``instances_per_second``).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -44,7 +46,17 @@ from pvcmon.corpus import (
     random_tree,
 )
 from pvcmon.graph import Graph, parse_graph, to_edge_list_text, walk
-from pvcmon.monopoly import sdyn_decide, smon_decide, sparse_profile
+from pvcmon.monopoly import (
+    dynamo_witness_tau,
+    is_dynamic_monopoly,
+    is_monopoly,
+    monopoly_witness_tau,
+    sdyn,
+    sdyn_decide,
+    smon,
+    smon_decide,
+    sparse_profile,
+)
 from pvcmon.oracles import cover_profile
 from pvcmon.pvc import (
     PvcbInstance,
@@ -68,6 +80,7 @@ from pvcmon.reductions import (
 )
 from pvcmon.verify import (
     DEFAULT_RHOS,
+    _feasible_averages,
     _phi_total_profile,
     _theorem_profiles,
     lemma1_battery,
@@ -79,6 +92,9 @@ from pvcmon.verify import (
 
 
 def _time(fn, *args, repeat=3):
+    # a full collection first, so the garbage earlier rows left behind does
+    # not set how often the cyclic collector runs inside this row
+    gc.collect()
     best = float("inf")
     result = None
     for _ in range(repeat):
@@ -325,6 +341,53 @@ def _calls(module, name, fn):
     return calls
 
 
+def _witness_corpus():
+    # every (graph, subset) the witness battery checks at its default bounds,
+    # drawn as witness_identity_battery draws them
+    rng = random.Random(7)
+    jobs = []
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        g = random_graph(n, rng.choice((0.25, 0.5, 0.75)), rng)
+        jobs.extend((g, frozenset(v for v in range(n) if (mask >> v) & 1)) for mask in range(1 << n))
+    return jobs
+
+
+def bench_monopoly_checks():
+    # the witness layer alone: the canonical witnesses built and re-checked
+    # by the definitional checkers, over the witness battery's subsets and
+    # the theorems battery's smon/sdyn answers (solved before timing), then
+    # each construction and checker on a 2,000-vertex tree and its tree-DP
+    # cover, a seed whose spread runs many rounds
+    def build_and_check(g, subset):
+        return (is_monopoly(g, monopoly_witness_tau(g, subset), subset)
+                and is_dynamic_monopoly(g, dynamo_witness_tau(g, subset), subset))
+
+    subsets = _witness_corpus()
+    secs, _ = _time(lambda: [build_and_check(g, s) for g, s in subsets])
+    _row(f"witness checks witness battery ({len(subsets)} subsets)", secs, len(subsets))
+    answers = [(g, smon(g, t), sdyn(g, t)) for g in theorem_corpus() for t in _feasible_averages(g)]
+
+    def theorem_checks():
+        for g, mon, dyn in answers:
+            monopoly_witness_tau(g, mon.monopoly)
+            dynamo_witness_tau(g, dyn.seed)
+            is_monopoly(g, mon.tau, mon.monopoly)
+            is_dynamic_monopoly(g, dyn.witness_tau, dyn.seed)
+
+    secs, _ = _time(theorem_checks)
+    _row(f"witness checks theorems battery ({len(answers)} instances)", secs, len(answers))
+    g = random_tree(2000, random.Random(11))
+    cover = pvc_tree(g, g.m // 3).witness
+    phi, psi = monopoly_witness_tau(g, cover), dynamo_witness_tau(g, cover)
+    for label, fn, args in (("monopoly_witness_tau", monopoly_witness_tau, (g, cover)),
+                            ("dynamo_witness_tau", dynamo_witness_tau, (g, cover)),
+                            ("is_monopoly", is_monopoly, (g, phi, cover)),
+                            ("is_dynamic_monopoly", is_dynamic_monopoly, (g, psi, cover))):
+        secs, _ = _time(lambda: [fn(*args) for _ in range(20)])
+        _row(f"{label} tree n={g.n} cover {len(cover)}", secs, 20)
+
+
 def bench_tree_solver():
     # random_tree and path_graph guard the shapes with few repeated subtrees
     # and few leaf runs against a slowdown; the path is the deepest tree.
@@ -484,6 +547,7 @@ def main():
     bench_bb_search()
     bench_lemma1_decides()
     bench_monopoly_decides()
+    bench_monopoly_checks()
     bench_reduction_chain()
     bench_minplus()
     bench_tree_solver()

@@ -23,6 +23,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -125,11 +126,13 @@ def _coerce_rational(value: Rational) -> Fraction:
 
 
 def vertex_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:
-    """Validate and freeze a collection of vertex ids."""
-    out = frozenset(int(v) for v in subset)
+    """Validate and freeze a collection of vertex ids. An id that is not an
+    integer (a float, a string) raises TypeError rather than being truncated."""
+    out = frozenset(map(operator.index, subset))
+    n = graph.n
     for v in out:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex id {v} out of range for n={graph.n}")
+        if not (0 <= v < n):
+            raise ValueError(f"vertex id {v} out of range for n={n}")
     return out
 
 

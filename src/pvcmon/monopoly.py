@@ -14,13 +14,24 @@ is the independent sparse-induced-subgraph route used to cross-check
 ``kernels.enumerate_subsets`` (the theorems battery runs it in its one
 enumeration a graph), kept for callers that ask about several averages of
 one graph.
+
+The witness layer checks an assignment once, against ``graph.degrees``
+(``_checked_thresholds``, which ``ThresholdAssignment.for_graph`` and every
+checker share), then makes one pass over the neighbour tuples of the
+members: the canonical witnesses count from the members' neighbours, and
+``is_monopoly`` takes one off each threshold for each edge from a member.
+``simulate_spread`` and ``is_dynamic_monopoly`` consume the one closure
+loop, the round generator ``_rounds``: the trace freezes each round's
+layer, the check only counts them.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,15 +52,7 @@ class ThresholdAssignment:
 
     @staticmethod
     def for_graph(graph: Graph, values: Iterable[int]) -> "ThresholdAssignment":
-        vals = tuple(int(x) for x in values)
-        if len(vals) != graph.n:
-            raise ValueError(f"expected {graph.n} thresholds, got {len(vals)}")
-        for v, tau in enumerate(vals):
-            if tau < 0 or tau > graph.degree(v):
-                raise ValueError(
-                    f"threshold {tau} at vertex {v} outside [0, deg={graph.degree(v)}]"
-                )
-        return ThresholdAssignment(vals)
+        return ThresholdAssignment(_checked_thresholds(graph, values))
 
     @property
     def total(self) -> int:
@@ -100,10 +103,25 @@ class SmonResult(NamedTuple):
     tau: ThresholdAssignment
 
 
-def _coerce_tau(graph: Graph, tau) -> ThresholdAssignment:
-    if isinstance(tau, ThresholdAssignment):
-        return ThresholdAssignment.for_graph(graph, tau.values)
-    return ThresholdAssignment.for_graph(graph, tau)
+def _checked_thresholds(graph: Graph, values: Iterable[int]) -> tuple[int, ...]:
+    """The thresholds as a tuple, one a vertex, each in [0, degree].
+
+    A value that is not an integer (a float, a string) raises TypeError
+    rather than being truncated; a wrong count, or the first value out of
+    its range, raises ValueError.
+    """
+    vals = tuple(map(operator.index, values))
+    if len(vals) != graph.n:
+        raise ValueError(f"expected {graph.n} thresholds, got {len(vals)}")
+    for v, (tau, deg) in enumerate(zip(vals, graph.degrees)):
+        if not 0 <= tau <= deg:
+            raise ValueError(f"threshold {tau} at vertex {v} outside [0, deg={deg}]")
+    return vals
+
+
+def _coerce_tau(graph: Graph, tau) -> tuple[int, ...]:
+    # an assignment is checked again: it may have been built for another graph
+    return _checked_thresholds(graph, tau.values if isinstance(tau, ThresholdAssignment) else tau)
 
 
 def _required_total(graph: Graph, t: Rational) -> int:
@@ -130,6 +148,32 @@ def _dynamic_target(graph: Graph, total: int) -> int:
     return max(0, total - graph.m)
 
 
+def _rounds(graph: Graph, tau: tuple[int, ...], seed: frozenset[int]) -> Iterator[list[int]]:
+    """The threshold process's closure loop: each round's new layer, as a
+    list of distinct vertices, until a round adds nothing.
+
+    ``lack[v]`` counts the active neighbours v still lacks; a decrement to 0
+    puts v in the next layer, so the seed starts at -1 and round 1 adds
+    those of threshold 0. Each round looks only at the neighbours of the
+    last layer, so a whole run is linear in the graph.
+    """
+    adjacency = graph.adjacency
+    lack = list(tau)
+    for v in seed:
+        lack[v] = -1
+    layer, nxt = seed, [v for v, need in enumerate(lack) if need == 0]
+    while True:
+        for v in layer:
+            for u in adjacency[v]:
+                lack[u] -= 1
+                if not lack[u]:
+                    nxt.append(u)
+        if not nxt:
+            return
+        yield nxt
+        layer, nxt = nxt, []
+
+
 def simulate_spread(graph: Graph, tau, seed: Iterable[int]) -> SpreadTrace:
     """Run the deterministic threshold process from a seed set.
 
@@ -138,38 +182,30 @@ def simulate_spread(graph: Graph, tau, seed: Iterable[int]) -> SpreadTrace:
     """
     tau = _coerce_tau(graph, tau)
     layer = vertex_subset(graph, seed)
-    # lack[v]: the active neighbours v still lacks; a decrement to 0 puts v in
-    # the next layer, so the seed starts at -1 and round 1 adds those of threshold 0
-    lack = [-1 if v in layer else need for v, need in enumerate(tau.values)]
-    layers, nxt = [layer], [v for v, need in enumerate(lack) if need == 0]
-    while True:
-        for v in layer:
-            for u in graph.adjacency[v]:
-                lack[u] -= 1
-                if not lack[u]:
-                    nxt.append(u)
-        if not nxt:
-            break
-        layer, nxt = frozenset(nxt), []
-        layers.append(layer)
+    layers = [layer, *map(frozenset, _rounds(graph, tau, layer))]
     return SpreadTrace(tuple(layers), sum(map(len, layers)) == graph.n)
 
 
 def is_dynamic_monopoly(graph: Graph, tau, seed: Iterable[int]) -> bool:
     """True iff the closure of the seed under the threshold rule is all of V."""
-    return simulate_spread(graph, tau, seed).activated_all
+    tau = _coerce_tau(graph, tau)
+    seed = vertex_subset(graph, seed)
+    return len(seed) + sum(map(len, _rounds(graph, tau, seed))) == graph.n
 
 
 def is_monopoly(graph: Graph, tau, monopoly_set: Iterable[int]) -> bool:
-    """True iff every outside vertex has at least its threshold many neighbors inside."""
-    tau = _coerce_tau(graph, tau)
-    inside = vertex_subset(graph, monopoly_set)
-    for v in range(graph.n):
-        if v in inside:
-            continue
-        if sum(1 for u in graph.adjacency[v] if u in inside) < tau.values[v]:
-            return False
-    return True
+    """True iff every outside vertex has at least its threshold many neighbors inside.
+
+    Each vertex's deficit starts at its threshold and loses one for each
+    neighbour inside; a member owes nothing.
+    """
+    deficit = list(_coerce_tau(graph, tau))
+    adjacency = graph.adjacency
+    for v in vertex_subset(graph, monopoly_set):
+        deficit[v] = 0
+        for u in adjacency[v]:
+            deficit[u] -= 1
+    return max(deficit, default=0) <= 0
 
 
 def monopoly_witness_tau(graph: Graph, monopoly_set: Iterable[int]) -> ThresholdAssignment:
@@ -180,10 +216,14 @@ def monopoly_witness_tau(graph: Graph, monopoly_set: Iterable[int]) -> Threshold
     Each value lies in [0, deg] by construction, so it is not checked again.
     """
     inside = vertex_subset(graph, monopoly_set)
-    return ThresholdAssignment(tuple(
-        len(nbrs) if v in inside else sum(1 for u in nbrs if u in inside)
-        for v, nbrs in enumerate(graph.adjacency)
-    ))
+    adjacency = graph.adjacency
+    values = [0] * graph.n
+    for v in inside:
+        for u in adjacency[v]:
+            values[u] += 1
+    for v in inside:
+        values[v] = len(adjacency[v])
+    return ThresholdAssignment(tuple(values))
 
 
 def dynamo_witness_tau(graph: Graph, seed: Iterable[int]) -> ThresholdAssignment:
@@ -196,13 +236,17 @@ def dynamo_witness_tau(graph: Graph, seed: Iterable[int]) -> ThresholdAssignment
     [0, deg] by construction, so it is not checked again.
     """
     seed_set = vertex_subset(graph, seed)
-    values = [0] * graph.n
-    processed = set(seed_set)
+    adjacency = graph.adjacency
+    # an outside vertex's threshold counts its lower-id neighbours (seeds and
+    # earlier outside vertices alike) plus its higher-id seed neighbours
+    values = list(map(bisect_left, adjacency, range(graph.n)))
     for v in seed_set:
-        values[v] = graph.degree(v)
-    for v in sorted(set(range(graph.n)) - seed_set):
-        values[v] = sum(1 for u in graph.adjacency[v] if u in processed)
-        processed.add(v)
+        for u in adjacency[v]:
+            if u > v:
+                break
+            values[u] += 1
+    for v in seed_set:
+        values[v] = len(adjacency[v])
     return ThresholdAssignment(tuple(values))
 
 
@@ -277,7 +321,8 @@ def sdyn_via_subgraph(
             raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
         profile = sparse_profile(graph)
     budget = 2 * graph.m - total
-    best_size = max(s for s, row in enumerate(profile) if min(row) <= budget)
+    # the empty subset induces no edge, so the scan down from n stops
+    best_size = next(s for s in range(graph.n, -1, -1) if min(profile[s]) <= budget)
     best_mask = min(mask for inside, mask in profile[best_size].items() if inside <= budget)
     witness = frozenset(v for v in range(graph.n) if (best_mask >> v) & 1)
     return graph.n - best_size, witness

@@ -317,3 +317,20 @@ def test_bench_script_runs_the_tree_rows():
     assert names == ["pvc_tree n=2000 t=m", "pvc_tree n=2000 t=m/3", "pvc_tree recursive n=2000 t=m/3",
                      "pvc_tree recursive n=600 t=m/3", "pvc_tree path n=2000 t=m/3", "pvc_tree cli mix (40 trees)"]
     assert all(row["minplus_calls"] > 0 and row["first_steps"] > 0 for row in bench.ROWS)
+
+
+def test_bench_script_runs_the_monopoly_check_rows():
+    # the kernel bench redraws the witness battery's corpus and calls the
+    # witness constructions and checkers directly, so it must keep up with
+    # the battery's corpus and their names
+    from pvcmon.verify import theorem_battery, witness_identity_battery
+
+    bench = _load_bench_script()
+    bench.bench_monopoly_checks()
+    names = [row["name"] for row in bench.ROWS]
+    assert names == [
+        f"witness checks witness battery ({witness_identity_battery().instances} subsets)",
+        f"witness checks theorems battery ({theorem_battery().instances} instances)",
+        *(f"{fn} tree n=2000 cover 168" for fn in
+          ("monopoly_witness_tau", "dynamo_witness_tau", "is_monopoly", "is_dynamic_monopoly")),
+    ]

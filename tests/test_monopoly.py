@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pvcmon import (
@@ -40,6 +41,24 @@ class TestThresholds:
             ThresholdAssignment.for_graph(c4, [0, 0, 0])  # wrong length
         with pytest.raises(ValueError, match="^empty assignment has no average$"):
             ThresholdAssignment(()).average
+
+    def test_non_integers_are_refused(self):
+        # a float or a string id or threshold raises TypeError rather than
+        # being truncated; numpy integers are integers
+        g = path_graph(3)
+        for bad in ([1.9], ["1"]):
+            with pytest.raises(TypeError):
+                coverage(g, bad)
+            with pytest.raises(TypeError):
+                simulate_spread(g, [1, 1, 1], bad)
+        for bad in ([0.9, 1.99, 1.0], ["0", "1", "1"]):
+            with pytest.raises(TypeError):
+                ThresholdAssignment.for_graph(g, bad)
+            with pytest.raises(TypeError):
+                is_monopoly(g, bad, {1})
+        tau = ThresholdAssignment.for_graph(g, np.array([0, 2, 1]))
+        assert tau.values == (0, 2, 1) and all(type(x) is int for x in tau.values)
+        assert coverage(g, np.array([1])) == 2
 
 
 class TestSpread:

@@ -14,8 +14,11 @@ from pvcmon import (
     GraphFormatError,
     InfeasibleTargetError,
     PvcbInstance,
+    ThresholdAssignment,
     coverage,
     dynamo_witness_tau,
+    is_dynamic_monopoly,
+    is_monopoly,
     monopoly_witness_tau,
     parse_graph,
     pick_solver,
@@ -41,7 +44,16 @@ from pvcmon.oracles import cover_profile
 from pvcmon.pvc import EXACT_MAX_N, METHOD_DEGREE_GREEDY, METHOD_TREE
 from pvcmon.monopoly import _dynamic_target, _required_total, _static_target, sparse_profile
 from pvcmon.verify import DEFAULT_RHOS, _feasible_averages, _required_totals, theorem_corpus
-from util import fresh_copy, reference_spread, solver_answers
+from util import (
+    fresh_copy,
+    reference_dynamo_witness_tau,
+    reference_for_graph,
+    reference_is_monopoly,
+    reference_monopoly_witness_tau,
+    reference_spread,
+    reference_vertex_subset,
+    solver_answers,
+)
 
 
 @st.composite
@@ -139,6 +151,54 @@ def test_spread_matches_the_round_by_round_reference(g, data):
     tau = [data.draw(st.integers(0, d)) for d in g.degrees]
     seed = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
     assert simulate_spread(g, tau, seed) == reference_spread(g, tau, seed)
+
+
+def _outcome(fn, *args):
+    # a call's result, or the type and message of the error it raised
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_checked_spread(g, tau, seed):
+    # the spread after the checks simulate_spread makes, in its order
+    reference_for_graph(g, tau)
+    reference_vertex_subset(g, seed)
+    return reference_spread(g, tau, seed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_witness_layer_matches_frozen_references(g, data):
+    # valid ids, or ids that may fall outside 0..n-1
+    in_range = st.sets(st.integers(0, g.n - 1)) if g.n else st.just(set())
+    subset = data.draw(in_range | st.sets(st.integers(-2, g.n + 1), max_size=4))
+    valid_subset = all(0 <= v < g.n for v in subset)
+    kind = data.draw(st.sampled_from(("random", "static", "dynamic", "negative", "above", "short", "long")))
+    tau = [data.draw(st.integers(0, d)) for d in g.degrees]
+    if kind == "static" and valid_subset:
+        tau = list(reference_monopoly_witness_tau(g, subset).values)
+    elif kind == "dynamic" and valid_subset:
+        tau = list(reference_dynamo_witness_tau(g, subset).values)
+    elif kind in ("negative", "above") and g.n:
+        v = data.draw(st.integers(0, g.n - 1))
+        tau[v] = -data.draw(st.integers(1, 3)) if kind == "negative" else g.degree(v) + data.draw(st.integers(1, 3))
+    elif kind == "short" and g.n:
+        tau.pop()
+    elif kind == "long":
+        tau.append(0)
+    # an assignment built unchecked is checked against the graph again
+    as_given = data.draw(st.sampled_from((tau, tuple(tau), ThresholdAssignment(tuple(tau)))))
+
+    assert _outcome(ThresholdAssignment.for_graph, g, tau) == _outcome(reference_for_graph, g, tau)
+    assert _outcome(is_monopoly, g, as_given, subset) == _outcome(reference_is_monopoly, g, as_given, subset)
+    assert _outcome(monopoly_witness_tau, g, subset) == _outcome(reference_monopoly_witness_tau, g, subset)
+    assert _outcome(dynamo_witness_tau, g, subset) == _outcome(reference_dynamo_witness_tau, g, subset)
+    spread = _outcome(_reference_checked_spread, g, tau, subset)
+    assert _outcome(simulate_spread, g, as_given, subset) == spread
+    activated_all = spread.activated_all if hasattr(spread, "activated_all") else spread
+    assert _outcome(is_dynamic_monopoly, g, as_given, subset) == activated_all
 
 
 @settings(max_examples=150, deadline=None)

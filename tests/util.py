@@ -7,7 +7,7 @@ from fractions import Fraction
 from pvcmon import PvcbInstance, pvc_decide, pvc_exact, pvc_greedy_upper, pvc_rho_decide
 from pvcmon.graph import Graph
 from pvcmon.kernels import INF
-from pvcmon.monopoly import SpreadTrace
+from pvcmon.monopoly import SpreadTrace, ThresholdAssignment
 
 
 def relabelled_union(parts, rng) -> Graph:
@@ -65,6 +65,78 @@ def reference_spread(graph: Graph, tau, seed) -> SpreadTrace:
         active |= nxt
         remaining -= nxt
     return SpreadTrace(tuple(layers), len(active) == graph.n)
+
+
+def reference_vertex_subset(graph: Graph, subset) -> frozenset[int]:
+    """``graph.vertex_subset`` as it was before it refused non-integer ids
+    (``int`` truncates them), kept with the references below that call it."""
+    out = frozenset(int(v) for v in subset)
+    for v in out:
+        if not (0 <= v < graph.n):
+            raise ValueError(f"vertex id {v} out of range for n={graph.n}")
+    return out
+
+
+def reference_for_graph(graph: Graph, values) -> ThresholdAssignment:
+    """``ThresholdAssignment.for_graph`` as a per-vertex loop over
+    ``graph.degree``, kept as the reference the one shared threshold check
+    is compared against, messages included."""
+    vals = tuple(int(x) for x in values)
+    if len(vals) != graph.n:
+        raise ValueError(f"expected {graph.n} thresholds, got {len(vals)}")
+    for v, tau in enumerate(vals):
+        if tau < 0 or tau > graph.degree(v):
+            raise ValueError(
+                f"threshold {tau} at vertex {v} outside [0, deg={graph.degree(v)}]"
+            )
+    return ThresholdAssignment(vals)
+
+
+def _reference_coerce_tau(graph: Graph, tau) -> ThresholdAssignment:
+    if isinstance(tau, ThresholdAssignment):
+        return reference_for_graph(graph, tau.values)
+    return reference_for_graph(graph, tau)
+
+
+def reference_is_monopoly(graph: Graph, tau, monopoly_set) -> bool:
+    """The static monopoly check straight from its definition: each outside
+    vertex's neighbours inside, counted against its threshold. Kept as the
+    reference ``monopoly.is_monopoly`` is compared against."""
+    tau = _reference_coerce_tau(graph, tau)
+    inside = reference_vertex_subset(graph, monopoly_set)
+    for v in range(graph.n):
+        if v in inside:
+            continue
+        if sum(1 for u in graph.adjacency[v] if u in inside) < tau.values[v]:
+            return False
+    return True
+
+
+def reference_monopoly_witness_tau(graph: Graph, monopoly_set) -> ThresholdAssignment:
+    """The canonical static witness vertex by vertex: a member's degree, an
+    outside vertex's neighbours in M. Kept as the reference
+    ``monopoly.monopoly_witness_tau`` is compared against."""
+    inside = reference_vertex_subset(graph, monopoly_set)
+    return ThresholdAssignment(tuple(
+        len(nbrs) if v in inside else sum(1 for u in nbrs if u in inside)
+        for v, nbrs in enumerate(graph.adjacency)
+    ))
+
+
+def reference_dynamo_witness_tau(graph: Graph, seed) -> ThresholdAssignment:
+    """The canonical dynamic witness in activation order: each outside vertex,
+    by ascending id, counts its neighbours among the seed and the outside
+    vertices before it. Kept as the reference
+    ``monopoly.dynamo_witness_tau`` is compared against."""
+    seed_set = reference_vertex_subset(graph, seed)
+    values = [0] * graph.n
+    processed = set(seed_set)
+    for v in seed_set:
+        values[v] = graph.degree(v)
+    for v in sorted(set(range(graph.n)) - seed_set):
+        values[v] = sum(1 for u in graph.adjacency[v] if u in processed)
+        processed.add(v)
+    return ThresholdAssignment(tuple(values))
 
 
 def reference_bb_min_cover(n, indptr, nbrs, target, incumbent):
