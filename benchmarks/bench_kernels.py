@@ -285,10 +285,10 @@ def bench_minplus():
     def table(*shape):
         return np.array(rng.choices(range(1001), k=math.prod(shape)), dtype=np.int64).reshape(shape)
 
-    # the tree DP's shapes: a vertex's (2, L) table, one cell before its first
-    # child or a short prefix, folded with a child's (2, L) link table; then
-    # the component knapsack's 1-D tables, short and one large merge
-    for lead, rows, cols, calls in ((2, 1, 200, 10000), (2, 2, 200, 10000), (2, 40, 200, 1000),
+    # the tree DP's shapes: a vertex's (2, L) table, a short prefix or a
+    # longer one, folded with a child's (2, L) link table; then the component
+    # knapsack's 1-D tables, short and one large merge
+    for lead, rows, cols, calls in ((2, 2, 200, 10000), (2, 40, 200, 1000),
                                     (1, 2, 200, 10000), (1, 40, 200, 1000)):
         shape = (lead,) if lead > 1 else ()
         pairs = [(table(*shape, rows), table(*shape, cols)) for _ in range(16)]
@@ -393,17 +393,21 @@ def bench_tree_solver():
     # and few leaf runs against a slowdown; the path is the deepest tree.
     # The recursive n=600 tree is the size of the cli workload's 30 trees
     # that set its 90th percentile. The path and recursive rows also give
-    # the call's tracemalloc peak (peak_bytes).
+    # the call's tracemalloc peak (peak_bytes). The isolated vertices of the
+    # last forest take no part in the component knapsack.
     uniform = random_tree(2000, random.Random(11))
     recursive = random_recursive_tree(2000, random.Random(12))
     recursive_600 = random_recursive_tree(600, random.Random(12))
     path = path_graph(2000)
+    small = random_tree(50, random.Random(11))
+    sparse = Graph.from_edges(small.n + 100_000, small.edges)
     for label, g, target, traced in (
         ("n=2000 t=m", uniform, uniform.m, False),
         ("n=2000 t=m/3", uniform, uniform.m // 3, False),
         ("recursive n=2000 t=m/3", recursive, recursive.m // 3, True),
         ("recursive n=600 t=m/3", recursive_600, recursive_600.m // 3, True),
         ("path n=2000 t=m/3", path, path.m // 3, True),
+        ("n=50 + 100000 isolated t=30", sparse, 30, False),
     ):
         secs, res = _time(lambda: pvc_tree(g, target), repeat=2)
         counts = _tree_counts(lambda: pvc_tree(g, target))

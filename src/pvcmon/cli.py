@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("lemma1", "lemma2", "theorems", "all"))
     p.add_argument("--size-bound", type=int, default=None)
     p.add_argument("--count", type=int, default=None,
-                   help="number of random graphs for the theorems suite")
+                   help="number of random graphs for the theorems battery (theorems and all only)")
 
     return parser
 

@@ -6,8 +6,10 @@ plain-Python reference the tests check ``cover_profile`` against. The
 min-plus merge convolves stacked tables (the tree DP's two vertex states)
 in one call: short list tables in a plain-Python loop, one pass over the
 cells, arrays by blocks of rows, each block one skewed buffer and one min,
-instead of one numpy step per row. The branch-and-bound search is plain
-Python over lists, has one mode (the smallest cover below a given
+instead of one numpy step per row; a one-cell operand takes the same
+blocks, and the tree DP passes none, since a shape's first step and the
+first component's table need no fold. The branch-and-bound search is
+plain Python over lists, has one mode (the smallest cover below a given
 incumbent; decisions ask ``pvc.solve_pvc`` and compare its size) and
 prunes with three bounds: the uncoverable-edge count (edges whose
 endpoints are both skipped), the degree-sum bound and, once no more edges
@@ -308,11 +310,10 @@ def minplus(a, b, size=None):
     cells; without it, it is the whole convolution. When both are lists
     and the fold has at most ``LIST_CELLS`` sums a row, a plain-Python loop
     answers with a tuple of row lists; otherwise the numpy path answers
-    with a new array, converting any list operand. There a one-cell
-    operand, such as the component knapsack's first table, takes one add
-    and a clamp; longer ones go by blocks of ``_BLOCK_CELLS // len(b)``
-    cells of the shorter operand (``_skew_min``), and a block that holds
-    them all is the result. Inputs are never written.
+    with a new array, converting any list operand. There the shorter
+    operand goes by blocks of ``_BLOCK_CELLS // len(b)`` cells
+    (``_skew_min``), a one-cell operand as any other, and a block that
+    holds them all is the result. Inputs are never written.
     """
     if type(a) is not np.ndarray:
         if type(b) is not np.ndarray and len(a[0]) * len(b[0]) <= LIST_CELLS:
@@ -327,10 +328,6 @@ def minplus(a, b, size=None):
         width = size
         a, b = a[..., :size], b[..., :size]
     la, lb = a.shape[-1], b.shape[-1]
-    if la == 1:
-        out = a + b  # an INF a[..., 0] clamps its whole row to INF
-        np.minimum(out, INF, out=out)
-        return out
     rows = max(1, _BLOCK_CELLS // lb)
     if la <= rows:
         out = _skew_min(a, b, width)

@@ -15,8 +15,10 @@ list-sized child link is built once per call and shape. Every table
 keeps only its first t + Δ cells, Δ the maximum degree, which hold all
 the traceback reads. A forest whose cut tables would exceed
 ``TREE_DP_MAX_CELLS`` cells is refused before any is built. The
-traceback reads the folds and the children's tables back, and takes the
-first leaves of a run in closed form;
+components with an edge combine through one more knapsack, from the
+first one's table; an isolated vertex takes no part. The traceback reads
+the folds and the children's tables back, and takes the first leaves of a
+run in closed form;
 ``pvc_degree_greedy`` solves bipartite graphs with a side X that
 degree-dominates the other side Y, oriented by the router's rule whether
 the router or a caller asks; ``pvc_greedy_upper`` is the scalable
@@ -505,11 +507,12 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     its plain-Python loop, and a (2, L) int64 array once a fold is too long
     for that; a child shape's link is built once per call while it is a
     pair of lists, and per fold once it is an array, so that no long link
-    is kept. Components combine through one more knapsack. Every fold and
-    the knapsack keep only their first t + Δ cells, Δ the maximum degree
-    (see the comment at ``cut``). Each component is rooted at its
-    lowest id and each vertex's children are in increasing id order, as
-    the graph's ``walk`` (``_walk`` when the router passes it) gives them.
+    is kept. The components with an edge combine through one more knapsack,
+    from the first one's table. Every fold and the knapsack keep only their
+    first t + Δ cells, Δ the maximum degree (see ``cut``). Each component
+    is rooted at its lowest id and each vertex's children are in increasing
+    id order, as the graph's ``walk`` (``_walk`` when the router passes it)
+    gives them.
     A forest whose cut tables would hold more than ``TREE_DP_MAX_CELLS``
     cells raises ValueError before any is built.
     """
@@ -575,23 +578,24 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
             seq.append(kernels.minplus(seq[-1], link, cut))
         folds.append(tuple(seq))
 
+    # an isolated vertex's table is [0], the min-plus identity, and takes no
+    # share of t, so only components with an edge combine (t >= 1 leaves one)
+    roots = [r for r in roots if shape[r]]
     exacts = [np.asarray(folds[shape[r]][-1]).min(axis=0) for r in roots]
     comp_tables = [np.minimum.accumulate(exact[::-1])[::-1] for exact in exacts]
-    prefixes: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    for tab in comp_tables:
+    prefixes = comp_tables[:1]
+    for tab in comp_tables[1:]:
         prefixes.append(kernels.minplus(prefixes[-1], tab, cut))
     size = int(prefixes[-1][t])
     assert size < kernels.INF
 
-    # split the requirement across components, then walk each subtree
-    comp_req = [0] * len(roots)
-    req = t
-    for j in range(len(roots), 0, -1):
-        comp_req[j - 1] = _split(prefixes[j - 1], comp_tables[j - 1], req, int(prefixes[j][req]))
-        req -= comp_req[j - 1]
-
+    # split t from the last component back, the first taking what is left
     selected: list[int] = []
-    for r, c_req, tab, exact in zip(roots, comp_req, comp_tables, exacts):
+    req = t
+    for j in reversed(range(len(roots))):
+        tab, exact, r = comp_tables[j], exacts[j], roots[j]
+        c_req = _split(prefixes[j - 1], tab, req, int(prefixes[j][req])) if j else req
+        req -= c_req
         if c_req == 0:
             continue
         value = int(tab[c_req])

@@ -222,7 +222,10 @@ def load_gadget(edge_list_text: str, sidecar_text: str) -> GadgetInstance:
     for (n, rho). Any fault, or a sidecar field missing or malformed, raises
     GadgetConstructionError naming it."""
     graph = parse_graph(edge_list_text)
-    payload = json.loads(sidecar_text)
+    try:
+        payload = json.loads(sidecar_text)
+    except json.JSONDecodeError as exc:
+        raise GadgetConstructionError(f"sidecar is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise GadgetConstructionError(f"sidecar must be a JSON object, not {type(payload).__name__}")
 

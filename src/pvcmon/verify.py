@@ -288,7 +288,8 @@ def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = 
     For a specific suite the size bound is taken as given, up to a hard cap
     (lemma1 6, lemma2 5, theorems 14; above it ValueError); for 'all' it can
     only shrink each battery's standard bound (useful for quick sweeps).
-    The theorems graph count must lie in 1..MAX_GRAPHS.
+    A graph count is for the theorems battery alone (suites 'theorems' and
+    'all'; any other refuses one) and must lie in 1..MAX_GRAPHS.
     Each report carries its battery's wall time.
     """
     if size_bound is not None and size_bound < 1:
@@ -297,6 +298,8 @@ def run_suite(suite: str, size_bound: int | None = None, n_graphs: int | None = 
         raise ValueError(f"graph count must be at least 1, got {n_graphs}")
     if n_graphs is not None and n_graphs > MAX_GRAPHS:
         raise ValueError(f"graph count must be at most {MAX_GRAPHS}")
+    if n_graphs is not None and suite not in ("theorems", "all"):
+        raise ValueError(f"a graph count applies only to the theorems and all suites, not {suite!r}")
     clamp = suite == "all"
     reports = []
     if suite in ("lemma1", "all"):

@@ -361,6 +361,9 @@ def test_verify_small_battery(capsys):
         (("lemma1", "--size-bound", "0"), "size bound must be at least 1, got 0"),
         (("all", "--size-bound", "-2"), "size bound must be at least 1, got -2"),
         (("theorems", "--count", "100001"), "graph count must be at most 100000"),
+        # only the theorems battery draws a graph count
+        (("lemma1", "--count", "7"), "a graph count applies only to the theorems and all suites, not 'lemma1'"),
+        (("lemma2", "--count", "1"), "a graph count applies only to the theorems and all suites, not 'lemma2'"),
     ],
 )
 def test_verify_rejects_nonpositive_bounds(capsys, argv, message):
@@ -368,7 +371,7 @@ def test_verify_rejects_nonpositive_bounds(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

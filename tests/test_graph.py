@@ -1,7 +1,9 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pvcmon import (
@@ -15,6 +17,7 @@ from pvcmon import (
     parse_graph,
     pvc_rho_decide,
     smon,
+    solve_pvc,
     to_edge_list_text,
 )
 from pvcmon.graph import MAX_VERTICES, walk
@@ -190,6 +193,25 @@ def test_from_edges_normalizes_order():
     a = Graph.from_edges(3, [(2, 1), (1, 0)])
     b = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert a == b
+
+
+def test_from_edges_stores_plain_int_endpoints():
+    # a bool or a numpy integer is stored as the int it stands for, so the
+    # edge list round-trips through its text and witnesses serialize; a
+    # float or a string is not an id
+    g = Graph.from_edges(3, [(True, 2)])
+    assert g.edges == ((1, 2),) and g.adjacency == ((), (2,), (1,))
+    assert parse_graph(to_edge_list_text(g)) == g
+    path = path_graph(40)
+    h = Graph.from_edges(40, [(np.int64(u), np.int64(v)) for u, v in path.edges])
+    assert h == path
+    ids = [v for e in h.edges for v in e] + [v for nbrs in h.adjacency for v in nbrs]
+    assert all(type(v) is int for v in ids + [v for e in g.edges for v in e])
+    witness = solve_pvc(h, 20).witness
+    assert json.loads(json.dumps(sorted(witness))) == sorted(witness)
+    for edge in ((0.0, 1), (0, 1.5), ("0", 1)):
+        with pytest.raises(TypeError):
+            Graph.from_edges(3, [edge])
 
 
 @pytest.mark.parametrize("n", [300_000_000, MAX_VERTICES + 1])

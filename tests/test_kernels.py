@@ -305,7 +305,9 @@ def test_bench_script_runs_the_minplus_rows():
     bench = _load_bench_script()
     bench.bench_minplus()
     names = [row["name"] for row in bench.ROWS]
-    assert {"minplus 2x1x200", "minplus 2x2x200", "minplus 2x40x200"} <= set(names)
+    assert {"minplus 2x2x200", "minplus 2x40x200", "minplus 2x3x16 lists"} <= set(names)
+    # the tree DP folds no one-cell operand, so no row times one
+    assert "minplus 2x1x200" not in names
 
 
 def test_bench_script_runs_the_tree_rows():
@@ -315,8 +317,13 @@ def test_bench_script_runs_the_tree_rows():
     bench.bench_tree_solver()
     names = [row["name"].split(" (size")[0] for row in bench.ROWS]
     assert names == ["pvc_tree n=2000 t=m", "pvc_tree n=2000 t=m/3", "pvc_tree recursive n=2000 t=m/3",
-                     "pvc_tree recursive n=600 t=m/3", "pvc_tree path n=2000 t=m/3", "pvc_tree cli mix (40 trees)"]
-    assert all(row["minplus_calls"] > 0 and row["first_steps"] > 0 for row in bench.ROWS)
+                     "pvc_tree recursive n=600 t=m/3", "pvc_tree path n=2000 t=m/3",
+                     "pvc_tree n=50 + 100000 isolated t=30", "pvc_tree cli mix (40 trees)"]
+    assert all(row["first_steps"] > 0 for row in bench.ROWS)
+    # every step of a path is a first step, and a path is one component
+    calls = {name: row["minplus_calls"] for name, row in zip(names, bench.ROWS)}
+    assert calls.pop("pvc_tree path n=2000 t=m/3") == 0
+    assert all(count > 0 for count in calls.values())
 
 
 def test_bench_script_runs_the_monopoly_check_rows():

@@ -241,15 +241,9 @@ class TestTree:
     TREE_DIGEST = "bb1fe961cd429c07c0a25deb5369d29ef913c3e29dfb7faaa0006347f88742d5"
 
     def test_golden_witness_digest(self):
-        rng = random.Random(47)
-        graphs = [random_recursive_tree(n, rng) for n in (300, 600, 2000)]
-        for _ in range(3):
-            parts = [random_recursive_tree(rng.randint(1, 40), rng) for _ in range(rng.randint(2, 4))]
-            parts += [Graph.from_edges(1, [])] * rng.randint(1, 3)
-            graphs.append(relabelled_union(parts, rng))
         h = hashlib.sha256()
-        for g in graphs:
-            for t in sorted({1, g.m // 5, g.m // 3, g.m // 2, 4 * g.m // 5, g.m}):
+        for g in _digest_forests():
+            for t in _digest_targets(g):
                 res = pvc_tree(g, t)
                 h.update(f"{g.n} {g.m} {t} {res.size} {sorted(res.witness)} {res.achieved_coverage}\n".encode())
         assert h.hexdigest() == self.TREE_DIGEST
@@ -270,7 +264,7 @@ class TestTree:
         assert h.hexdigest() == self.SHAPES_DIGEST
 
     def test_leaf_runs_and_shared_shapes_fold_once(self, monkeypatch):
-        # min-plus calls of one query, the last being the component knapsack,
+        # min-plus calls of one query, the component knapsack's among them,
         # and the shapes' first steps, which are built without a fold
         from pvcmon import kernels, pvc
 
@@ -278,15 +272,64 @@ class TestTree:
         minplus, first_step = kernels.minplus, pvc._first_step
         monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append("fold") or minplus(a, b, size))
         monkeypatch.setattr(pvc, "_first_step", lambda link, cut: calls.append("first") or first_step(link, cut))
+        isolated = Graph.from_edges(1, [])
         for g, t, folds, firsts in (
-            (star_graph(9), 4, 1, 1),  # nine leaves fold in as one run: one first step
-            (spider_graph(3, 2), 4, 3, 2),  # one leg shape, then the centre's three legs
+            (star_graph(9), 4, 0, 1),  # nine leaves fold in as one run: one first step
+            (spider_graph(3, 2), 4, 2, 2),  # one leg shape, then the centre's three legs
             # one leg shape; then runs of 1, 2 and 1 leaves between the two legs
-            (_ordered_tree(((), ((),), (), (), ((),), ())), 5, 5, 2),
+            (_ordered_tree(((), ((),), (), (), ((),), ())), 5, 4, 2),
+            # two components with an edge and an isolated vertex between them:
+            # a run of two leaves, a one-leaf vertex and the path's root are
+            # first steps, and the knapsack folds the path into the star
+            (_ordered_union([star_graph(2), isolated, path_graph(3)]), 3, 1, 3),
         ):
             calls.clear()
             assert pvc_tree(g, t).size == pvc_exact(g, t).size
             assert (calls.count("fold"), calls.count("first")) == (folds, firsts)
+
+    def test_no_minplus_operand_has_one_cell(self, monkeypatch):
+        # first steps and the first component's table need no fold, and an
+        # isolated vertex takes no part in the knapsack, so no fold is one
+        # whose operand has a single cell
+        from pvcmon import kernels
+
+        lengths = []
+        minplus = kernels.minplus
+
+        def counted(a, b, size=None):
+            lengths.extend(x.shape[-1] if type(x) is np.ndarray else len(x[0]) for x in (a, b))
+            return minplus(a, b, size)
+
+        monkeypatch.setattr(kernels, "minplus", counted)
+        rng = random.Random(89)
+        graphs = [g for g in _shape_forests() if g.m] + _digest_forests()
+        for _ in range(20):
+            parts = [random_tree(rng.randint(2, 30), rng) for _ in range(rng.randint(1, 5))]
+            graphs.append(relabelled_union(parts + [Graph.from_edges(1, [])] * rng.randint(0, 3), rng))
+        for g in graphs:
+            for t in _digest_targets(g):
+                pvc_tree(g, t)
+        assert len(lengths) > 1000 and min(lengths) > 1
+
+    def test_isolated_vertices_cost_no_fold(self, monkeypatch):
+        # a tree with 0, 1 or 1,000 isolated vertices around it (ids keep
+        # their order, so the DP sees the same shapes) folds as often and
+        # answers alike at every t
+        from pvcmon import kernels
+
+        calls = []
+        minplus = kernels.minplus
+        monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append(1) or minplus(a, b, size))
+        tree = random_tree(50, random.Random(97))
+        isolated = Graph.from_edges(1, [])
+        answers = []
+        for before, after in ((0, 0), (0, 1), (500, 500)):
+            g = _ordered_union([isolated] * before + [tree] + [isolated] * after)
+            calls.clear()
+            results = [pvc_tree(g, t) for t in range(1, g.m + 1)]
+            answers.append((len(calls), [res.size for res in results],
+                            [sorted(v - before for v in res.witness) for res in results]))
+        assert answers[0][0] > 0 and answers[0] == answers[1] == answers[2]
 
     def test_first_step_is_the_base_fold(self):
         # a shape's first table, built without a fold, is the fold of its
@@ -453,6 +496,22 @@ def _ordered_union(parts) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+def _digest_forests():
+    """The forests of ``TREE_DIGEST``: shallow random recursive trees, the
+    benchmark cli workload's shape, and forests with isolated vertices."""
+    rng = random.Random(47)
+    graphs = [random_recursive_tree(n, rng) for n in (300, 600, 2000)]
+    for _ in range(3):
+        parts = [random_recursive_tree(rng.randint(1, 40), rng) for _ in range(rng.randint(2, 4))]
+        parts += [Graph.from_edges(1, [])] * rng.randint(1, 3)
+        graphs.append(relabelled_union(parts, rng))
+    return graphs
+
+
+def _digest_targets(g):
+    return sorted({1, g.m // 5, g.m // 3, g.m // 2, 4 * g.m // 5, g.m})
 
 
 def _shape_forests():

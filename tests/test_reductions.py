@@ -251,6 +251,10 @@ class TestSerialization:
         for text in ("[]", "3", '"rho"', "null"):
             with pytest.raises(GadgetConstructionError, match="must be a JSON object"):
                 load_gadget(gadget_edge_list(inst), text)
+        for text, fault in (("{not json", "Expecting property name enclosed in double quotes: line 1 column 2"),
+                            ("", "Expecting value: line 1 column 1")):
+            with pytest.raises(GadgetConstructionError, match=f"^sidecar is not valid JSON: {fault}"):
+                load_gadget(gadget_edge_list(inst), text)
         for name, value in (("rho", "1/0"), ("r", None), ("s", "two"), ("roles", 5)):
             bad = {**json.loads(gadget_sidecar_json(inst)), name: value}
             with pytest.raises(GadgetConstructionError, match=f"field '{name}' is malformed"):

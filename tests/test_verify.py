@@ -5,6 +5,8 @@ import json
 import weakref
 from fractions import Fraction
 
+import pytest
+
 import pvcmon.verify as verify
 from pvcmon.corpus import random_graph
 from pvcmon.monopoly import SmonResult
@@ -79,3 +81,13 @@ def test_theorem_graphs_are_freed_one_at_a_time(monkeypatch):
     assert len(made) == 40 and report.passed
     assert max(alive) == 1
 
+
+def test_a_graph_count_is_for_the_theorems_battery_alone(monkeypatch):
+    # lemma1 and lemma2 draw no random graphs, so a count there is refused
+    # before any battery runs rather than ignored
+    monkeypatch.setattr(verify, "lemma1_battery", lambda **kw: pytest.fail("lemma1 ran"))
+    monkeypatch.setattr(verify, "lemma2_battery", lambda **kw: pytest.fail("lemma2 ran"))
+    for suite in ("lemma1", "lemma2"):
+        with pytest.raises(ValueError, match=f"^a graph count applies only to the theorems and all suites, not '{suite}'$"):
+            run_suite(suite, n_graphs=7)
+    assert [r.suite for r in run_suite("theorems", size_bound=3, n_graphs=2)] == ["theorems", "witness-identities"]
