@@ -287,20 +287,22 @@ def bench_minplus():
 
     # the tree DP's shapes: a vertex's (2, L) table, a short prefix or a
     # longer one, folded with a child's (2, L) link table; then the component
-    # knapsack's 1-D tables, short and one large merge
+    # knapsack's 1-D tables, short and one large merge. Every fold keeps its
+    # whole convolution: the cut is at its full width
     for lead, rows, cols, calls in ((2, 2, 200, 10000), (2, 40, 200, 1000),
                                     (1, 2, 200, 10000), (1, 40, 200, 1000)):
         shape = (lead,) if lead > 1 else ()
         pairs = [(table(*shape, rows), table(*shape, cols)) for _ in range(16)]
         batch = [pairs[i % 16] for i in range(calls)]
-        secs, _ = _time(lambda: [kernels.minplus(a, b) for a, b in batch])
+        size = rows + cols - 1
+        secs, _ = _time(lambda: [kernels.minplus(a, b, size) for a, b in batch])
         _row(f"minplus {'x'.join(map(str, (*shape, rows, cols)))}", secs, calls)
-    secs, _ = _time(kernels.minplus, table(1200), table(1200))
+    secs, _ = _time(kernels.minplus, table(1200), table(1200), 2 * 1200 - 1)
     _row("minplus 1200x1200", secs)
     # a short fold of two list tables, which the plain-Python loop answers
     pairs = [(tuple(table(2, 3).tolist()), tuple(table(2, 16).tolist())) for _ in range(16)]
     batch = [pairs[i % 16] for i in range(10000)]
-    secs, _ = _time(lambda: [kernels.minplus(a, b) for a, b in batch])
+    secs, _ = _time(lambda: [kernels.minplus(a, b, 3 + 16 - 1) for a, b in batch])
     _row("minplus 2x3x16 lists", secs, len(batch))
 
 

@@ -91,8 +91,9 @@ def random_recursive_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)])
 
 
-def random_bipartite_degree_dominant(rng: random.Random, max_n: int = 14) -> tuple[Graph, tuple[int, ...]]:
-    """Random bipartite graph whose X side degree-dominates the Y side.
+def random_bipartite_degree_dominant(rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
+    """Random bipartite graph of at most 14 vertices whose X side
+    degree-dominates the Y side.
 
     Returns the graph and its X side (ids 0..|X|-1). Dense X neighborhoods
     make min-degree(X) >= max-degree(Y) hold almost always; rejected draws
@@ -101,14 +102,9 @@ def random_bipartite_degree_dominant(rng: random.Random, max_n: int = 14) -> tup
     while True:
         if rng.random() < 0.25:
             a = rng.randint(1, 5)
-            b = rng.randint(a, max(a, max_n - a - 1))
-            if a + b > max_n:
-                continue
-            return complete_bipartite(a, b), tuple(range(a))
+            return complete_bipartite(a, rng.randint(a, 13 - a)), tuple(range(a))
         ny = rng.randint(2, 9)
         nx = rng.randint(1, max(1, min(5, (7 * ny) // 10)))
-        if nx + ny > max_n:
-            continue
         lo = max(1, (3 * ny + 3) // 4)
         edges = []
         for x in range(nx):

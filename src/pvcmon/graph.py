@@ -66,11 +66,13 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Normalize, range- and loop-check each edge in input order, then sort;
         a repeated edge is found in the sorted pass, so the smallest is named.
-        Each endpoint is stored as a plain int (``operator.index``: a bool or
-        a numpy integer becomes one, a float or a string raises TypeError)."""
+        ``n`` and each endpoint are stored as plain ints (``operator.index``:
+        a bool or a numpy integer becomes one, a float or a string raises
+        TypeError)."""
+        index = operator.index
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        index = operator.index
         normalized: list[tuple[int, int]] = []
         for u, v in edges:
             u, v = index(u), index(v)

@@ -1,20 +1,20 @@
 """Hot search kernels, one source each.
 
 ``enumerate_subsets`` feeds all 2^n vertex subsets, in numpy chunks, to
-the folds of every exhaustive oracle; ``_cover_profile_loop`` is the
-plain-Python reference the tests check ``cover_profile`` against. The
-min-plus merge convolves stacked tables (the tree DP's two vertex states)
-in one call: short list tables in a plain-Python loop, one pass over the
-cells, arrays by blocks of rows, each block one skewed buffer and one min,
-instead of one numpy step per row; a one-cell operand takes the same
-blocks, and the tree DP passes none, since a shape's first step and the
-first component's table need no fold. The branch-and-bound search is
-plain Python over lists, has one mode (the smallest cover below a given
-incumbent; decisions ask ``pvc.solve_pvc`` and compare its size) and
-prunes with three bounds: the uncoverable-edge count (edges whose
+the folds of every exhaustive oracle. The min-plus merge convolves
+stacked tables (the tree DP's two vertex states) in one call, cut to the
+cells its caller reads: short list tables in a plain-Python loop, one
+pass over the cells, arrays by blocks of rows, each block one skewed
+buffer and one min, instead of one numpy step per row; a one-cell operand
+takes the same blocks, and the tree DP passes none, since a shape's first
+step and the first component's table need no fold. The branch-and-bound
+search is plain Python over lists, has one mode (the smallest cover below
+a given incumbent; decisions ask ``pvc.solve_pvc`` and compare its size)
+and prunes with three bounds: the uncoverable-edge count (edges whose
 endpoints are both skipped), the degree-sum bound and, once no more edges
-may stay uncovered, the forced-neighbour bound. It tests each child before building it and counts
-the states it tests. ``benchmarks/bench_kernels.py`` times the kernels.
+may stay uncovered, the forced-neighbour bound. It tests each child
+before building it and counts the states it tests.
+``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
@@ -65,28 +65,6 @@ def size_max(n: int, value) -> tuple:
     def step(masks, sizes):
         np.maximum.at(best, sizes, value(masks))
     return step, lambda: np.maximum.accumulate(best)
-
-
-def _cover_profile_loop(n, edge_u, edge_v):
-    # best[k] = max number of edges covered by any vertex subset of size k
-    m = edge_u.shape[0]
-    best = np.zeros(n + 1, dtype=np.int64)
-    for mask in range(1 << n):
-        cov = 0
-        for j in range(m):
-            if ((mask >> edge_u[j]) & 1) | ((mask >> edge_v[j]) & 1):
-                cov += 1
-        size = 0
-        rest = mask
-        while rest:
-            rest &= rest - 1
-            size += 1
-        if cov > best[size]:
-            best[size] = cov
-    for k in range(1, n + 1):
-        if best[k] < best[k - 1]:
-            best[k] = best[k - 1]
-    return best
 
 
 def cover_fold(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> tuple:
@@ -298,22 +276,23 @@ _BLOCK_CELLS = 1 << 14
 LIST_CELLS = 96
 
 
-def minplus(a, b, size=None):
+def minplus(a, b, size):
     """Min-plus convolution along the last axis; INF marks unreachable entries.
 
     ``a`` and ``b`` have the same leading shape (the tree DP stacks a
     vertex's two state tables as one (2, L) operand), and each row of the
     result convolves the matching rows. An operand is an int64 array or,
     for short tables, a sequence of rows that are Python lists of ints
-    (the tree DP's pair of lists). With ``size`` the result is cut to its
-    first ``size`` cells, which read only the operands' first ``size``
-    cells; without it, it is the whole convolution. When both are lists
-    and the fold has at most ``LIST_CELLS`` sums a row, a plain-Python loop
-    answers with a tuple of row lists; otherwise the numpy path answers
-    with a new array, converting any list operand. There the shorter
-    operand goes by blocks of ``_BLOCK_CELLS // len(b)`` cells
-    (``_skew_min``), a one-cell operand as any other, and a block that
-    holds them all is the result. Inputs are never written.
+    (the tree DP's pair of lists). The result is cut to its first ``size``
+    cells, which read only the operands' first ``size`` cells; a ``size``
+    of at least the two row lengths summed less one gives the whole
+    convolution. When both are lists and the fold has at most
+    ``LIST_CELLS`` sums a row, a plain-Python loop answers with a tuple of
+    row lists; otherwise the numpy path answers with a new array,
+    converting any list operand. There the shorter operand goes by blocks
+    of ``_BLOCK_CELLS // len(b)`` cells (``_skew_min``), a one-cell operand
+    as any other, and a block that holds them all is the result. Inputs
+    are never written.
     """
     if type(a) is not np.ndarray:
         if type(b) is not np.ndarray and len(a[0]) * len(b[0]) <= LIST_CELLS:
@@ -324,7 +303,7 @@ def minplus(a, b, size=None):
     if a.shape[-1] > b.shape[-1]:
         a, b = b, a
     width = a.shape[-1] + b.shape[-1] - 1
-    if size is not None and size < width:
+    if size < width:
         width = size
         a, b = a[..., :size], b[..., :size]
     la, lb = a.shape[-1], b.shape[-1]
@@ -343,7 +322,7 @@ def minplus(a, b, size=None):
 
 def _minplus_lists(a, b, size) -> tuple:
     """Min-plus of two sequences of list rows, row by row, in plain Python,
-    each row cut to its first ``size`` cells unless ``size`` is None.
+    each row cut to its first ``size`` cells.
 
     Each result row starts all INF. For each finite cell x of the shorter
     row, one pass over the longer row lowers each cell it reaches to x

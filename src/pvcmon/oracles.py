@@ -15,8 +15,12 @@ from . import kernels
 from .errors import InfeasibleTargetError
 from .graph import Graph
 
+# Largest vertex count the enumeration oracles take (2^20 subsets), unless
+# ``cover_profile`` is given its own.
+ENUM_MAX_N = 20
 
-def cover_profile(graph: Graph, max_n: int = 20) -> list[int]:
+
+def cover_profile(graph: Graph, max_n: int = ENUM_MAX_N) -> list[int]:
     """For each subset size k, the max number of edges coverable by k vertices."""
     if graph.n > max_n:
         raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
@@ -28,11 +32,11 @@ def _edge_arrays(graph: Graph) -> np.ndarray:
     return np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
 
 
-def min_cover_size(graph: Graph, t: int, max_n: int = 20) -> int:
+def min_cover_size(graph: Graph, t: int) -> int:
     """Minimum subset size covering at least t edges, by full enumeration."""
     if t < 0 or t > graph.m:
         raise InfeasibleTargetError(f"target {t} outside [0, {graph.m}]")
-    profile = cover_profile(graph, max_n=max_n)
+    profile = cover_profile(graph)
     for k, cov in enumerate(profile):
         if cov >= t:
             return k
@@ -75,10 +79,10 @@ def min_cover_size_ilp(graph: Graph, t: int) -> int:
     return int(round(res.fun))
 
 
-def max_independent_set_size(graph: Graph, max_n: int = 20) -> int:
+def max_independent_set_size(graph: Graph) -> int:
     """Brute-force independence number (used to cross-check cover boundaries)."""
-    if graph.n > max_n:
-        raise ValueError(f"enumeration guard: n={graph.n} > {max_n}")
+    if graph.n > ENUM_MAX_N:
+        raise ValueError(f"enumeration guard: n={graph.n} > {ENUM_MAX_N}")
     edges = np.array([(1 << u) | (1 << v) for u, v in graph.edges], dtype=np.int64)[:, None]
 
     def size_if_independent(masks):

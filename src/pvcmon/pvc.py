@@ -330,10 +330,10 @@ def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[
     return METHOD_EXACT, lambda t: pvc_exact(graph, t)
 
 
-def pick_solver(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> str:
+def pick_solver(graph: Graph) -> str:
     """The method that answers partial-cover queries on ``graph`` exactly
     (see ``_route``)."""
-    return _route(graph, exact_max_n)[0]
+    return _route(graph)[0]
 
 
 def solve_pvc(graph: Graph, t: int) -> PvcResult:

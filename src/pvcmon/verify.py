@@ -87,8 +87,9 @@ def lemma1_battery(max_n: int = 5) -> BatteryReport:
     return report
 
 
-def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
-    """Star/path gadget equivalence plus structural identities, exhaustively.
+def lemma2_battery(max_n: int = 4) -> BatteryReport:
+    """Star/path gadget equivalence plus structural identities, exhaustively,
+    at each rho of ``DEFAULT_RHOS``.
 
     Instances with k = n are checked like the rest but also listed under
     ``flagged`` for separate inspection. The gadget depends on (k, t) only
@@ -109,7 +110,7 @@ def lemma2_battery(max_n: int = 4, rhos=DEFAULT_RHOS) -> BatteryReport:
                 for k in range(n + 1)
                 for t in range(graph.m + 1)
             }
-            for rho in rhos:
+            for rho in DEFAULT_RHOS:
                 family = _GadgetFamily(graph, rho)
                 gadgets = {}  # path length s -> the gadget
                 for k in range(n + 1):

@@ -98,7 +98,7 @@ def test_c4_pendant_battery_exhaustive():
 
 
 def test_c5_gadget_battery_exhaustive():
-    report = lemma2_battery(max_n=4, rhos=(Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
+    report = lemma2_battery(max_n=4)
     assert report.instances == 4113
     assert report.passed, report.failures[:3]
     # each flag is the record of one instance with k = n
@@ -172,3 +172,12 @@ def test_c9_golden_gadget_bytes():
     golden_meta = (DATA / "gadget_c4_k1_t2_rho1_2.json").read_text(encoding="utf-8")
     assert gadget_edge_list(inst) == golden_edges
     assert gadget_sidecar_json(inst) == golden_meta
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # the documented API as README shows it, so a signature change that
+    # breaks the example fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["1", "1 [0]"]

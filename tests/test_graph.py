@@ -214,6 +214,18 @@ def test_from_edges_stores_plain_int_endpoints():
             Graph.from_edges(3, [edge])
 
 
+def test_from_edges_stores_a_plain_int_vertex_count():
+    # as the endpoints are: the count serializes and reads as a count
+    g = Graph.from_edges(np.int64(3), [(0, 1)])
+    assert type(g.n) is int and json.dumps({"n": g.n}) == '{"n": 3}'
+    assert g == Graph.from_edges(3, [(0, 1)])
+    h = Graph.from_edges(True, [])
+    assert type(h.n) is int and h.n == 1 and h.adjacency == ((),)
+    for n in (3.0, "3"):
+        with pytest.raises(TypeError):
+            Graph.from_edges(n, [])
+
+
 @pytest.mark.parametrize("n", [300_000_000, MAX_VERTICES + 1])
 def test_parse_refuses_a_header_above_the_vertex_limit(n, monkeypatch):
     # refused from the header alone: no Graph is built

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from util import (
     reference_bb_min_cover,
+    reference_cover_profile,
     reference_max_independent_set_size,
     reference_phi_total_profile,
     reference_sparse_profile,
@@ -30,7 +31,7 @@ def test_cover_profile_backends_agree():
     for _ in range(20):
         g = random_graph(rng.randint(1, 9), rng.choice((0.3, 0.6)), rng)
         eu, ev = _edge_arrays(g)
-        via_python = kernels._cover_profile_loop(g.n, eu, ev)
+        via_python = reference_cover_profile(g.n, eu, ev)
         via_numpy = kernels.cover_profile(g.n, eu, ev)
         assert list(via_python) == list(via_numpy)
 
@@ -79,6 +80,11 @@ def _naive_minplus(a, b):
     return out
 
 
+def _whole(a, b):
+    # the whole convolution: a cut at its full width keeps every cell
+    return kernels.minplus(a, b, a.shape[-1] + b.shape[-1] - 1)
+
+
 def test_minplus_backends_agree():
     rng = random.Random(5)
     for _ in range(30):
@@ -93,7 +99,7 @@ def test_minplus_backends_agree():
             dtype=np.int64,
         )
         expected = _naive_minplus(list(a), list(b))
-        assert list(kernels.minplus(a, b)) == expected
+        assert list(_whole(a, b)) == expected
 
 
 def _table(values):
@@ -117,7 +123,7 @@ def _table(values):
 def test_minplus_edge_cases(a, b):
     a, b = _table(a), _table(b)
     a_before, b_before = a.copy(), b.copy()
-    out = kernels.minplus(a, b)
+    out = _whole(a, b)
     assert out.dtype == np.int64
     assert list(out) == _naive_minplus(list(a), list(b))
     # the inputs are left as they were, and the result is a new array
@@ -134,7 +140,7 @@ def test_minplus_random_lengths():
                     for _ in range(rng.choice((1, rng.randint(1, 40))))])
             for _ in range(2)
         )
-        assert list(kernels.minplus(a, b)) == _naive_minplus(list(a), list(b))
+        assert list(_whole(a, b)) == _naive_minplus(list(a), list(b))
 
 
 def _stacked(rng, length):
@@ -145,9 +151,9 @@ def _stacked(rng, length):
 def _check_stacked(a, b):
     # the whole convolution, and its first cells alone when cut
     full = a.shape[1] + b.shape[1] - 1
-    for size in (None, 1, (full + 1) // 2, full, full + 1):
+    for size in (1, (full + 1) // 2, full, full + 1):
         out = kernels.minplus(a, b, size)
-        width = full if size is None else min(full, size)
+        width = min(full, size)
         assert out.dtype == np.int64
         assert out.shape == (2, width)
         for row in range(2):
@@ -174,7 +180,7 @@ def test_minplus_stacked_unreachable_rows():
         a[1] = kernels.INF                      # a whole row unreachable
         b[0, 0] = kernels.INF                   # INF in the first cell
         a[0, 0] = kernels.INF
-        out = kernels.minplus(a, b)
+        out = _whole(a, b)
         assert (out[1] == kernels.INF).all()
         _check_stacked(a, b)
 
@@ -186,7 +192,7 @@ def test_minplus_stacked_leaves_read_only_inputs():
         a_before, b_before = a.copy(), b.copy()
         a.setflags(write=False)
         b.setflags(write=False)
-        for size in (None, 2):
+        for size in (la + lb - 1, 2):
             out = kernels.minplus(a, b, size)
             assert (a == a_before).all() and (b == b_before).all()
             assert not np.shares_memory(out, a) and not np.shares_memory(out, b)

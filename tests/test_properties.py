@@ -420,9 +420,9 @@ def test_minplus_forms_match_naive(data, la, lb, forms):
 
     a_rows = data.draw(minplus_tables(la))
     b_rows = data.draw(minplus_tables(lb))
-    # no cut, or a cut anywhere from one cell to past the whole convolution
-    size = data.draw(st.one_of(st.none(), st.integers(1, la + lb)))
-    width = la + lb - 1 if size is None else min(la + lb - 1, size)
+    # a cut anywhere from one cell to past the whole convolution
+    size = data.draw(st.integers(1, la + lb))
+    width = min(la + lb - 1, size)
     a = tuple(map(list, a_rows)) if forms in ("lists", "list-array") else np.array(a_rows, dtype=np.int64)
     b = tuple(map(list, b_rows)) if forms in ("lists", "array-list") else np.array(b_rows, dtype=np.int64)
     out = kernels.minplus(a, b, size)
@@ -440,12 +440,13 @@ def test_minplus_forms_match_naive(data, la, lb, forms):
 @given(st.data(), st.integers(1, 12), st.integers(1, 12))
 def test_minplus_lists_match_frozen_reference(data, la, lb):
     # the one-pass list loop against the loop it replaced, on rows of one
-    # cell and either operand longer, at no cut and at every cut
+    # cell and either operand longer, at every cut up to past the whole
+    # convolution
     from util import reference_minplus_lists
 
     a = tuple(data.draw(minplus_tables(la)))
     b = tuple(data.draw(minplus_tables(lb)))
-    for size in (None, *range(1, la + lb + 1)):
+    for size in range(1, la + lb + 1):
         out = kernels._minplus_lists(a, b, size)
         assert type(out) is tuple and all(type(row) is list for row in out)
         assert out == reference_minplus_lists(a, b, size)

@@ -270,7 +270,7 @@ class TestTree:
 
         calls = []
         minplus, first_step = kernels.minplus, pvc._first_step
-        monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append("fold") or minplus(a, b, size))
+        monkeypatch.setattr(kernels, "minplus", lambda a, b, size: calls.append("fold") or minplus(a, b, size))
         monkeypatch.setattr(pvc, "_first_step", lambda link, cut: calls.append("first") or first_step(link, cut))
         isolated = Graph.from_edges(1, [])
         for g, t, folds, firsts in (
@@ -296,7 +296,7 @@ class TestTree:
         lengths = []
         minplus = kernels.minplus
 
-        def counted(a, b, size=None):
+        def counted(a, b, size):
             lengths.extend(x.shape[-1] if type(x) is np.ndarray else len(x[0]) for x in (a, b))
             return minplus(a, b, size)
 
@@ -319,7 +319,7 @@ class TestTree:
 
         calls = []
         minplus = kernels.minplus
-        monkeypatch.setattr(kernels, "minplus", lambda a, b, size=None: calls.append(1) or minplus(a, b, size))
+        monkeypatch.setattr(kernels, "minplus", lambda a, b, size: calls.append(1) or minplus(a, b, size))
         tree = random_tree(50, random.Random(97))
         isolated = Graph.from_edges(1, [])
         answers = []
@@ -413,7 +413,7 @@ class TestTree:
         built = []
         minplus, first_step = kernels.minplus, pvc._first_step
 
-        def counted(a, b, size=None):
+        def counted(a, b, size):
             out = minplus(a, b, size)
             if type(out) is tuple or out.ndim == 2:  # not the component knapsack
                 built.append(2 * len(out[0]))

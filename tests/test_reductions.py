@@ -149,7 +149,6 @@ class TestBuildGadget:
             lambda: gadget_parameters(g, 1, 2, 0.5),
             lambda: verify_lemma2(g, 1, 2, 0.5),
             lambda: reduction_chain(g, 1, 2, 0.5),
-            lambda: lemma2_battery(max_n=1, rhos=(0.5,)),
         ):
             with pytest.raises(TypeError):
                 call()

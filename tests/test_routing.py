@@ -17,12 +17,13 @@ from pvcmon.corpus import (
     star_graph,
 )
 from pvcmon.graph import Graph, to_edge_list_text
+from pvcmon.pvc import _route
 from util import relabelled_union
 
 
 def _routing_corpus():
     rng = random.Random(83)
-    yield random_tree(12, rng)  # small enough that the guard and exact_max_n decide
+    yield random_tree(12, rng)  # small enough that the guard and _route's exact_max_n decide
     for n in (31, 120, 600):
         yield random_recursive_tree(n, rng)
     for n in (31, 200, 600):
@@ -55,7 +56,7 @@ ROUTING_DIGEST = "c1560f0977f28d368e316bb4495952caa00f879d4ea74a286894feb037d034
 def test_routing_golden_digest(capsys, tmp_path):
     h = hashlib.sha256()
     for i, g in enumerate(_routing_corpus()):
-        h.update(f"graph {g.n} {g.m} {[pick_solver(g, k) for k in (5, 14, 30)]}\n".encode())
+        h.update(f"graph {g.n} {g.m} {[_route(g, k)[0] for k in (5, 14, 30)]}\n".encode())
         for t in _targets(g):
             res = solve_pvc(g, t)
             h.update(f"{t} {res.size} {sorted(res.witness)} {res.achieved_coverage} {res.method}\n".encode())

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import weakref
-from fractions import Fraction
 
 import pytest
 
@@ -57,9 +56,9 @@ def test_lemma2_failures_name_their_own_instance(monkeypatch):
     # with the right side inverted every instance fails; instances that share
     # a gadget still report their own k and t, and the gadget's structure
     monkeypatch.setattr(verify, "pvc_rho_decide", lambda *args: None)
-    report = lemma2_battery(max_n=2, rhos=(Fraction(1, 2),))
-    assert len(report.failures) == report.instances == 2 * 1 + 3 * (1 + 2)
-    keys = [(f["n"], str(f["edges"]), f["k"], f["t"]) for f in report.failures]
+    report = lemma2_battery(max_n=2)
+    assert len(report.failures) == report.instances == 3 * (2 * 1 + 3 * (1 + 2))
+    keys = [(f["n"], str(f["edges"]), f["k"], f["t"], f["rho"]) for f in report.failures]
     assert len(set(keys)) == report.instances
     assert all(f["structural_ok"] and not f["equivalent"] for f in report.failures)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from pvcmon import PvcbInstance, pvc_decide, pvc_exact, pvc_greedy_upper, pvc_rho_decide
 from pvcmon.graph import Graph
 from pvcmon.kernels import INF
@@ -257,6 +259,34 @@ def reference_minplus_lists(a, b, size) -> tuple:
                 row[i:i + lb] = [p if p < (s := x + y) else s for p, y in zip(row[i:i + lb], rb)]
         out.append(row)
     return tuple(out)
+
+
+def reference_cover_profile(n, edge_u, edge_v) -> np.ndarray:
+    """Max coverage per subset size over all 2^n subsets.
+
+    The plain-Python loop over every subset and edge that ``kernels`` held
+    as ``_cover_profile_loop``, kept as the reference
+    ``kernels.cover_profile`` is checked against.
+    """
+    # best[k] = max number of edges covered by any vertex subset of size k
+    m = edge_u.shape[0]
+    best = np.zeros(n + 1, dtype=np.int64)
+    for mask in range(1 << n):
+        cov = 0
+        for j in range(m):
+            if ((mask >> edge_u[j]) & 1) | ((mask >> edge_v[j]) & 1):
+                cov += 1
+        size = 0
+        rest = mask
+        while rest:
+            rest &= rest - 1
+            size += 1
+        if cov > best[size]:
+            best[size] = cov
+    for k in range(1, n + 1):
+        if best[k] < best[k - 1]:
+            best[k] = best[k - 1]
+    return best
 
 
 def reference_phi_total_profile(graph: Graph) -> list[int]:
