@@ -96,27 +96,25 @@ def _effective_guard(requested, default: int) -> int:
     return requested
 
 
+_SOLVERS = {"tree": pvc_tree, "greedy": pvc_greedy_upper, "degreeGreedy": pvc_degree_greedy}
+
+
 def _cmd_pvc(args, graph: Graph) -> dict:
     t = args.target
     guard = _effective_guard(args.guard, EXACT_MAX_N)
-    solver = args.solver
-    if solver == "auto":
+    if args.solver == "auto":
         # the guard caps branch-and-bound only: the polynomial solvers take
         # over from it, and greedy answers what neither covers
         method, solve = _route(graph, min(guard, EXACT_MAX_N))
         res = pvc_greedy_upper(graph, t) if method == METHOD_EXACT and graph.n > guard else solve(t)
-    elif solver == "tree":
-        res = pvc_tree(graph, t)
-    elif solver == "degreeGreedy":
-        res = pvc_degree_greedy(graph, t)
-    elif solver == "greedy":
-        res = pvc_greedy_upper(graph, t)
-    else:
+    elif args.solver == "exact":
         if graph.n > guard:
             raise ValueError(
                 f"exact solver guard: n={graph.n} > {guard}; raise it with --guard"
             )
         res = pvc_exact(graph, t)
+    else:
+        res = _SOLVERS[args.solver](graph, t)
 
     if coverage(graph, res.witness) < t:
         raise AssertionError("witness failed re-verification")
@@ -129,19 +127,24 @@ def _cmd_pvc(args, graph: Graph) -> dict:
     }
 
 
-def _cmd_smon(args, graph: Graph) -> dict:
-    t = _parse_rational(args.threshold_average)
-    result = smon(graph, t)
-    if not is_monopoly(graph, result.tau, result.monopoly):
+def _monopoly_payload(args, graph: Graph, t: Fraction, is_valid, key: str, members, tau) -> dict:
+    # the keys smon and sdyn share, once ``is_valid`` re-checks the witness
+    if not is_valid(graph, tau, members):
         raise AssertionError("witness failed re-verification")
     return {
-        "size": result.size,
-        "monopoly": _ordered(result.monopoly, graph, args.seed_order),
-        "tau": list(result.tau.values),
-        "tau_total": result.tau.total,
+        "size": len(members),
+        key: _ordered(members, graph, args.seed_order),
+        "tau": list(tau.values),
+        "tau_total": tau.total,
         "required_total": str(graph.n * t),
         "verified": True,
     }
+
+
+def _cmd_smon(args, graph: Graph) -> dict:
+    t = _parse_rational(args.threshold_average)
+    result = smon(graph, t)
+    return _monopoly_payload(args, graph, t, is_monopoly, "monopoly", result.monopoly, result.tau)
 
 
 def _cmd_sdyn(args, graph: Graph) -> dict:
@@ -154,16 +157,7 @@ def _cmd_sdyn(args, graph: Graph) -> dict:
         guard = _effective_guard(args.guard, ORACLE_GUARD_DEFAULT)
         oracle_size, sparse = sdyn_via_subgraph(graph, t, max_n=guard)
     result = sdyn(graph, t)
-    if not is_dynamic_monopoly(graph, result.witness_tau, result.seed):
-        raise AssertionError("witness failed re-verification")
-    payload = {
-        "size": result.size,
-        "seed": _ordered(result.seed, graph, args.seed_order),
-        "tau": list(result.witness_tau.values),
-        "tau_total": result.witness_tau.total,
-        "required_total": str(graph.n * t),
-        "verified": True,
-    }
+    payload = _monopoly_payload(args, graph, t, is_dynamic_monopoly, "seed", result.seed, result.witness_tau)
     if args.oracle:
         payload["oracle"] = {
             "size": oracle_size,
@@ -209,6 +203,10 @@ def _cmd_verify(args) -> tuple[dict, bool]:
     return payload, all(r.passed for r in reports)
 
 
+_COMMANDS = {"pvc": _cmd_pvc, "smon": _cmd_smon, "sdyn": _cmd_sdyn,
+             "simulate": _cmd_simulate, "reduce": _cmd_reduce}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pvcmon",
@@ -223,16 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pvc", help="minimum partial vertex cover")
     p.add_argument("graph")
     p.add_argument("-t", "--target", type=int, required=True, help="edge coverage target")
-    p.add_argument("--solver", choices=("auto", "exact", "tree", "greedy", "degreeGreedy"),
-                   default="auto")
+    p.add_argument("--solver", choices=("auto", "exact", *_SOLVERS), default="auto")
 
-    p = sub.add_parser("smon", help="smallest static monopoly for an average threshold")
-    p.add_argument("graph")
-    p.add_argument("-t", "--threshold-average", required=True, help="rational 'p/q' or integer")
-
-    p = sub.add_parser("sdyn", help="smallest dynamic monopoly for an average threshold")
-    p.add_argument("graph")
-    p.add_argument("-t", "--threshold-average", required=True, help="rational 'p/q' or integer")
+    for name, kind in (("smon", "static"), ("sdyn", "dynamic")):
+        p = sub.add_parser(name, help=f"smallest {kind} monopoly for an average threshold")
+        p.add_argument("graph")
+        p.add_argument("-t", "--threshold-average", required=True, help="rational 'p/q' or integer")
+    # p is sdyn's parser now
     p.add_argument("--oracle", action="store_true",
                    help="also run the subset-enumeration route and compare")
 
@@ -274,23 +269,14 @@ def main(argv=None) -> int:
     try:
         if args.guard is not None and args.guard < 0:
             raise ValueError(f"guard must be at least 0, got {args.guard}")
+        if args.guard is not None and args.command != "pvc" and not getattr(args, "oracle", False):
+            raise ValueError(f"--guard applies only to pvc and sdyn --oracle, not {args.command}")
         if args.command == "verify":
             result, ok = _cmd_verify(args)
         else:
             graph = _read_graph(args.graph)
             report["input"] = {"n": graph.n, "m": graph.m}
-            if args.command == "pvc":
-                result = _cmd_pvc(args, graph)
-            elif args.command == "smon":
-                result = _cmd_smon(args, graph)
-            elif args.command == "sdyn":
-                result = _cmd_sdyn(args, graph)
-            elif args.command == "simulate":
-                result = _cmd_simulate(args, graph)
-            elif args.command == "reduce":
-                result = _cmd_reduce(args, graph)
-            else:  # pragma: no cover
-                raise AssertionError(args.command)
+            result = _COMMANDS[args.command](args, graph)
     except InfeasibleTargetError as exc:
         print(f"error: infeasible parameters: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph
@@ -118,83 +118,3 @@ def random_bipartite_degree_dominant(rng: random.Random) -> tuple[Graph, tuple[i
         if min_x >= max_y and min_x > 0:
             return g, tuple(range(nx))
 
-
-# ---------------------------------------------------------------------------
-# exhaustive free trees (one representative per isomorphism class)
-
-_FormsBySize = dict[int, list[tuple]]
-
-
-def _rooted_forms(max_size: int) -> _FormsBySize:
-    # A form is the tuple of its children's forms in fixed descending order,
-    # which makes equal forms identical tuples.
-    forms: _FormsBySize = {1: [()]}
-    for size in range(2, max_size + 1):
-        candidates = [
-            (sz, form)
-            for sz in range(size - 1, 0, -1)
-            for form in forms[sz]
-        ]
-        candidates.sort(key=lambda item: (item[0], item[1]), reverse=True)
-        results: list[tuple] = []
-
-        def extend(remaining: int, start: int, acc: list[tuple]) -> None:
-            if remaining == 0:
-                results.append(tuple(acc))
-                return
-            for i in range(start, len(candidates)):
-                sz, form = candidates[i]
-                if sz > remaining:
-                    continue
-                acc.append(form)
-                extend(remaining - sz, i, acc)
-                acc.pop()
-
-        extend(size - 1, 0, [])
-        forms[size] = results
-    return forms
-
-
-def _form_size(form: tuple) -> int:
-    return 1 + sum(_form_size(child) for child in form)
-
-
-def _form_to_edges(form: tuple, root: int, next_id: list[int], edges: list[tuple[int, int]]) -> None:
-    for child in form:
-        cid = next_id[0]
-        next_id[0] += 1
-        edges.append((root, cid))
-        _form_to_edges(child, cid, next_id, edges)
-
-
-def all_free_trees(n: int) -> list[Graph]:
-    """All trees on n vertices up to isomorphism.
-
-    Trees with a single centroid are rooted there (every child subtree is
-    then strictly smaller than n/2); even-order trees may instead split at
-    a central edge into an unordered pair of half-size rooted trees.
-    """
-    if n <= 0:
-        return []
-    if n == 1:
-        return [Graph.from_edges(1, [])]
-    forms = _rooted_forms(n)
-    out: list[Graph] = []
-    half = n / 2
-    for form in forms[n]:
-        if all(_form_size(child) < half for child in form):
-            edges: list[tuple[int, int]] = []
-            next_id = [1]
-            _form_to_edges(form, 0, next_id, edges)
-            out.append(Graph.from_edges(n, edges))
-    if n % 2 == 0:
-        for fa, fb in combinations_with_replacement(forms[n // 2], 2):
-            edges = []
-            next_id = [1]
-            _form_to_edges(fa, 0, next_id, edges)
-            root_b = next_id[0]
-            next_id[0] += 1
-            _form_to_edges(fb, root_b, next_id, edges)
-            edges.append((0, root_b))
-            out.append(Graph.from_edges(n, edges))
-    return out

@@ -328,25 +328,29 @@ def sdyn_via_subgraph(
     return graph.n - best_size, witness
 
 
-def _decide_total(graph: Graph, d: int, k_factor: Rational, low: int) -> int:
-    # ceil(n*k*density) = ceil(k*m) in integers, for k = a/b strictly between low and 2
+def _decide_total(graph: Graph, d: int, k_factor: Rational, low: int) -> tuple[int, int]:
+    # d as a plain int, and ceil(n*k*density) = ceil(k*m) in integers, for
+    # k = a/b strictly between low and 2
     k_factor = _coerce_rational(k_factor)
     if not (low < k_factor < 2):
         raise ValueError(f"k factor must lie strictly between {low} and 2, got {k_factor}")
+    d = operator.index(d)
     if d < 0:
         raise ValueError(f"size bound must be nonnegative, got {d}")
     if graph.n == 0:
         raise ValueError("edge density undefined for the empty graph")
-    return -(-k_factor.numerator * graph.m // k_factor.denominator)
+    return d, -(-k_factor.numerator * graph.m // k_factor.denominator)
 
 
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
     static monopoly of size at most d? Valid for 0 < k < 2."""
-    return _decide(graph, _static_target(_decide_total(graph, d, k_factor, 0)), d)
+    d, total = _decide_total(graph, d, k_factor, 0)
+    return _decide(graph, _static_target(total), d)
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
     dynamic monopoly of size at most d? Valid for 1 < k < 2."""
-    return _decide(graph, _dynamic_target(graph, _decide_total(graph, d, k_factor, 1)), d)
+    d, total = _decide_total(graph, d, k_factor, 1)
+    return _decide(graph, _dynamic_target(graph, total), d)

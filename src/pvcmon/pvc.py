@@ -48,6 +48,7 @@ applies at its root), and otherwise k compared with the size from
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
@@ -91,21 +92,31 @@ class PvcbInstance:
     t: int
 
     def __post_init__(self):
-        _check_instance(self.graph, self.k, self.t)
+        k, t = _check_instance(self.graph, self.k, self.t)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "t", t)
 
 
-def _check_instance(graph: Graph, k: int, t: int) -> None:
+def _check_instance(graph: Graph, k: int, t: int) -> tuple[int, int]:
+    """k and t as plain ints, checked to lie in [0, n] and [0, m]. They are
+    coerced by ``operator.index``, so a float raises TypeError."""
+    k, t = operator.index(k), operator.index(t)
     if not (0 <= k <= graph.n):
         raise ValueError(f"budget k={k} outside [0, {graph.n}]")
     if not (0 <= t <= graph.m):
         raise ValueError(f"target t={t} outside [0, {graph.m}]")
+    return k, t
 
 
-def _check_target(graph: Graph, t: int) -> None:
+def _check_target(graph: Graph, t: int) -> int:
+    """t as a plain int (``operator.index``: a float raises TypeError),
+    checked to lie in [0, m]."""
+    t = operator.index(t)
     if t < 0:
         raise InfeasibleTargetError(f"negative coverage target {t}")
     if t > graph.m:
         raise InfeasibleTargetError(f"target {t} exceeds edge count {graph.m}")
+    return t
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +177,7 @@ def pvc_greedy_upper(graph: Graph, t: int) -> PvcResult:
 
     Valid witness, no optimality claim.
     """
-    _check_target(graph, t)
+    t = _check_target(graph, t)
     state = _solver_state(graph, t)
     size = bisect_left(state.covered, t)
     return PvcResult(size, frozenset(state.picks[:size]), state.covered[size], METHOD_HEURISTIC)
@@ -203,7 +214,7 @@ def pvc_exact(graph: Graph, t: int) -> PvcResult:
 
     Branch-and-bound starts from the greedy's cover as its incumbent.
     """
-    _check_target(graph, t)
+    t = _check_target(graph, t)
     if t == 0:
         return PvcResult(0, frozenset(), 0, METHOD_EXACT)
     state = _solver_state(graph, t)
@@ -229,6 +240,7 @@ def pvc_rho_decide(graph: Graph, l: int, rho: Rational) -> bool:
     a, b = rho.numerator, rho.denominator
     if not (0 < a < b):
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+    l = operator.index(l)
     if l < 0:
         raise ValueError(f"budget must be nonnegative, got {l}")
     return _decide(graph, -(-a * graph.m // b), l)
@@ -296,13 +308,13 @@ def pvc_degree_greedy(graph: Graph, t: int, *, _sides: Optional[tuple[list[int],
         w = walk(graph)
         if w.side is None:
             raise ValueError("degreeGreedy requires a bipartite graph")
-        _check_target(graph, t)
+        t = _check_target(graph, t)
         _sides = _oriented(deg, w)
         if _sides is None:
             _, low, high = _orient(deg, w.side)
             raise ValueError(f"degree hypothesis violated: min degree on X is {low} < max degree on Y {high}")
     else:
-        _check_target(graph, t)
+        t = _check_target(graph, t)
     side, x_side = _sides
     order = sorted((v for v, s in enumerate(side) if s == x_side and deg[v]), key=lambda v: (-deg[v], v))
     # X touches every edge, so the prefix sums reach m >= t
@@ -348,6 +360,7 @@ def solve_pvc(graph: Graph, t: int) -> PvcResult:
     keeps nothing. Each store is one dict insert of the answer the target
     always gets, so threads that miss at once only solve it twice.
     """
+    t = operator.index(t)  # a cached 3 must not answer 3.0
     answers = graph._pvc_answers
     if answers is not None:
         result = answers.get(t)
@@ -516,7 +529,7 @@ def pvc_tree(graph: Graph, t: int, *, _walk: Optional[Walk] = None) -> PvcResult
     A forest whose cut tables would hold more than ``TREE_DP_MAX_CELLS``
     cells raises ValueError before any is built.
     """
-    _check_target(graph, t)
+    t = _check_target(graph, t)
     roots, children, order, forest, _ = walk(graph) if _walk is None else _walk
     if not forest:
         raise ValueError("graph contains a cycle; the tree solver needs a forest")

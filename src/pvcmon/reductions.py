@@ -22,6 +22,7 @@ instance valid. Like every decide form, the verifiers have no size guard.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,12 +152,12 @@ class _GadgetFamily:
 
     def __call__(self, k: int, t: int) -> GadgetInstance:
         graph, rho, r = self.graph, self.rho, self.r
-        n = graph.n
+        n, k = graph.n, operator.index(k)
         if k < 0 or t < 0:
             raise ValueError("k and t must be nonnegative")
         if k > n:
             raise ValueError(f"budget k={k} exceeds vertex count {n}")
-        _check_target(graph, t)
+        t = _check_target(graph, t)
         # s >= 1: r makes (1 - rho) r >= rho (m + 3n), so the numerator of s
         # (``gadget_parameters``) is at least t + 3k + 1 >= 1 > rho
         s = self.path_length(k, t)
@@ -288,7 +289,7 @@ def verify_lemma1(graph: Graph, k: int, t: int) -> bool:
     Compares <G, k, t> with <G', k, t + 3k>; both sides must agree for
     every valid instance.
     """
-    _check_instance(graph, k, t)
+    k, t = _check_instance(graph, k, t)
     augmented, _ = pendant_triple_augment(graph)
     return _lemma1_holds(graph, augmented, k, t)
 

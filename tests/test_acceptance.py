@@ -29,7 +29,6 @@ from pvcmon import (
     smon,
 )
 from pvcmon.corpus import (
-    all_free_trees,
     all_labeled_graphs,
     cycle_graph,
     random_bipartite_degree_dominant,
@@ -44,6 +43,7 @@ from pvcmon.verify import (
     theorem_battery,
     theorem_corpus,
 )
+from util import free_trees
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,7 +118,7 @@ def test_c6_degree_greedy_matches_exact():
 
 def test_c7_tree_solver_matches_exact_and_scales():
     for n in range(1, 11):
-        for g in all_free_trees(n):
+        for g in free_trees(n):
             for t in range(g.m + 1):
                 assert pvc_tree(g, t).size == pvc_exact(g, t).size
     rng = random.Random(707)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pvcmon
-from pvcmon.cli import main
+from pvcmon.cli import _COMMANDS, build_parser, main
 from pvcmon.corpus import path_graph, random_graph, random_tree
 from pvcmon.graph import to_edge_list_text
 from pvcmon.pvc import pvc_tree
@@ -86,6 +87,28 @@ def test_negative_guard_rejected(capsys, p5_file):
     assert code == 0 and report["result"]["method"] == "tree_dp"
 
 
+def test_guard_refused_where_no_guard_applies(capsys, p5_file, tmp_path):
+    # only pvc and sdyn --oracle have a guard; the other commands refuse one
+    # rather than ignore it, and a negative guard is named first
+    thresholds = tmp_path / "tau.txt"
+    thresholds.write_text("0\n" * 5)
+    for command in (("smon", p5_file, "-t", "1"), ("sdyn", p5_file, "-t", "1"),
+                    ("simulate", p5_file, str(thresholds)),
+                    ("reduce", p5_file, "-k", "1", "-t", "2", "--rho", "1/2"), ("verify", "lemma1")):
+        assert main(["--guard", "5", *command]) == 2
+        assert capsys.readouterr() == ("", f"error: --guard applies only to pvc and sdyn --oracle, not {command[0]}\n")
+        assert main(["--guard", "-1", *command]) == 2
+        assert capsys.readouterr() == ("", "error: guard must be at least 0, got -1\n")
+    code, report = run_cli(capsys, "--guard", "5", "sdyn", p5_file, "-t", "1", "--oracle")
+    assert code == 0 and report["result"]["oracle"]["agrees"]
+
+
+def test_commands_table_covers_every_graph_command():
+    # main dispatches every subcommand but verify through the table
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_COMMANDS) == set(subparsers.choices) - {"verify"}
+
+
 def test_out_of_memory_exits_5(capsys, p5_file, monkeypatch):
     # exit 1 would say a verify battery found a counterexample
     import pvcmon.cli
@@ -96,7 +119,7 @@ def test_out_of_memory_exits_5(capsys, p5_file, monkeypatch):
     def no_memory_bare(*args):
         raise MemoryError()  # what a failed allocation of Python objects raises
 
-    monkeypatch.setattr(pvcmon.cli, "_cmd_pvc", no_memory)
+    monkeypatch.setitem(_COMMANDS, "pvc", no_memory)
     assert main(["pvc", p5_file, "-t", "4"]) == 5
     assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 2.24 GiB\n")
     monkeypatch.setattr(pvcmon.cli, "_read_graph", no_memory_bare)

@@ -4,7 +4,6 @@ import pytest
 
 from pvcmon import is_forest
 from pvcmon.corpus import (
-    all_free_trees,
     all_labeled_graphs,
     complete_bipartite,
     cycle_graph,
@@ -13,6 +12,7 @@ from pvcmon.corpus import (
     random_tree,
     spider_graph,
 )
+from util import free_trees
 
 
 def test_labeled_graph_counts():
@@ -22,14 +22,14 @@ def test_labeled_graph_counts():
 
 def test_free_tree_counts():
     # number of trees per order, up to isomorphism
-    assert [len(all_free_trees(n)) for n in range(1, 11)] == [
+    assert [len(free_trees(n)) for n in range(1, 11)] == [
         1, 1, 1, 2, 3, 6, 11, 23, 47, 106,
     ]
 
 
 def test_free_trees_are_trees():
     for n in range(1, 9):
-        for g in all_free_trees(n):
+        for g in free_trees(n):
             assert g.n == n and g.m == n - 1 and is_forest(g)
 
 

@@ -242,6 +242,8 @@ def _frozen_reference_cases():
         yield _search_args(g, t, sorted(pvc_exact(g, t).witness))
     yield _search_args(star, star.m, [0])
     yield _search_args(clique, 7, [3])
+    # target 0, which the empty set meets below any incumbent
+    yield _search_args(clique, 0, [3])
 
 
 def test_bb_matches_frozen_reference():

@@ -11,6 +11,7 @@ from pvcmon import (
     Graph,
     InfeasibleTargetError,
     PvcbInstance,
+    build_gadget,
     coverage,
     pick_solver,
     pvc_decide,
@@ -19,7 +20,10 @@ from pvcmon import (
     pvc_greedy_upper,
     pvc_rho_decide,
     pvc_tree,
+    sdyn_decide,
+    smon_decide,
     solve_pvc,
+    verify_lemma1,
 )
 from pvcmon.corpus import (
     complete_bipartite,
@@ -152,6 +156,34 @@ def test_large_tree_decides_use_the_tree_solver():
     assert pvc_rho_decide(g, 85, Fraction(4, 5)) is True
     assert pvc_rho_decide(g, 84, Fraction(4, 5)) is False
     assert time.perf_counter() - started < 2.0
+
+
+def test_budgets_and_targets_refuse_floats():
+    # a float budget or target raises TypeError, an integral one too (a
+    # cached answer for 3 must not answer 3.0); a numpy integer gets the
+    # answer of the int it holds, down to the types in its repr
+    g, path, half = cycle_graph(6), path_graph(7), Fraction(1, 2)
+    calls = [
+        lambda t: pvc_exact(g, t),
+        lambda t: pvc_greedy_upper(g, t),
+        lambda t: pvc_degree_greedy(g, t),
+        lambda t: pvc_tree(path, t),
+        lambda t: solve_pvc(g, t),
+        lambda k: pvc_decide(PvcbInstance(g, k, 4)),
+        lambda t: pvc_decide(PvcbInstance(g, 2, t)),
+        lambda l: pvc_rho_decide(g, l, half),
+        lambda d: smon_decide(g, d, 1),
+        lambda d: sdyn_decide(g, d, "3/2"),
+        lambda k: verify_lemma1(g, k, 2),
+        lambda t: verify_lemma1(g, 2, t),
+        lambda k: build_gadget(g, k, 2, half),
+        lambda t: build_gadget(g, 1, t, half),
+    ]
+    for call in calls:
+        for value in (2.5, 3.0):
+            with pytest.raises(TypeError):
+                call(value)
+        assert repr(call(np.int64(3))) == repr(call(3))
 
 
 class TestTree:
@@ -400,7 +432,7 @@ class TestTree:
         finally:
             tracemalloc.stop()
         # 129,744,620 bytes (123.7 MiB) when every table was an array and
-        # uncut, 72,787,276 bytes (69.4 MiB) with every table cut (numpy 2.4)
+        # uncut, 72,859,164 bytes (69.5 MiB) with every table cut (numpy 2.4)
         assert peak <= 73_000_000
 
     def test_cell_count_matches_the_tables_built(self, monkeypatch):

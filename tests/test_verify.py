@@ -90,3 +90,8 @@ def test_a_graph_count_is_for_the_theorems_battery_alone(monkeypatch):
         with pytest.raises(ValueError, match=f"^a graph count applies only to the theorems and all suites, not '{suite}'$"):
             run_suite(suite, n_graphs=7)
     assert [r.suite for r in run_suite("theorems", size_bound=3, n_graphs=2)] == ["theorems", "witness-identities"]
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="^unknown suite 'bogus'$"):
+        run_suite("bogus")

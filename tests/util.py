@@ -25,6 +25,13 @@ def relabelled_union(parts, rng) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def free_trees(n: int) -> list[Graph]:
+    """All trees on n vertices up to isomorphism (networkx's enumeration)."""
+    import networkx as nx  # here, so a missing networkx fails only the tests that call this
+
+    return [Graph.from_edges(n, list(tree.edges)) for tree in nx.nonisomorphic_trees(n)]
+
+
 def fresh_copy(graph: Graph) -> Graph:
     """An equal graph object that shares no solver state with ``graph``."""
     return Graph.from_edges(graph.n, graph.edges)
