@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InfeasibleTargetError
 
 Rational = Union[int, str, Fraction]
 
@@ -129,6 +129,38 @@ def _coerce_rational(value: Rational) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def _fraction_between(value: Rational, low: int, high: int, name: str) -> Fraction:
+    """``value`` as an exact rational (``_coerce_rational``), checked to lie
+    strictly between ``low`` and ``high``, in integers (a Fraction compared
+    with an int is ~6x slower); ``name`` is what the message calls it."""
+    value = _coerce_rational(value)
+    a, b = value.numerator, value.denominator
+    if not low * b < a < high * b:
+        raise ValueError(f"{name} must lie strictly between {low} and {high}, got {value}")
+    return value
+
+
+def _check_target(graph: Graph, t: int) -> int:
+    """t as a plain int (``operator.index``: a float raises TypeError),
+    checked to lie in [0, m]. A negative t is an input error (ValueError);
+    one above m is a target no subset meets (InfeasibleTargetError)."""
+    t = operator.index(t)
+    if t < 0:
+        raise ValueError(f"negative coverage target {t}")
+    if t > graph.m:
+        raise InfeasibleTargetError(f"target {t} exceeds edge count {graph.m}")
+    return t
+
+
+def _check_instance(graph: Graph, k: int, t: int) -> tuple[int, int]:
+    """k and t as plain ints, k checked to lie in [0, n] (``operator.index``:
+    a float raises TypeError), then t by ``_check_target``."""
+    k = operator.index(k)
+    if not 0 <= k <= graph.n:
+        raise ValueError(f"budget k={k} outside [0, {graph.n}]")
+    return k, _check_target(graph, t)
 
 
 def vertex_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import InfeasibleTargetError
-from .graph import Graph, Rational, _coerce_rational, vertex_subset
+from .graph import Graph, Rational, _coerce_rational, _fraction_between, vertex_subset
 from .kernels import enumerate_subsets
 from .pvc import _decide, solve_pvc
 
@@ -331,9 +331,7 @@ def sdyn_via_subgraph(
 def _decide_total(graph: Graph, d: int, k_factor: Rational, low: int) -> tuple[int, int]:
     # d as a plain int, and ceil(n*k*density) = ceil(k*m) in integers, for
     # k = a/b strictly between low and 2
-    k_factor = _coerce_rational(k_factor)
-    if not (low < k_factor < 2):
-        raise ValueError(f"k factor must lie strictly between {low} and 2, got {k_factor}")
+    k_factor = _fraction_between(k_factor, low, 2, "k factor")
     d = operator.index(d)
     if d < 0:
         raise ValueError(f"size bound must be nonnegative, got {d}")

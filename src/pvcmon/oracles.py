@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import InfeasibleTargetError
-from .graph import Graph
+from .graph import Graph, _check_target
 
 # Largest vertex count the enumeration oracles take (2^20 subsets), unless
 # ``cover_profile`` is given its own.
@@ -34,8 +33,7 @@ def _edge_arrays(graph: Graph) -> np.ndarray:
 
 def min_cover_size(graph: Graph, t: int) -> int:
     """Minimum subset size covering at least t edges, by full enumeration."""
-    if t < 0 or t > graph.m:
-        raise InfeasibleTargetError(f"target {t} outside [0, {graph.m}]")
+    t = _check_target(graph, t)
     profile = cover_profile(graph)
     for k, cov in enumerate(profile):
         if cov >= t:
@@ -50,8 +48,7 @@ def min_cover_size_ilp(graph: Graph, t: int) -> int:
     sum(y) >= t, all variables binary, solved by HiGHS through
     ``scipy.optimize.milp``. Raises ImportError when scipy is missing.
     """
-    if t < 0 or t > graph.m:
-        raise InfeasibleTargetError(f"target {t} outside [0, {graph.m}]")
+    t = _check_target(graph, t)
     if t == 0:
         return 0
     from scipy.optimize import Bounds, LinearConstraint, milp

@@ -44,6 +44,11 @@ solved once. Every decision form, the monopoly ones too, ends in
 largest degrees sum below t (the degree-sum bound that branch-and-bound
 applies at its root), and otherwise k compared with the size from
 ``solve_pvc``, so forests above ``EXACT_MAX_N`` get the tree DP for them too.
+
+Every solver and ``solve_pvc`` check the target with ``graph._check_target``,
+``PvcbInstance`` with ``graph._check_instance``, ``pvc_rho_decide`` its rho
+with ``graph._fraction_between``; a decide cap is only kept nonnegative, as
+one above n is a valid question.
 """
 
 from __future__ import annotations
@@ -57,8 +62,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import InfeasibleTargetError
-from .graph import Graph, Rational, Walk, _coerce_rational, coverage, walk
+from .graph import Graph, Rational, Walk, _check_instance, _check_target, _fraction_between, coverage, walk
 
 METHOD_EXACT = "exact"
 METHOD_TREE = "tree_dp"
@@ -95,28 +99,6 @@ class PvcbInstance:
         k, t = _check_instance(self.graph, self.k, self.t)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "t", t)
-
-
-def _check_instance(graph: Graph, k: int, t: int) -> tuple[int, int]:
-    """k and t as plain ints, checked to lie in [0, n] and [0, m]. They are
-    coerced by ``operator.index``, so a float raises TypeError."""
-    k, t = operator.index(k), operator.index(t)
-    if not (0 <= k <= graph.n):
-        raise ValueError(f"budget k={k} outside [0, {graph.n}]")
-    if not (0 <= t <= graph.m):
-        raise ValueError(f"target t={t} outside [0, {graph.m}]")
-    return k, t
-
-
-def _check_target(graph: Graph, t: int) -> int:
-    """t as a plain int (``operator.index``: a float raises TypeError),
-    checked to lie in [0, m]."""
-    t = operator.index(t)
-    if t < 0:
-        raise InfeasibleTargetError(f"negative coverage target {t}")
-    if t > graph.m:
-        raise InfeasibleTargetError(f"target {t} exceeds edge count {graph.m}")
-    return t
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,14 +218,11 @@ def pvc_rho_decide(graph: Graph, l: int, rho: Rational) -> bool:
     The target ceil(rho * m) is computed in integers from rho = a/b in
     lowest terms; a float rho raises TypeError.
     """
-    rho = _coerce_rational(rho)
-    a, b = rho.numerator, rho.denominator
-    if not (0 < a < b):
-        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+    rho = _fraction_between(rho, 0, 1, "rho")
     l = operator.index(l)
     if l < 0:
         raise ValueError(f"budget must be nonnegative, got {l}")
-    return _decide(graph, -(-a * graph.m // b), l)
+    return _decide(graph, -(-rho.numerator * graph.m // rho.denominator), l)
 
 
 def _orient(deg: tuple[int, ...], side: list[int]) -> tuple[int, int, int]:
@@ -303,18 +282,16 @@ def pvc_degree_greedy(graph: Graph, t: int, *, _sides: Optional[tuple[list[int],
     it found). A graph that is not bipartite, or has no dominating side
     there, raises ValueError, worded from the whole colouring's ``_orient``.
     """
+    t = _check_target(graph, t)
     deg = graph.degrees
     if _sides is None:
         w = walk(graph)
         if w.side is None:
             raise ValueError("degreeGreedy requires a bipartite graph")
-        t = _check_target(graph, t)
         _sides = _oriented(deg, w)
         if _sides is None:
             _, low, high = _orient(deg, w.side)
             raise ValueError(f"degree hypothesis violated: min degree on X is {low} < max degree on Y {high}")
-    else:
-        t = _check_target(graph, t)
     side, x_side = _sides
     order = sorted((v for v, s in enumerate(side) if s == x_side and deg[v]), key=lambda v: (-deg[v], v))
     # X touches every edge, so the prefix sums reach m >= t
@@ -360,7 +337,7 @@ def solve_pvc(graph: Graph, t: int) -> PvcResult:
     keeps nothing. Each store is one dict insert of the answer the target
     always gets, so threads that miss at once only solve it twice.
     """
-    t = operator.index(t)  # a cached 3 must not answer 3.0
+    t = _check_target(graph, t)  # a cached 3 must not answer 3.0
     answers = graph._pvc_answers
     if answers is not None:
         result = answers.get(t)

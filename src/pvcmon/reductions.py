@@ -14,21 +14,20 @@ Two constructions are provided, with verifiers that decide both sides:
 
 Every budgeted side is decided by ``pvc._decide``, and every fractional
 side by ``pvc_rho_decide``. The public verifiers check their instances
-first: ``verify_lemma1`` through ``pvc._check_instance``, the others
-through ``build_gadget``'s own checks; the batteries' loops keep every
-instance valid. Like every decide form, the verifiers have no size guard.
+first with ``graph._check_instance``, and rho with ``graph._fraction_between``
+(``verify_lemma1`` directly, the others in ``_GadgetFamily``); the batteries'
+loops keep every instance valid. Like every decide form, they have no size guard.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GadgetConstructionError
-from .graph import MAX_VERTICES, Graph, Rational, _coerce_rational, parse_graph, to_edge_list_text
-from .pvc import _check_instance, _check_target, _decide, pvc_rho_decide
+from .graph import MAX_VERTICES, Graph, Rational, _check_instance, _fraction_between, parse_graph, to_edge_list_text
+from .pvc import _decide, pvc_rho_decide
 
 ROLE_ORIGINAL = "original"
 ROLE_PENDANT = "pendant"
@@ -115,16 +114,13 @@ def gadget_parameters(graph: Graph, k: int, t: int, rho: Rational) -> tuple[int,
 
     r = ceil(rho / (1 - rho) * (n(n - 1)/2 + 3n)) + n + 3 and
     s = floor((t + 3k + (1 - rho) r + 1 - rho (m + 3n)) / rho), computed in
-    integers from rho = a/b in lowest terms.
+    integers from rho = a/b in lowest terms. Refuses what ``build_gadget``
+    refuses, with the same error, and builds nothing.
     """
-    rho = _coerce_rational(rho)
-    r = _star_size(graph.n, rho)
-    return r, _path_length(graph, rho, r, k, t)
-
-
-def _path_length(graph: Graph, rho: Fraction, r: int, k: int, t: int) -> int:
-    a, b = rho.numerator, rho.denominator
-    return (b * (t + 3 * k + r + 1) - a * (r + graph.m + 3 * graph.n)) // a
+    family = _GadgetFamily(graph, rho)
+    s = family.path_length(*_check_instance(graph, k, t))
+    _check_order(graph.n, family.r, s)
+    return family.r, s
 
 
 class _GadgetFamily:
@@ -139,28 +135,23 @@ class _GadgetFamily:
     """
 
     def __init__(self, graph: Graph, rho: Rational):
-        rho = _coerce_rational(rho)
-        if not (0 < rho < 1):
-            raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+        rho = _fraction_between(rho, 0, 1, "rho")
         if graph.n < 1:
             raise ValueError("gadget needs at least one original vertex")
         self.graph, self.rho, self.r = graph, rho, _star_size(graph.n, rho)
         self._fixed = None  # the s = 1 gadget, laid down on the first build
 
     def path_length(self, k: int, t: int) -> int:
-        return _path_length(self.graph, self.rho, self.r, k, t)
+        # s for a (k, t) the caller has checked, in integers from rho = a/b
+        (a, b), graph, r = self.rho.as_integer_ratio(), self.graph, self.r
+        return (b * (t + 3 * k + r + 1) - a * (r + graph.m + 3 * graph.n)) // a
 
     def __call__(self, k: int, t: int) -> GadgetInstance:
         graph, rho, r = self.graph, self.rho, self.r
-        n, k = graph.n, operator.index(k)
-        if k < 0 or t < 0:
-            raise ValueError("k and t must be nonnegative")
-        if k > n:
-            raise ValueError(f"budget k={k} exceeds vertex count {n}")
-        t = _check_target(graph, t)
+        n = graph.n
         # s >= 1: r makes (1 - rho) r >= rho (m + 3n), so the numerator of s
         # (``gadget_parameters``) is at least t + 3k + 1 >= 1 > rho
-        s = self.path_length(k, t)
+        s = self.path_length(*_check_instance(graph, k, t))
         order = _check_order(n, r, s)
         if self._fixed is None:
             roles, star_center, path_end, pendant_anchor, edges = _layout(n, r, 1)

@@ -323,13 +323,41 @@ P3_TEXT = "3 2\n0 1\n1 2\n"
 
 @pytest.mark.parametrize("options, code, err", [
     (("-t", "99"), 3, "error: infeasible parameters: target 99 exceeds edge count 2\n"),
-    (("-t", "-1"), 2, "error: k and t must be nonnegative\n"),
+    (("-t", "-1"), 2, "error: negative coverage target -1\n"),
 ], ids=["above-m", "negative"])
 def test_reduce_rejects_targets_outside_0_to_m(capsys, tmp_path, options, code, err):
     path = tmp_path / "p3.txt"
     path.write_text(P3_TEXT)
     assert main(["reduce", str(path), "-k", "1", *options, "--rho", "1/2"]) == code
     assert capsys.readouterr() == ("", err)
+
+
+PVC_SOLVERS = ("auto", "exact", "tree", "greedy", "degreeGreedy")
+
+
+@pytest.mark.parametrize("command, options", [
+    *(("pvc", ("--solver", solver)) for solver in PVC_SOLVERS),
+    ("reduce", ("-k", "1", "--rho", "1/2")),
+], ids=[*(f"pvc-{solver}" for solver in PVC_SOLVERS), "reduce"])
+@pytest.mark.parametrize("target, code, err", [
+    ("-1", 2, "error: negative coverage target -1\n"),
+    ("3", 3, "error: infeasible parameters: target 3 exceeds edge count 2\n"),
+], ids=["negative", "above-m"])
+def test_every_command_refuses_a_target_alike(capsys, tmp_path, command, options, target, code, err):
+    # one rule on every command that takes a target: a negative one is an
+    # input error (exit 2), one above m an infeasible parameter (exit 3)
+    path = tmp_path / "p3.txt"
+    path.write_text(P3_TEXT)
+    assert main([command, str(path), *options, "-t", target]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("budget", ["-1", "4"])
+def test_reduce_refuses_a_budget_outside_0_to_n(capsys, tmp_path, budget):
+    path = tmp_path / "p3.txt"
+    path.write_text(P3_TEXT)
+    assert main(["reduce", str(path), "-k", budget, "-t", "1", "--rho", "1/2"]) == 2
+    assert capsys.readouterr() == ("", f"error: budget k={budget} outside [0, 3]\n")
 
 
 @pytest.mark.parametrize("target, rho, code, err", [

@@ -1,6 +1,6 @@
 """Every name a pvcmon module imports is used in that module, every
-private helper it defines is used somewhere, and no line of it carries a
-coverage pragma."""
+private helper it defines is used somewhere, no line of it carries a
+coverage pragma, and each domain fault is raised from one place."""
 
 import ast
 import io
@@ -99,3 +99,30 @@ def test_no_coverage_pragmas():
               for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
               if "pragma: no cover" in line]
     assert marked == []
+
+
+def raised_messages(source: str) -> list[tuple[str, str]]:
+    """(exception name, literal text of its message) for each ``raise
+    Name(message)`` in ``source``; an f-string's fields are left out."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            message = node.exc.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            text = "".join(p.value for p in parts if isinstance(p, ast.Constant) and isinstance(p.value, str))
+            out.append((getattr(node.exc.func, "id", ""), text))
+    return out
+
+
+def test_each_domain_fault_is_raised_from_one_place():
+    # the target, budget and fraction checks live in graph.py; a second copy
+    # would let two entry points word one fault, or exit on it, differently.
+    # load_gadget's sidecar check is the one other: it fails a construction
+    raises = [(p.name, name, text) for p in SOURCES for name, text in raised_messages(p.read_text(encoding="utf-8"))]
+    for phrase, where in (
+        ("negative coverage target", [("graph.py", "ValueError")]),
+        ("exceeds edge count", [("graph.py", "InfeasibleTargetError")]),
+        ("budget k=", [("graph.py", "ValueError")]),
+        ("must lie strictly between", [("graph.py", "ValueError"), ("reductions.py", "GadgetConstructionError")]),
+    ):
+        assert sorted((module, name) for module, name, text in raises if phrase in text) == where, phrase

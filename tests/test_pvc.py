@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from pvcmon import (
     pvc_greedy_upper,
     pvc_rho_decide,
     pvc_tree,
+    reduction_chain,
     sdyn_decide,
     smon_decide,
     solve_pvc,
     verify_lemma1,
+    verify_lemma2,
 )
 from pvcmon.corpus import (
     complete_bipartite,
@@ -37,7 +40,8 @@ from pvcmon.corpus import (
     spider_graph,
     star_graph,
 )
-from pvcmon.oracles import cover_profile, min_cover_size
+from pvcmon.oracles import cover_profile, min_cover_size, min_cover_size_ilp
+from pvcmon.reductions import _GadgetFamily, gadget_parameters
 from util import fresh_copy, relabelled_union, solver_answers
 
 
@@ -68,8 +72,9 @@ class TestExact:
         c4 = cycle_graph(4)
         with pytest.raises(InfeasibleTargetError):
             pvc_exact(c4, 5)
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(ValueError) as caught:
             pvc_exact(c4, -1)
+        assert type(caught.value) is ValueError and str(caught.value) == "negative coverage target -1"
 
     def test_matches_enumeration_everywhere(self):
         rng = random.Random(8)
@@ -184,6 +189,69 @@ def test_budgets_and_targets_refuse_floats():
             with pytest.raises(TypeError):
                 call(value)
         assert repr(call(np.int64(3))) == repr(call(3))
+
+
+def _domain_faults():
+    """A ``pytest.param(call, error, message)`` for every entry point that
+    takes a coverage target t, a budget k or a fraction, and each fault of
+    that argument, on C4 (n = m = 4) with every other argument valid. Each
+    fault has one error type and one message, whichever entry point meets it."""
+    g, half = cycle_graph(4), Fraction(1, 2)
+    instance = {
+        "PvcbInstance": lambda k, t: PvcbInstance(g, k, t),
+        "verify_lemma1": lambda k, t: verify_lemma1(g, k, t),
+        "build_gadget": lambda k, t: build_gadget(g, k, t, half),
+        "_GadgetFamily": lambda k, t: _GadgetFamily(g, half)(k, t),
+        "gadget_parameters": lambda k, t: gadget_parameters(g, k, t, half),
+        "verify_lemma2": lambda k, t: verify_lemma2(g, k, t, half),
+        "reduction_chain": lambda k, t: reduction_chain(g, k, t, half),
+    }
+    target = {
+        "pvc_exact": lambda t: pvc_exact(g, t),
+        "pvc_greedy_upper": lambda t: pvc_greedy_upper(g, t),
+        "pvc_degree_greedy": lambda t: pvc_degree_greedy(g, t),
+        "pvc_tree": lambda t: pvc_tree(path_graph(5), t),  # also m = 4
+        "solve_pvc": lambda t: solve_pvc(g, t),
+        "min_cover_size": lambda t: min_cover_size(g, t),
+        "min_cover_size_ilp": lambda t: min_cover_size_ilp(g, t),
+        **{name: partial(call, 1) for name, call in instance.items()},
+    }
+    rho = {
+        "pvc_rho_decide": lambda r: pvc_rho_decide(g, 1, r),
+        "build_gadget": lambda r: build_gadget(g, 1, 2, r),
+        "_GadgetFamily": lambda r: _GadgetFamily(g, r)(1, 2),
+        "gadget_parameters": lambda r: gadget_parameters(g, 1, 2, r),
+        "verify_lemma2": lambda r: verify_lemma2(g, 1, 2, r),
+        "reduction_chain": lambda r: reduction_chain(g, 1, 2, r),
+    }
+    rows = []
+    for name, call in target.items():
+        rows.append(pytest.param(partial(call, -1), ValueError, "negative coverage target -1", id=f"{name}-t=-1"))
+        rows.append(pytest.param(partial(call, 5), InfeasibleTargetError, "target 5 exceeds edge count 4",
+                                 id=f"{name}-t=m+1"))
+    for name, call in instance.items():
+        for k in (-1, 5):
+            rows.append(pytest.param(partial(call, k, 2), ValueError, f"budget k={k} outside [0, 4]",
+                                     id=f"{name}-k={k}"))
+    for name, call in rho.items():
+        for r in (0, 1, Fraction(3, 2)):
+            rows.append(pytest.param(partial(call, r), ValueError, f"rho must lie strictly between 0 and 1, got {r}",
+                                     id=f"{name}-rho={r}"))
+    for call, low in ((smon_decide, 0), (sdyn_decide, 1)):
+        for factor in (low, 2, Fraction(5, 2)):
+            rows.append(pytest.param(partial(call, g, 1, factor), ValueError,
+                                     f"k factor must lie strictly between {low} and 2, got {factor}",
+                                     id=f"{call.__name__}-factor={factor}"))
+    return rows
+
+
+@pytest.mark.parametrize("call, error, message", _domain_faults())
+def test_each_fault_has_one_error_on_every_entry_point(call, error, message):
+    # a negative target or budget is an input error, a target above m an
+    # infeasible one, whichever entry point is asked
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestTree:
@@ -666,10 +734,11 @@ def test_oracles_refuse_what_they_cannot_answer():
 
     c4 = cycle_graph(4)
     for oracle in (min_cover_size, min_cover_size_ilp):
-        for t in (-1, 5):
-            with pytest.raises(InfeasibleTargetError) as caught:
+        for t, error, message in ((-1, ValueError, "negative coverage target -1"),
+                                  (5, InfeasibleTargetError, "target 5 exceeds edge count 4")):
+            with pytest.raises(error) as caught:
                 oracle(c4, t)
-            assert str(caught.value) == f"target {t} outside [0, 4]"
+            assert type(caught.value) is error and str(caught.value) == message
     assert min_cover_size_ilp(c4, 0) == 0
     with pytest.raises(ValueError) as caught:
         max_independent_set_size(Graph.from_edges(21, []))

@@ -142,6 +142,29 @@ class TestBuildGadget:
                             checked += 1
         assert checked > 4113
 
+    def test_parameters_refuse_what_build_refuses(self):
+        # the same error, type and message, for every argument build_gadget
+        # refuses, and the built gadget's r and s for every one it accepts
+        c4, empty = cycle_graph(4), Graph.from_edges(0, [])
+        half = Fraction(1, 2)
+        for args in (
+            (c4, -1, 2, half), (c4, 5, 2, half), (c4, 1, -1, half), (c4, 1, 5, half), (c4, -1, 5, half),
+            (c4, 1, 2, 0), (c4, 1, 2, 1), (c4, 1, 2, "3/2"), (c4, 1, 2, "-1"), (c4, 1, 2, 0.5), (c4, 1.0, 2, half),
+            (c4, 1, 2, "1/0"), (empty, 0, 0, half), (c4, 1, 2, Fraction(1, 10**9)), (c4, 1, 2, 1 - Fraction(1, 10**9)),
+        ):
+            with pytest.raises(Exception) as built:
+                build_gadget(*args)
+            with pytest.raises(Exception) as computed:
+                gadget_parameters(*args)
+            assert type(computed.value) is type(built.value), args
+            assert str(computed.value) == str(built.value), args
+        for g in (c4, path_graph(3), Graph.from_edges(1, [])):
+            for rho in DEFAULT_RHOS:
+                for k in range(g.n + 1):
+                    for t in range(g.m + 1):
+                        inst = build_gadget(g, k, t, rho)
+                        assert gadget_parameters(g, k, t, rho) == (inst.r, inst.s)
+
     def test_float_rho_rejected(self):
         g = cycle_graph(4)
         for call in (
@@ -195,12 +218,14 @@ class TestGadgetFamily:
     def test_family_checks_each_instance(self):
         family = _GadgetFamily(cycle_graph(4), Fraction(1, 2))
         for k, t, error, message in (
-            (-1, 2, ValueError, "k and t must be nonnegative"),
-            (5, 2, ValueError, "budget k=5 exceeds vertex count 4"),
+            (-1, 2, ValueError, "budget k=-1 outside [0, 4]"),
+            (5, 2, ValueError, "budget k=5 outside [0, 4]"),
+            (1, -1, ValueError, "negative coverage target -1"),
             (1, 5, InfeasibleTargetError, "target 5 exceeds edge count 4"),
         ):
-            with pytest.raises(error, match=message):
+            with pytest.raises(error) as caught:
                 family(k, t)
+            assert type(caught.value) is error and str(caught.value) == message
         assert family(1, 2) == build_gadget(cycle_graph(4), 1, 2, Fraction(1, 2))
 
 
@@ -352,28 +377,28 @@ class TestEquivalences:
         assert proc.stdout.splitlines() == [
             "budget k=-1 outside [0, 3]",
             "budget k=4 outside [0, 3]",
-            "target t=-1 outside [0, 2]",
-            "target t=3 outside [0, 2]",
+            "negative coverage target -1",
+            "target 3 exceeds edge count 2",
         ]
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: verify_lemma2(cycle_graph(4), 1, 2, "3/2"), ValueError,
          "rho must lie strictly between 0 and 1, got 3/2"),
-        (lambda: verify_lemma2(cycle_graph(4), -1, 2, "1/2"), ValueError, "k and t must be nonnegative"),
-        (lambda: verify_lemma2(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 exceeds vertex count 4"),
+        (lambda: verify_lemma2(cycle_graph(4), -1, 2, "1/2"), ValueError, "budget k=-1 outside [0, 4]"),
+        (lambda: verify_lemma2(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 outside [0, 4]"),
         (lambda: verify_lemma2(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
          "target 5 exceeds edge count 4"),
         (lambda: verify_lemma2(cycle_graph(4), 1, 2, 0.5), TypeError,
          "pass an exact rational (int, 'p/q' string, or Fraction), not a float"),
         (lambda: reduction_chain(cycle_graph(4), 1, 2, 0), ValueError,
          "rho must lie strictly between 0 and 1, got 0"),
-        (lambda: reduction_chain(cycle_graph(4), 1, -1, "1/2"), ValueError, "k and t must be nonnegative"),
-        (lambda: reduction_chain(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 exceeds vertex count 4"),
+        (lambda: reduction_chain(cycle_graph(4), 1, -1, "1/2"), ValueError, "negative coverage target -1"),
+        (lambda: reduction_chain(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 outside [0, 4]"),
         (lambda: reduction_chain(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
          "target 5 exceeds edge count 4"),
         (lambda: build_gadget(Graph.from_edges(0, []), 0, 0, "1/2"), ValueError,
          "gadget needs at least one original vertex"),
-        (lambda: build_gadget(cycle_graph(4), 0, -1, "1/2"), ValueError, "k and t must be nonnegative"),
+        (lambda: build_gadget(cycle_graph(4), 0, -1, "1/2"), ValueError, "negative coverage target -1"),
         (lambda: smon_decide(cycle_graph(4), 1, 2), ValueError, "k factor must lie strictly between 0 and 2, got 2"),
         (lambda: smon_decide(cycle_graph(4), -1, 1), ValueError, "size bound must be nonnegative, got -1"),
         (lambda: smon_decide(cycle_graph(4), 1, 0.5), TypeError,
@@ -394,6 +419,28 @@ class TestEquivalences:
         with pytest.raises(error) as caught:
             call()
         assert type(caught.value) is error and str(caught.value) == message
+
+    def test_decide_caps_and_sidecars_keep_their_own_checks(self):
+        # a decide cap above n is a valid question, which the greedy settles,
+        # so only a negative cap is refused, in the cap's own words; a
+        # sidecar's rho out of range is a construction failure
+        g = cycle_graph(4)
+        assert pvc_rho_decide(g, g.n + 5, Fraction(1, 2))
+        assert smon_decide(g, g.n + 5, 1)
+        assert sdyn_decide(g, g.n + 5, "3/2")
+        for call, message in (
+            (lambda: pvc_rho_decide(g, -1, Fraction(1, 2)), "budget must be nonnegative, got -1"),
+            (lambda: smon_decide(g, -1, 1), "size bound must be nonnegative, got -1"),
+            (lambda: sdyn_decide(g, -1, "3/2"), "size bound must be nonnegative, got -1"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert type(caught.value) is ValueError and str(caught.value) == message
+        inst = build_gadget(g, 1, 2, Fraction(1, 2))
+        sidecar = {**json.loads(gadget_sidecar_json(inst)), "rho": "3/2"}
+        with pytest.raises(GadgetConstructionError) as caught:
+            load_gadget(gadget_edge_list(inst), json.dumps(sidecar))
+        assert str(caught.value) == "rho must lie strictly between 0 and 1, got 3/2"
 
     def test_no_size_guard(self):
         # the verifiers decide like every decide form, whatever n is
