@@ -31,7 +31,6 @@ from .monopoly import (
 )
 from .pvc import (
     EXACT_MAX_N,
-    METHOD_EXACT,
     METHOD_HEURISTIC,
     _route,
     pvc_degree_greedy,
@@ -103,10 +102,7 @@ def _cmd_pvc(args, graph: Graph) -> dict:
     t = args.target
     guard = _effective_guard(args.guard, EXACT_MAX_N)
     if args.solver == "auto":
-        # the guard caps branch-and-bound only: the polynomial solvers take
-        # over from it, and greedy answers what neither covers
-        method, solve = _route(graph, min(guard, EXACT_MAX_N))
-        res = pvc_greedy_upper(graph, t) if method == METHOD_EXACT and graph.n > guard else solve(t)
+        res = _route(graph, guard).solve(t)
     elif args.solver == "exact":
         if graph.n > guard:
             raise ValueError(

@@ -9,16 +9,8 @@ read them in that order and never sort them again.
 read; it is returned, never kept on the graph.
 
 A graph's vertices and edges never change after construction, and every
-function here is pure. A ``Graph`` also carries two private slots that
-``pvc.py`` fills with what it derives from it. ``_pvc_state`` holds the
-solver state (see ``pvc._solver_state``); each state put there is
-immutable, and growing it builds a new state and swaps it in with one
-attribute store. ``_pvc_answers`` maps each target ``pvc.solve_pvc`` has
-answered by branch-and-bound to its result (see ``pvc.solve_pvc``); an
-answer is only ever inserted, one dict store at a time, and the same
-target always gets an equal answer, so two threads that miss at once only
-solve it twice. So shared instances are safe to use from any number of
-threads.
+function here is pure. A ``Graph`` also carries one private slot, ``_pvc``,
+where ``pvc.py`` keeps what it derives from it (see ``pvc._SolverState``).
 """
 
 from __future__ import annotations
@@ -55,12 +47,10 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    # pvc.py's solver state and exact answers for this object, each stored on
-    # the instance on first use. Plain class attributes, not fields: they
-    # take no part in construction, eq, hash or repr, so equal graphs stay
-    # equal and no two graph objects share a state or an answer.
-    _pvc_state = None
-    _pvc_answers = None
+    # pvc.py's solver state for this object (``pvc._SolverState``), stored
+    # on the instance on first use; a class attribute, not a field, so it
+    # takes no part in construction, eq, hash or repr.
+    _pvc = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

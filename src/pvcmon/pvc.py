@@ -24,26 +24,33 @@ degree-dominates the other side Y, oriented by the router's rule whether
 the router or a caller asks; ``pvc_greedy_upper`` is the scalable
 heuristic upper bound.
 
-``_route`` is the one place that chooses among the exact solvers:
-branch-and-bound up to ``EXACT_MAX_N`` vertices (faster than the tree DP's
-numpy overhead there), then, from one ``graph.walk``, the tree DP for
-forests, degree greedy for bipartite graphs with a degree-dominating side
-(each component oriented on its own when the whole colouring has none),
-and branch-and-bound for everything else. It returns the method, which
-``pick_solver`` reports, with its solver bound to what it read.
+``_route`` is the one place that chooses a solver, for ``solve_pvc``,
+``pick_solver`` and ``pvcmon pvc``: branch-and-bound up to ``EXACT_MAX_N``
+vertices (faster than the tree DP's numpy overhead there), then, from one
+``graph.walk``, the tree DP for forests, degree greedy for bipartite graphs
+with a degree-dominating side (each component oriented on its own when the
+whole colouring has none), and branch-and-bound for everything else. The
+CLI's ``--guard`` is an input of the same rule: it lowers the size up to
+which branch-and-bound runs without a walk, and a graph above it that
+neither polynomial solver takes gets the greedy upper bound (the
+``heuristic`` route). It returns a ``Route``: the method, which
+``pick_solver`` reports, and its solver bound to what it read.
 
 What does not depend on the target is computed once per graph object and
-kept on it (``_solver_state``): the greedy's pick order with the coverage
-after each pick, grown only as far as the largest target asked so far, and
-the prefix sums of the degrees in decreasing order. A greedy answer is then
-a binary search. ``solve_pvc`` also keeps, on the graph object, each answer
-it gets from branch-and-bound, so a target asked again (by ``smon`` and
-``sdyn`` at averages with one target, or by decides with several caps) is
-solved once. Every decision form, the monopoly ones too, ends in
-``_decide``: "yes" when the greedy needs at most k picks, "no" when the k
-largest degrees sum below t (the degree-sum bound that branch-and-bound
-applies at its root), and otherwise k compared with the size from
-``solve_pvc``, so forests above ``EXACT_MAX_N`` get the tree DP for them too.
+kept in its one slot, ``Graph._pvc``, as a ``_SolverState``: the greedy's
+pick order with the coverage after each pick, grown only as far as the
+largest target asked so far, and the prefix sums of the degrees in
+decreasing order. A greedy answer is then a binary search. The state also
+keeps each answer ``solve_pvc`` gets from branch-and-bound, so a target
+asked again (by ``smon`` and ``sdyn`` at averages with one target, or by
+decides with several caps) is solved once. The route is not kept: it is a
+value, made again by each call that needs it.
+
+Every decision form, the monopoly ones too, ends in ``_decide``: "yes" when
+the greedy needs at most k picks, "no" when the k largest degrees sum below
+t (the degree-sum bound that branch-and-bound applies at its root), and
+otherwise k compared with the size from ``solve_pvc``, so forests above
+``EXACT_MAX_N`` get the tree DP for them too.
 
 Every solver and ``solve_pvc`` check the target with ``graph._check_target``,
 ``PvcbInstance`` with ``graph._check_instance``, ``pvc_rho_decide`` its rho
@@ -57,7 +64,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,40 +110,50 @@ class PvcbInstance:
 
 @dataclass(frozen=True, slots=True)
 class _SolverState:
-    """What the solvers derive from one graph without looking at a target.
+    """What the solvers keep of one graph object, in its one ``_pvc`` slot.
 
     ``picks`` is the greedy's pick order so far and ``covered[i]`` the edges
     its first i picks cover (strictly increasing); ``resdeg`` is each
     vertex's residual degree after them, 0 once picked, and the greedy
     resumes from it. ``dprefix[k]`` sums the k largest degrees: no k
-    vertices cover more edges than that.
+    vertices cover more edges than that. ``answers`` maps each target
+    ``solve_pvc`` has answered by branch-and-bound to its result.
     """
 
     picks: tuple[int, ...]
     covered: tuple[int, ...]
     resdeg: tuple[int, ...]
     dprefix: tuple[int, ...]
+    answers: dict[int, PvcResult]
 
 
 def _solver_state(graph: Graph, t: int) -> _SolverState:
     """The graph's solver state, its greedy run on until it covers >= t edges.
 
     No greedy pick depends on the target, so one run, extended only as far
-    as the largest target asked so far, serves every target. A state is
-    never changed once stored on the graph: extending it builds a new one.
-    Threads that extend one graph's state at once each answer from their
-    own state and the last store wins; every stored state is a prefix of
-    the same pick order, so a lost store only costs work done again.
+    as the largest target asked so far, serves every target.
+
+    Shared graphs are safe to query from any number of threads. A stored
+    state's greedy fields never change: extending it builds a new state,
+    which carries the same ``answers`` dict over, and swaps it in with one
+    attribute store. Threads that extend one graph's state at once each
+    answer from their own state and the last store wins; every stored
+    state is a prefix of the same pick order, so a lost store only costs
+    work done again, as does an answer kept in the fresh dict of a first
+    state that lost. An answer is only ever inserted, one dict store at a
+    time, and a target always gets an equal answer, so threads that miss
+    at once only solve it twice.
     """
-    state = graph._pvc_state
+    state = graph._pvc
     if state is None:
         picks, covered, resdeg = [], [0], list(graph.degrees)
         dprefix = tuple(accumulate(sorted(resdeg, reverse=True), initial=0))
+        answers = {}
     elif state.covered[-1] >= t:
         return state
     else:
         picks, covered, resdeg = list(state.picks), list(state.covered), list(state.resdeg)
-        dprefix = state.dprefix
+        dprefix, answers = state.dprefix, state.answers
     achieved = covered[-1]
     while achieved < t:
         # t <= m guarantees some uncovered edge remains, so max(resdeg) > 0
@@ -149,8 +166,8 @@ def _solver_state(graph: Graph, t: int) -> _SolverState:
         for u in graph.adjacency[pick]:
             if resdeg[u]:
                 resdeg[u] -= 1
-    state = _SolverState(tuple(picks), tuple(covered), tuple(resdeg), dprefix)
-    object.__setattr__(graph, "_pvc_state", state)
+    state = _SolverState(tuple(picks), tuple(covered), tuple(resdeg), dprefix, answers)
+    object.__setattr__(graph, "_pvc", state)
     return state
 
 
@@ -300,56 +317,62 @@ def pvc_degree_greedy(graph: Graph, t: int, *, _sides: Optional[tuple[list[int],
     return PvcResult(size, frozenset(order[:size]), covered[size], METHOD_DEGREE_GREEDY)
 
 
-def _route(graph: Graph, exact_max_n: int = EXACT_MAX_N) -> tuple[str, Callable[[int], PvcResult]]:
-    """The method that answers partial-cover queries on ``graph`` exactly,
-    and its solver as a function of the target, bound to the walk it read
-    (or, for degree greedy, the colouring it oriented).
+class Route(NamedTuple):
+    """The method that answers a graph's partial-cover queries, and its
+    solver as a function of the target."""
 
-    Branch-and-bound for graphs of at most ``exact_max_n`` vertices; above
-    that the tree DP for forests, degree greedy for bipartite graphs with a
-    degree-dominating side (``_oriented``), and branch-and-bound otherwise.
+    method: str
+    solve: Callable[[int], PvcResult]
+
+
+def _route(graph: Graph, guard: Optional[int] = None) -> Route:
+    """The one rule that chooses a graph's solver, ``guard`` (None: no cap)
+    capping branch-and-bound.
+
+    Above min(guard, ``EXACT_MAX_N``) vertices one ``graph.walk`` sends
+    forests to the tree DP and bipartite graphs with a degree-dominating
+    side (``_oriented``) to degree greedy, each solver bound to what the
+    walk gave; any other graph above the guard gets the greedy upper bound,
+    and the rest branch-and-bound. Each solver is looked up when it is
+    called, not when the route is made.
     """
-    if graph.n > exact_max_n:
+    if graph.n > (EXACT_MAX_N if guard is None else min(guard, EXACT_MAX_N)):
         w = walk(graph)
         if w.forest:
-            return METHOD_TREE, lambda t: pvc_tree(graph, t, _walk=w)
+            return Route(METHOD_TREE, lambda t: pvc_tree(graph, t, _walk=w))
         sides = None if w.side is None else _oriented(graph.degrees, w)
         if sides is not None:
-            return METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(graph, t, _sides=sides)
-    return METHOD_EXACT, lambda t: pvc_exact(graph, t)
+            return Route(METHOD_DEGREE_GREEDY, lambda t: pvc_degree_greedy(graph, t, _sides=sides))
+        if guard is not None and graph.n > guard:
+            return Route(METHOD_HEURISTIC, lambda t: pvc_greedy_upper(graph, t))
+    return Route(METHOD_EXACT, lambda t: pvc_exact(graph, t))
 
 
 def pick_solver(graph: Graph) -> str:
     """The method that answers partial-cover queries on ``graph`` exactly
     (see ``_route``)."""
-    return _route(graph)[0]
+    return _route(graph).method
 
 
 def solve_pvc(graph: Graph, t: int) -> PvcResult:
     """Minimum-cardinality vertex set covering at least t edges, found by
     the solver ``pick_solver`` chooses.
 
-    The answers of the branch-and-bound route, the costly ones, are kept on
-    the graph object by target (``Graph._pvc_answers``) and returned again
-    without routing. Tree DP and degree-greedy answers are not kept: they
-    are polynomial, and keeping every target of a 2,000-vertex forest would
-    hold a witness per target, tens of MB. ``pvc_exact`` called directly
-    keeps nothing. Each store is one dict insert of the answer the target
-    always gets, so threads that miss at once only solve it twice.
+    The answers of the branch-and-bound route, the costly ones, are kept in
+    the graph's solver state by target (``_SolverState.answers``) and
+    returned again without routing. Tree DP and degree-greedy answers are
+    not kept: they are polynomial, and keeping every target of a
+    2,000-vertex forest would hold a witness per target, tens of MB.
+    ``pvc_exact`` called directly keeps nothing.
     """
     t = _check_target(graph, t)  # a cached 3 must not answer 3.0
-    answers = graph._pvc_answers
-    if answers is not None:
-        result = answers.get(t)
-        if result is not None:
-            return result
+    state = graph._pvc
+    if state is not None and t in state.answers:  # answers are never removed
+        return state.answers[t]
     method, solve = _route(graph)
     result = solve(t)
     if method == METHOD_EXACT:
-        if answers is None:
-            answers = {}
-            object.__setattr__(graph, "_pvc_answers", answers)
-        answers[t] = result
+        _solver_state(graph, t).answers[t] = result
     return result
 
 

@@ -840,7 +840,7 @@ class TestSolverState:
         pvc_exact(g, g.m)
         assert g == twin and hash(g) == hash(twin)
         assert (hash(g), repr(g)) == before
-        assert g._pvc_state is not None and twin._pvc_state is None
+        assert g._pvc is not None and twin._pvc is None
 
     def test_walk_does_not_touch_the_graph(self):
         # the walk flows as a value: neither the tree DP nor the routed
@@ -853,7 +853,7 @@ class TestSolverState:
         pick_solver(g)
         assert g == twin and hash(g) == hash(twin)
         assert (hash(g), repr(g), dict(vars(g))) == before
-        assert g._pvc_state is None
+        assert g._pvc is None
 
     def test_threads_on_shared_graphs(self):
         import sys
@@ -937,7 +937,7 @@ class TestAnswerCache:
         first = solve_pvc(g, g.m // 2)
         assert solve_pvc(g, g.m // 2) is first
         assert first == pvc_exact(fresh_copy(g), g.m // 2)
-        assert g._pvc_answers == {g.m // 2: first}
+        assert g._pvc.answers == {g.m // 2: first}
 
     def test_equal_graphs_share_no_answers(self):
         g = random_graph(9, 0.5, random.Random(3))
@@ -946,9 +946,9 @@ class TestAnswerCache:
         solve_pvc(g, g.m)
         assert g == twin and hash(g) == hash(twin)
         assert (hash(g), repr(g)) == before
-        assert set(g._pvc_answers) == {g.m} and twin._pvc_answers is None
+        assert set(g._pvc.answers) == {g.m} and twin._pvc is None
         solve_pvc(twin, 1)
-        assert set(g._pvc_answers) == {g.m} and set(twin._pvc_answers) == {1}
+        assert set(g._pvc.answers) == {g.m} and set(twin._pvc.answers) == {1}
 
     def test_kept_answers_equal_exact_at_every_target(self):
         rng = random.Random(71)
@@ -958,7 +958,7 @@ class TestAnswerCache:
             # the second round reads every answer back
             for t in targets + targets:
                 assert solve_pvc(g, t) == pvc_exact(fresh_copy(g), t)
-            assert set(g._pvc_answers) == set(range(g.m + 1))
+            assert set(g._pvc.answers) == set(range(g.m + 1))
 
     def test_polynomial_routes_keep_no_answers(self):
         tree = random_recursive_tree(300, random.Random(3))
@@ -967,4 +967,4 @@ class TestAnswerCache:
             assert g.n > 30 and pick_solver(g) == method
             for t in (1, g.m // 2, g.m):
                 assert solve_pvc(g, t).method == method
-            assert g._pvc_answers is None
+            assert g._pvc is None

@@ -210,10 +210,10 @@ class TestGadgetFamily:
         # deciding on two of them leaves the third, and the next build, fresh
         pvc_rho_decide(first.graph, 2, rho)
         pvc_rho_decide(other.graph, 3, rho)
-        assert first.graph._pvc_state is not None and other.graph._pvc_state is not None
-        assert first.graph._pvc_state is not other.graph._pvc_state
-        assert again.graph._pvc_state is None and again.graph._pvc_answers is None
-        assert family(1, 2).graph._pvc_state is None
+        assert first.graph._pvc is not None and other.graph._pvc is not None
+        assert first.graph._pvc is not other.graph._pvc
+        assert again.graph._pvc is None
+        assert family(1, 2).graph._pvc is None
 
     def test_family_checks_each_instance(self):
         family = _GadgetFamily(cycle_graph(4), Fraction(1, 2))

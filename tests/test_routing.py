@@ -17,13 +17,13 @@ from pvcmon.corpus import (
     star_graph,
 )
 from pvcmon.graph import Graph, to_edge_list_text
-from pvcmon.pvc import _route
+from pvcmon.pvc import EXACT_MAX_N, _route
 from util import relabelled_union
 
 
 def _routing_corpus():
     rng = random.Random(83)
-    yield random_tree(12, rng)  # small enough that the guard and _route's exact_max_n decide
+    yield random_tree(12, rng)  # small enough that _route's guard decides whether it walks
     for n in (31, 120, 600):
         yield random_recursive_tree(n, rng)
     for n in (31, 200, 600):
@@ -49,8 +49,11 @@ def _targets(g):
 # sha256 of every route and answer below. Recorded before the three graph
 # traversals became one walk, and again when a direct degree greedy took the
 # router's orientation: that changed only the nine degreeGreedy lines of the
-# forest of seven 3-vertex paths, from exit 2 to a degree_greedy answer
-ROUTING_DIGEST = "c1560f0977f28d368e316bb4495952caa00f879d4ea74a286894feb037d03415"
+# forest of seven 3-vertex paths, from exit 2 to a degree_greedy answer. And
+# again when the guard's greedy fallback moved into _route: only the route
+# lines of the 35-cycle and the 34-vertex random graph changed, from exact to
+# heuristic at each guard below their n
+ROUTING_DIGEST = "b1bf36ebfe022b1d5096925d3b1fdf0d3705acaa6fb7c48c2d3ee0f3b0065eec"
 
 
 def test_routing_golden_digest(capsys, tmp_path):
@@ -91,6 +94,38 @@ def walks(monkeypatch):
     monkeypatch.setattr(pvcmon.graph, "walk", walk)
     monkeypatch.setattr(pvcmon.pvc, "walk", walk)
     return counts
+
+
+@pytest.mark.parametrize("guard", [None, 0, 5, 14, 30, 40])
+def test_cli_answers_by_the_route(guard, capsys, tmp_path):
+    # pvcmon pvc reports the method of the one routing rule, fed its guard
+    # (EXACT_MAX_N when none is given), and an upper bound exactly when
+    # that method is the greedy's
+    flags = () if guard is None else ("--guard", str(guard))
+    for i, g in enumerate(_routing_corpus()):
+        method = _route(g, EXACT_MAX_N if guard is None else guard).method
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(to_edge_list_text(g))
+        for t in sorted({1, g.m // 2, g.m}):
+            assert main([*flags, "pvc", str(path), "-t", str(t)]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result["method"] == method
+            assert result["upper_bound"] == (method == "heuristic")
+
+
+def test_cli_guard_falls_back_without_a_search(walks, capsys, tmp_path, monkeypatch):
+    from pvcmon import kernels
+
+    searches = []
+    search = kernels.bb_min_cover
+    monkeypatch.setattr(kernels, "bb_min_cover", lambda *a: searches.append(a) or search(*a))
+    g = cycle_graph(35)
+    path = tmp_path / "c35.txt"
+    path.write_text(to_edge_list_text(g))
+    assert main(["--guard", "5", "pvc", str(path), "-t", str(g.m)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["method"], result["upper_bound"]) == ("heuristic", True)
+    assert walks == {"walk": 1} and not searches
 
 
 def test_routed_tree_query_walks_once(walks, capsys, tmp_path):
