@@ -265,8 +265,10 @@ def main(argv=None) -> int:
     try:
         if args.guard is not None and args.guard < 0:
             raise ValueError(f"guard must be at least 0, got {args.guard}")
-        if args.guard is not None and args.command != "pvc" and not getattr(args, "oracle", False):
-            raise ValueError(f"--guard applies only to pvc and sdyn --oracle, not {args.command}")
+        if args.guard is not None and not (getattr(args, "solver", None) in ("auto", "exact")
+                                           or getattr(args, "oracle", False)):
+            used = f"pvc --solver {args.solver}" if args.command == "pvc" else args.command
+            raise ValueError(f"--guard applies only to pvc --solver auto|exact and sdyn --oracle, not {used}")
         if args.command == "verify":
             result, ok = _cmd_verify(args)
         else:

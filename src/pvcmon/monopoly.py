@@ -6,14 +6,15 @@ shot; a dynamic monopoly is a seed whose deterministic round-by-round
 closure activates the whole graph. ``smon`` and ``sdyn`` minimize the seed
 size over all assignments with a prescribed average, by reduction to
 partial vertex cover, solved by ``pvc.solve_pvc`` (so forests and
-degree-dominant bipartite graphs get the polynomial solvers); the
-``*_decide`` forms ask ``pvc._decide``, as ``pvc_decide`` does, at the
-target (``_static_target``, ``_dynamic_target``) their total fixes. ``sdyn_via_subgraph``
-is the independent sparse-induced-subgraph route used to cross-check
-``sdyn``; ``sparse_profile`` is its enumeration, a fold over
-``kernels.enumerate_subsets`` (the theorems battery runs it in its one
-enumeration a graph), kept for callers that ask about several averages of
-one graph.
+degree-dominant bipartite graphs get the polynomial solvers). The
+``*_decide`` forms, at average k times the edge density, are the
+rho-fraction question ``pvc.pvc_rho_decide`` at rho = k/2 (static) and
+rho = k - 1 (dynamic), as in the paper's hardness reduction.
+``sdyn_via_subgraph`` is the independent sparse-induced-subgraph route
+used to cross-check ``sdyn``; ``sparse_profile`` is its enumeration, a
+fold over ``kernels.enumerate_subsets`` (the theorems battery runs it in
+its one enumeration a graph), kept for callers that ask about several
+averages of one graph.
 
 The witness layer checks an assignment once, against ``graph.degrees``
 (``_checked_thresholds``, which ``ThresholdAssignment.for_graph`` and every
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import InfeasibleTargetError
 from .graph import Graph, Rational, _coerce_rational, _fraction_between, vertex_subset
 from .kernels import enumerate_subsets
-from .pvc import _decide, solve_pvc
+from .pvc import pvc_rho_decide, solve_pvc
 
 # Largest graph sdyn_via_subgraph enumerates unless told otherwise (2^14 subsets).
 ORACLE_GUARD_DEFAULT = 14
@@ -328,27 +329,29 @@ def sdyn_via_subgraph(
     return graph.n - best_size, witness
 
 
-def _decide_total(graph: Graph, d: int, k_factor: Rational, low: int) -> tuple[int, int]:
-    # d as a plain int, and ceil(n*k*density) = ceil(k*m) in integers, for
-    # k = a/b strictly between low and 2
+def _decide_factor(graph: Graph, k_factor: Rational, low: int) -> Fraction:
+    # k = a/b strictly between low and 2, on a graph with an edge density
     k_factor = _fraction_between(k_factor, low, 2, "k factor")
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError(f"size bound must be nonnegative, got {d}")
     if graph.n == 0:
         raise ValueError("edge density undefined for the empty graph")
-    return d, -(-k_factor.numerator * graph.m // k_factor.denominator)
+    return k_factor
 
 
 def smon_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
-    static monopoly of size at most d? Valid for 0 < k < 2."""
-    d, total = _decide_total(graph, d, k_factor, 0)
-    return _decide(graph, _static_target(total), d)
+    static monopoly of size at most d? Valid for 0 < k < 2.
+
+    With density m/n, that is the rho-fraction question at rho = k/2:
+    Smon at total ceil(k*m) is P_{ceil(k*m/2)}.
+    """
+    return pvc_rho_decide(graph, d, _decide_factor(graph, k_factor, 0) / 2)
 
 
 def sdyn_decide(graph: Graph, d: int, k_factor: Rational) -> bool:
     """Is there an assignment with total ceil(n*k*density) admitting a
-    dynamic monopoly of size at most d? Valid for 1 < k < 2."""
-    d, total = _decide_total(graph, d, k_factor, 1)
-    return _decide(graph, _dynamic_target(graph, total), d)
+    dynamic monopoly of size at most d? Valid for 1 < k < 2.
+
+    With density m/n, that is the rho-fraction question at rho = k - 1:
+    Sdyn at total ceil(k*m) is P_{ceil(k*m) - m} = P_{ceil((k-1)*m)}.
+    """
+    return pvc_rho_decide(graph, d, _decide_factor(graph, k_factor, 1) - 1)

@@ -46,11 +46,14 @@ asked again (by ``smon`` and ``sdyn`` at averages with one target, or by
 decides with several caps) is solved once. The route is not kept: it is a
 value, made again by each call that needs it.
 
-Every decision form, the monopoly ones too, ends in ``_decide``: "yes" when
-the greedy needs at most k picks, "no" when the k largest degrees sum below
-t (the degree-sum bound that branch-and-bound applies at its root), and
-otherwise k compared with the size from ``solve_pvc``, so forests above
-``EXACT_MAX_N`` get the tree DP for them too.
+The decide layer has two entry points, as the paper's chain has: budgets
+through ``pvc_decide`` (Lemma 1), fractions through ``pvc_rho_decide``
+(Lemma 2, and the monopoly decide forms at rho = k/2 and k - 1). Both end
+in ``_decide``: "yes" when the greedy needs at most k picks, "no" when the
+k largest degrees sum below t (the degree-sum bound that branch-and-bound
+applies at its root), and otherwise k compared with the size from
+``solve_pvc``, so forests above ``EXACT_MAX_N`` get the tree DP for them
+too.
 
 Every solver and ``solve_pvc`` check the target with ``graph._check_target``,
 ``PvcbInstance`` with ``graph._check_instance``, ``pvc_rho_decide`` its rho

@@ -89,18 +89,32 @@ def test_negative_guard_rejected(capsys, p5_file):
 
 def test_guard_refused_where_no_guard_applies(capsys, p5_file, tmp_path):
     # only pvc and sdyn --oracle have a guard; the other commands refuse one
-    # rather than ignore it, and a negative guard is named first
+    # rather than ignore it (as pvc's unguarded solvers do), and a negative
+    # guard is named first
     thresholds = tmp_path / "tau.txt"
     thresholds.write_text("0\n" * 5)
     for command in (("smon", p5_file, "-t", "1"), ("sdyn", p5_file, "-t", "1"),
                     ("simulate", p5_file, str(thresholds)),
                     ("reduce", p5_file, "-k", "1", "-t", "2", "--rho", "1/2"), ("verify", "lemma1")):
         assert main(["--guard", "5", *command]) == 2
-        assert capsys.readouterr() == ("", f"error: --guard applies only to pvc and sdyn --oracle, not {command[0]}\n")
+        assert capsys.readouterr() == (
+            "", f"error: --guard applies only to pvc --solver auto|exact and sdyn --oracle, not {command[0]}\n")
         assert main(["--guard", "-1", *command]) == 2
         assert capsys.readouterr() == ("", "error: guard must be at least 0, got -1\n")
     code, report = run_cli(capsys, "--guard", "5", "sdyn", p5_file, "-t", "1", "--oracle")
     assert code == 0 and report["result"]["oracle"]["agrees"]
+
+
+def test_guard_refused_where_pvc_ignores_it(capsys, p5_file):
+    # the tree DP and the two greedies have no size guard, so pvc refuses
+    # one with them and names the solver; auto and exact take it
+    for solver in ("tree", "greedy", "degreeGreedy"):
+        assert main(["--guard", "40", "pvc", p5_file, "-t", "1", "--solver", solver]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --guard applies only to pvc --solver auto|exact and sdyn --oracle, not pvc --solver {solver}\n")
+    for solver in ("auto", "exact"):
+        code, report = run_cli(capsys, "--guard", "5", "pvc", p5_file, "-t", "1", "--solver", solver)
+        assert code == 0 and report["result"]["size"] == 1
 
 
 def test_commands_table_covers_every_graph_command():

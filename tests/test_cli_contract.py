@@ -139,8 +139,9 @@ def argvs(draw, files):
         argv += ["verify", suite, "--size-bound", draw(_mostly(small, st.sampled_from(("0", "-1", *too_big, *MALFORMED))))]
         if draw(st.booleans()):
             argv += ["--count", draw(_mostly(small, st.sampled_from(("0", "-1", str(MAX_GRAPHS + 1), *MALFORMED))))]
-    # only pvc and sdyn --oracle take a guard; the other commands refuse
-    # one, so it is kept there on one draw in 16 and they still mostly run
+    # only pvc --solver auto|exact and sdyn --oracle take a guard; it is kept
+    # on every pvc run (its other solvers refuse it) and on the other
+    # commands, which refuse it, on one draw in 16, so they still mostly run
     if guard is not None and (command == "pvc" or "--oracle" in argv or draw(st.integers(0, 15)) == 7):
         argv[:0] = ["--guard", guard]
     return argv, g

@@ -42,7 +42,7 @@ from pvcmon.corpus import (
 )
 from pvcmon.oracles import cover_profile, min_cover_size, min_cover_size_ilp
 from pvcmon.reductions import _GadgetFamily, gadget_parameters
-from util import fresh_copy, relabelled_union, solver_answers
+from util import fresh_copy, solver_answers, union
 
 
 class TestExact:
@@ -381,7 +381,7 @@ class TestTree:
             # two components with an edge and an isolated vertex between them:
             # a run of two leaves, a one-leaf vertex and the path's root are
             # first steps, and the knapsack folds the path into the star
-            (_ordered_union([star_graph(2), isolated, path_graph(3)]), 3, 1, 3),
+            (union([star_graph(2), isolated, path_graph(3)]), 3, 1, 3),
         ):
             calls.clear()
             assert pvc_tree(g, t).size == pvc_exact(g, t).size
@@ -405,7 +405,7 @@ class TestTree:
         graphs = [g for g in _shape_forests() if g.m] + _digest_forests()
         for _ in range(20):
             parts = [random_tree(rng.randint(2, 30), rng) for _ in range(rng.randint(1, 5))]
-            graphs.append(relabelled_union(parts + [Graph.from_edges(1, [])] * rng.randint(0, 3), rng))
+            graphs.append(union(parts + [Graph.from_edges(1, [])] * rng.randint(0, 3), rng))
         for g in graphs:
             for t in _digest_targets(g):
                 pvc_tree(g, t)
@@ -424,7 +424,7 @@ class TestTree:
         isolated = Graph.from_edges(1, [])
         answers = []
         for before, after in ((0, 0), (0, 1), (500, 500)):
-            g = _ordered_union([isolated] * before + [tree] + [isolated] * after)
+            g = union([isolated] * before + [tree] + [isolated] * after)
             calls.clear()
             results = [pvc_tree(g, t) for t in range(1, g.m + 1)]
             answers.append((len(calls), [res.size for res in results],
@@ -589,15 +589,6 @@ def _ordered_tree(shape) -> Graph:
     return Graph.from_edges(len(queue), edges)
 
 
-def _ordered_union(parts) -> Graph:
-    """Disjoint union of ``parts``, each keeping its ids in order after the last."""
-    edges, offset = [], 0
-    for g in parts:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph.from_edges(offset, edges)
-
-
 def _digest_forests():
     """The forests of ``TREE_DIGEST``: shallow random recursive trees, the
     benchmark cli workload's shape, and forests with isolated vertices."""
@@ -606,7 +597,7 @@ def _digest_forests():
     for _ in range(3):
         parts = [random_recursive_tree(rng.randint(1, 40), rng) for _ in range(rng.randint(2, 4))]
         parts += [Graph.from_edges(1, [])] * rng.randint(1, 3)
-        graphs.append(relabelled_union(parts, rng))
+        graphs.append(union(parts, rng))
     return graphs
 
 
@@ -650,18 +641,18 @@ def _shape_forests():
     graphs += [_ordered_tree(s) for s in shapes]
     graphs += [spider_graph(3, 2), spider_graph(4, 3), spider_graph(6, 1)]
     isolated = Graph.from_edges(1, [])
-    graphs.append(_ordered_union([isolated, _ordered_tree(shapes[1]), isolated, isolated,
-                                  _ordered_tree(shapes[3]), _ordered_tree(cherry), isolated]))
-    graphs.append(_ordered_union([_ordered_tree(shapes[5]), star_graph(3), _ordered_tree(mixed),
-                                  _ordered_tree(mixed), spider_graph(2, 2)]))
+    graphs.append(union([isolated, _ordered_tree(shapes[1]), isolated, isolated,
+                         _ordered_tree(shapes[3]), _ordered_tree(cherry), isolated]))
+    graphs.append(union([_ordered_tree(shapes[5]), star_graph(3), _ordered_tree(mixed),
+                         _ordered_tree(mixed), spider_graph(2, 2)]))
     rng = random.Random(71)
     for _ in range(4):
         legs = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 8))]
-        graphs.append(relabelled_union([_ordered_tree(caterpillar(legs)), isolated], rng))
+        graphs.append(union([_ordered_tree(caterpillar(legs)), isolated], rng))
     for _ in range(4):
         parts = [_ordered_tree(rng.choice(shapes)) for _ in range(rng.randint(2, 4))]
         parts += [isolated] * rng.randint(0, 2)
-        graphs.append(relabelled_union(parts, rng))
+        graphs.append(union(parts, rng))
     for _ in range(4):
         graphs.append(random_recursive_tree(rng.randint(40, 120), rng))
     return graphs

@@ -382,36 +382,49 @@ class TestEquivalences:
         ]
 
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: verify_lemma2(cycle_graph(4), 1, 2, "3/2"), ValueError,
-         "rho must lie strictly between 0 and 1, got 3/2"),
-        (lambda: verify_lemma2(cycle_graph(4), -1, 2, "1/2"), ValueError, "budget k=-1 outside [0, 4]"),
-        (lambda: verify_lemma2(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 outside [0, 4]"),
-        (lambda: verify_lemma2(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
-         "target 5 exceeds edge count 4"),
-        (lambda: verify_lemma2(cycle_graph(4), 1, 2, 0.5), TypeError,
-         "pass an exact rational (int, 'p/q' string, or Fraction), not a float"),
-        (lambda: reduction_chain(cycle_graph(4), 1, 2, 0), ValueError,
-         "rho must lie strictly between 0 and 1, got 0"),
-        (lambda: reduction_chain(cycle_graph(4), 1, -1, "1/2"), ValueError, "negative coverage target -1"),
-        (lambda: reduction_chain(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 outside [0, 4]"),
-        (lambda: reduction_chain(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
-         "target 5 exceeds edge count 4"),
-        (lambda: build_gadget(Graph.from_edges(0, []), 0, 0, "1/2"), ValueError,
-         "gadget needs at least one original vertex"),
-        (lambda: build_gadget(cycle_graph(4), 0, -1, "1/2"), ValueError, "negative coverage target -1"),
-        (lambda: smon_decide(cycle_graph(4), 1, 2), ValueError, "k factor must lie strictly between 0 and 2, got 2"),
-        (lambda: smon_decide(cycle_graph(4), -1, 1), ValueError, "size bound must be nonnegative, got -1"),
-        (lambda: smon_decide(cycle_graph(4), 1, 0.5), TypeError,
-         "pass an exact rational (int, 'p/q' string, or Fraction), not a float"),
-        (lambda: sdyn_decide(cycle_graph(4), 1, 1), ValueError, "k factor must lie strictly between 1 and 2, got 1"),
-        (lambda: sdyn_decide(cycle_graph(4), -1, "3/2"), ValueError, "size bound must be nonnegative, got -1"),
-        # the factor, then the bound, then the empty graph's density
-        (lambda: smon_decide(Graph.from_edges(0, []), -1, 2), ValueError,
-         "k factor must lie strictly between 0 and 2, got 2"),
-        (lambda: sdyn_decide(Graph.from_edges(0, []), -1, "3/2"), ValueError, "size bound must be nonnegative, got -1"),
-        (lambda: smon_decide(Graph.from_edges(0, []), 1, 1), ValueError, "edge density undefined for the empty graph"),
-        (lambda: sdyn_decide(Graph.from_edges(0, []), 1, "3/2"), ValueError,
-         "edge density undefined for the empty graph"),
+        pytest.param(lambda: verify_lemma2(cycle_graph(4), 1, 2, "3/2"), ValueError,
+                     "rho must lie strictly between 0 and 1, got 3/2", id="verify_lemma2-rho-above-1"),
+        pytest.param(lambda: verify_lemma2(cycle_graph(4), -1, 2, "1/2"), ValueError, "budget k=-1 outside [0, 4]",
+                     id="verify_lemma2-negative-budget"),
+        pytest.param(lambda: verify_lemma2(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 outside [0, 4]",
+                     id="verify_lemma2-budget-above-n"),
+        pytest.param(lambda: verify_lemma2(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
+                     "target 5 exceeds edge count 4", id="verify_lemma2-target-above-m"),
+        pytest.param(lambda: verify_lemma2(cycle_graph(4), 1, 2, 0.5), TypeError,
+                     "pass an exact rational (int, 'p/q' string, or Fraction), not a float",
+                     id="verify_lemma2-float-rho"),
+        pytest.param(lambda: reduction_chain(cycle_graph(4), 1, 2, 0), ValueError,
+                     "rho must lie strictly between 0 and 1, got 0", id="reduction_chain-rho-0"),
+        pytest.param(lambda: reduction_chain(cycle_graph(4), 1, -1, "1/2"), ValueError, "negative coverage target -1",
+                     id="reduction_chain-negative-target"),
+        pytest.param(lambda: reduction_chain(cycle_graph(4), 5, 2, "1/2"), ValueError, "budget k=5 outside [0, 4]",
+                     id="reduction_chain-budget-above-n"),
+        pytest.param(lambda: reduction_chain(cycle_graph(4), 1, 5, "1/2"), InfeasibleTargetError,
+                     "target 5 exceeds edge count 4", id="reduction_chain-target-above-m"),
+        pytest.param(lambda: build_gadget(Graph.from_edges(0, []), 0, 0, "1/2"), ValueError,
+                     "gadget needs at least one original vertex", id="build_gadget-empty-graph"),
+        pytest.param(lambda: build_gadget(cycle_graph(4), 0, -1, "1/2"), ValueError, "negative coverage target -1",
+                     id="build_gadget-negative-target"),
+        pytest.param(lambda: smon_decide(cycle_graph(4), 1, 2), ValueError,
+                     "k factor must lie strictly between 0 and 2, got 2", id="smon_decide-factor-2"),
+        pytest.param(lambda: smon_decide(cycle_graph(4), -1, 1), ValueError, "budget must be nonnegative, got -1",
+                     id="smon_decide-negative-cap"),
+        pytest.param(lambda: smon_decide(cycle_graph(4), 1, 0.5), TypeError,
+                     "pass an exact rational (int, 'p/q' string, or Fraction), not a float",
+                     id="smon_decide-float-factor"),
+        pytest.param(lambda: sdyn_decide(cycle_graph(4), 1, 1), ValueError,
+                     "k factor must lie strictly between 1 and 2, got 1", id="sdyn_decide-factor-1"),
+        pytest.param(lambda: sdyn_decide(cycle_graph(4), -1, "3/2"), ValueError, "budget must be nonnegative, got -1",
+                     id="sdyn_decide-negative-cap"),
+        # the factor, then the empty graph's density, then the cap
+        pytest.param(lambda: smon_decide(Graph.from_edges(0, []), -1, 2), ValueError,
+                     "k factor must lie strictly between 0 and 2, got 2", id="smon_decide-empty-factor-first"),
+        pytest.param(lambda: sdyn_decide(Graph.from_edges(0, []), -1, "3/2"), ValueError,
+                     "edge density undefined for the empty graph", id="sdyn_decide-empty-density-before-cap"),
+        pytest.param(lambda: smon_decide(Graph.from_edges(0, []), 1, 1), ValueError,
+                     "edge density undefined for the empty graph", id="smon_decide-empty-density"),
+        pytest.param(lambda: sdyn_decide(Graph.from_edges(0, []), 1, "3/2"), ValueError,
+                     "edge density undefined for the empty graph", id="sdyn_decide-empty-density"),
     ])
     def test_decision_errors(self, call, error, message):
         # the verifiers and decide forms name each fault with its own type
@@ -422,16 +435,17 @@ class TestEquivalences:
 
     def test_decide_caps_and_sidecars_keep_their_own_checks(self):
         # a decide cap above n is a valid question, which the greedy settles,
-        # so only a negative cap is refused, in the cap's own words; a
-        # sidecar's rho out of range is a construction failure
+        # so only a negative cap is refused, in pvc_rho_decide's words, which
+        # the monopoly decides ask; a sidecar's rho out of range is a
+        # construction failure
         g = cycle_graph(4)
         assert pvc_rho_decide(g, g.n + 5, Fraction(1, 2))
         assert smon_decide(g, g.n + 5, 1)
         assert sdyn_decide(g, g.n + 5, "3/2")
         for call, message in (
             (lambda: pvc_rho_decide(g, -1, Fraction(1, 2)), "budget must be nonnegative, got -1"),
-            (lambda: smon_decide(g, -1, 1), "size bound must be nonnegative, got -1"),
-            (lambda: sdyn_decide(g, -1, "3/2"), "size bound must be nonnegative, got -1"),
+            (lambda: smon_decide(g, -1, 1), "budget must be nonnegative, got -1"),
+            (lambda: sdyn_decide(g, -1, "3/2"), "budget must be nonnegative, got -1"),
         ):
             with pytest.raises(ValueError) as caught:
                 call()

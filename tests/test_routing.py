@@ -18,7 +18,7 @@ from pvcmon.corpus import (
 )
 from pvcmon.graph import Graph, to_edge_list_text
 from pvcmon.pvc import EXACT_MAX_N, _route
-from util import relabelled_union
+from util import union
 
 
 def _routing_corpus():
@@ -31,7 +31,7 @@ def _routing_corpus():
     # forests with isolated vertices, their ids spread by the relabelling
     for sizes in ((12, 9, 7, 1, 1, 1), (40, 25, 1, 1), (3, 1, 1, 1, 1) * 7):
         parts = [random_tree(s, rng) for s in sizes]
-        yield relabelled_union(parts, rng)
+        yield union(parts, rng)
     yield complete_bipartite(20, 60)
     yield complete_bipartite(3, 40)
     # K_{2,40} with its X ids last: the walk colours vertex 0, on Y, first
@@ -52,8 +52,10 @@ def _targets(g):
 # forest of seven 3-vertex paths, from exit 2 to a degree_greedy answer. And
 # again when the guard's greedy fallback moved into _route: only the route
 # lines of the 35-cycle and the 34-vertex random graph changed, from exact to
-# heuristic at each guard below their n
-ROUTING_DIGEST = "b1bf36ebfe022b1d5096925d3b1fdf0d3705acaa6fb7c48c2d3ee0f3b0065eec"
+# heuristic at each guard below their n. And again when pvc refused a guard
+# its solver ignores: only the tree and degreeGreedy lines under --guard 5 and
+# --guard 40 changed, to exit 2 and the refusal
+ROUTING_DIGEST = "46111a94006471bd4c46ccb62a471e0589ded6e78cf888ba8ba986fca6760674"
 
 
 def test_routing_golden_digest(capsys, tmp_path):

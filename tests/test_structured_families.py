@@ -10,14 +10,7 @@ from pvcmon.corpus import (
     star_graph,
 )
 from pvcmon.oracles import cover_profile
-
-
-def disjoint_union(graphs):
-    edges, offset = [], 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph.from_edges(offset, edges)
+from util import union
 
 
 def caterpillar(spine, legs_each):
@@ -49,10 +42,10 @@ PETERSEN = Graph.from_edges(
 )
 
 GENERAL_FAMILIES = [
-    disjoint_union([cycle_graph(3)] * 5),                  # tie-heavy triangle union
-    disjoint_union([cycle_graph(3), star_graph(4), cycle_graph(3), star_graph(3)]),
-    disjoint_union([complete_graph(5), complete_graph(5)]),
-    disjoint_union([complete_graph(6), path_graph(8)]),
+    union([cycle_graph(3)] * 5),                  # tie-heavy triangle union
+    union([cycle_graph(3), star_graph(4), cycle_graph(3), star_graph(3)]),
+    union([complete_graph(5), complete_graph(5)]),
+    union([complete_graph(6), path_graph(8)]),
     complete_bipartite(4, 6),
     complete_bipartite(2, 12),
     cycle_graph(14),
@@ -94,7 +87,7 @@ def test_tree_solver_matches_enumeration_on_named_trees():
 
 
 def test_forest_of_named_trees():
-    forest = disjoint_union([caterpillar(3, 1), spider_graph(3, 2), path_graph(4)])
+    forest = union([caterpillar(3, 1), spider_graph(3, 2), path_graph(4)])
     profile = cover_profile(forest)
     for t in range(forest.m + 1):
         assert pvc_tree(forest, t).size == _enumeration_optimum(profile, t)

@@ -12,15 +12,17 @@ from pvcmon.kernels import INF
 from pvcmon.monopoly import SpreadTrace, ThresholdAssignment
 
 
-def relabelled_union(parts, rng) -> Graph:
-    """Disjoint union of ``parts`` under a random relabelling of its vertices."""
+def union(parts, rng=None) -> Graph:
+    """Disjoint union of ``parts``, each after the last; with an ``rng``,
+    under a random relabelling of its vertices (one ``rng.shuffle``)."""
     n = sum(g.n for g in parts)
     label = list(range(n))
-    rng.shuffle(label)
+    if rng is not None:
+        rng.shuffle(label)
     edges = []
     offset = 0
     for g in parts:
-        edges.extend(tuple(sorted((label[u + offset], label[v + offset]))) for u, v in g.edges)
+        edges.extend((label[u + offset], label[v + offset]) for u, v in g.edges)
         offset += g.n
     return Graph.from_edges(n, edges)
 
